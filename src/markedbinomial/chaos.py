@@ -10,17 +10,21 @@ all functionals, so every F decomposes uniquely as
     F = E[F] + sum_n J_n(f_n),
     J_n(f_n) = n! * sum_{t_1<...<t_n, marks} f_n(support) prod_i dR_(t_i,k_i).
 
-Kernels are stored sparsely by their value on time-ordered supports (the
-symmetric kernel is determined there).  With this normalization the
-kernel of the plain product dR_(t1,k1) * dR_(t2,k2) has value 1/2! on its
-support, and the coefficients are recovered as f_n = E[D^(n) F] / n!
-(expected iterated gradients, module :mod:`malliavin`).
+The decomposition is held as one coefficient tensor: axis t is the step,
+index 0 the constant slot and index j mark j, and the entry on a
+time-ordered support is n! * f_n (the symmetric kernel is determined
+there).  With this normalization the kernel of the plain product
+dR_(t1,k1) * dR_(t2,k2) has value 1/2! on its support, and the
+coefficients are recovered as f_n = E[D^(n) F] / n! (expected iterated
+gradients, module :mod:`malliavin`).  Sparse dict kernels exist only at
+the edges, where they are mapped to and from tensor ranks.
 
 Decomposition and reconstruction are carried out by a per-step tensor
 transform: contracting axis t of the reshaped table with the analysis
 matrix W[j, d] = w_d * r_j(d) / kappa_j (row j = 0 holds the step
 probabilities) produces every projection coefficient in one pass, and the
-synthesis matrix V[d, j] = r_j(d) inverts it exactly.
+synthesis matrix V[d, j] = r_j(d) inverts it exactly (the basis is the tensor
+product of one-step bases; Privault, Probab. Surveys 5, 2008).
 
 Reference inner product: kernels are paired by the kappa-weighted
 counting measure, <f, g>_n = n! * sum_{ordered supports} f g prod kappa,
@@ -28,11 +32,9 @@ under which E[J_n(f) J_m(g)] = 1{n=m} n! <f, g>_n.
 """
 from __future__ import annotations
 
-import csv
 import os
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial
 
@@ -49,47 +51,123 @@ from .basis import (
 )
 from .space import ModelParams, PathFunctional, space
 
+# Coefficients at or below this fraction of the largest one are rounding
+# dust from the transform; kernels read out of the tensor leave them out.
+REL_TOL = 1e-13
 
-@dataclass
+
+def _kernel_tensor(params: ModelParams, kernel: Kernel, n: int) -> np.ndarray:
+    """Input edge: the coefficient tensor (flat, in rank order) of an order-n
+    kernel, n! * f_n on each support.  Every support must hold n (time, mark)
+    points with times strictly increasing in 1..T and marks of the model."""
+    if not 1 <= n <= params.horizon:
+        raise ValueError(f"order {n} outside 1..{params.horizon}")
+    sp = space(params)
+    try:
+        points = np.array(list(kernel), dtype=float).reshape(len(kernel), n, 2)
+    except (TypeError, ValueError):
+        raise ValueError(f"a support has the wrong size or form for order {n}") from None
+    times, marks = points[..., 0], points[..., 1]
+    matches = marks[..., None] == np.asarray(params.marks)
+    for bad, message in (
+        (~np.all((times >= 1) & (times <= params.horizon) & (times == np.floor(times)), axis=1),
+         f"support times must lie in 1..{params.horizon}"),
+        (np.any(np.diff(times, axis=1) <= 0, axis=1), "support times must strictly increase"),
+        (~np.all(matches.any(axis=2), axis=1), f"support marks must be marks of the model {params.marks}"),
+    ):
+        if bad.any():
+            raise ValueError(f"{message}: {list(kernel)[int(np.argmax(bad))]}")
+    digits = matches.argmax(axis=2) + 1
+    ranks = (digits * sp.powers[times.astype(np.int64) - 1]).sum(axis=1)
+    flat = np.zeros(sp.n)
+    flat[ranks] = factorial(n) * np.fromiter(kernel.values(), dtype=float, count=len(kernel))
+    return flat
+
+
 class ChaosCoefficients:
-    """Sparse chaotic decomposition: constant term plus per-order kernels."""
+    """Chaotic decomposition held as its coefficient tensor, built from a constant
+    and per-order kernels on time-ordered supports.  Kernels read back out
+    leave out entries at or below ``REL_TOL`` times the largest coefficient."""
 
-    params: ModelParams
-    f0: float
-    orders: dict[int, Kernel] = field(default_factory=dict)
+    def __init__(self, params: ModelParams, f0: float, orders: dict[int, Kernel] | None = None):
+        flat = np.zeros(params.n_configurations)
+        for n, kernel in (orders or {}).items():
+            flat += _kernel_tensor(params, kernel, n)
+        flat[0] = f0
+        self.params = params
+        self.tensor = flat.reshape((space(params).base,) * params.horizon, order="F")
 
-    def __post_init__(self):
-        for n, kernel in self.orders.items():
-            if not 1 <= n <= self.params.horizon:
-                raise ValueError(f"order {n} outside 1..{self.params.horizon}")
-            for support in kernel:
-                if len(support) != n:
-                    raise ValueError(f"support {support} has wrong size for order {n}")
-                times = [t for t, _ in support]
-                if any(s >= t for s, t in zip(times, times[1:])):
-                    raise ValueError(f"support times must strictly increase: {support}")
+    @classmethod
+    def from_tensor(cls, params: ModelParams, tensor: np.ndarray) -> "ChaosCoefficients":
+        coeffs = cls.__new__(cls)
+        coeffs.params, coeffs.tensor = params, tensor
+        return coeffs
+
+    @property
+    def f0(self) -> float:
+        return float(self.tensor.flat[0])
+
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Output edge: (order, digits, kernel value) of every retained
+        non-constant coefficient, sorted by order and then lexicographically
+        by the (time, mark value) pairs of its support."""
+        params, sp = self.params, space(self.params)
+        flat = self.tensor.reshape(-1, order="F")
+        tol = REL_TOL * max(1e-300, float(np.max(np.abs(flat))))
+        ranks = np.flatnonzero(np.abs(flat) > tol)
+        ranks = ranks[ranks > 0]
+        digits = sp.digits[ranks]
+        order = np.count_nonzero(digits, axis=1)
+        # Two supports of one order first differ at the earliest step where
+        # their digits differ; there a jump comes before no jump, and a lower
+        # mark value before a higher one.  Step codes in that order, read as
+        # base-(1+m) numbers with step 1 leading, sort the supports.
+        step_code = np.concatenate([[params.n_marks], np.argsort(np.argsort(params.marks))])
+        perm = np.lexsort((step_code[digits] @ sp.powers[::-1], order))
+        fact = np.array([float(factorial(n)) for n in range(params.horizon + 1)])
+        return order[perm], digits[perm], (flat[ranks] / fact[order])[perm]
+
+    def _points(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Times (1-based), mark indices and values of the order-n entries."""
+        order, digits, values = self._entries
+        lo, hi = np.searchsorted(order, [n, n + 1])
+        block = digits[lo:hi]
+        rows, steps = np.nonzero(block)
+        return (steps + 1).reshape(hi - lo, n), block[rows, steps].reshape(hi - lo, n) - 1, values[lo:hi]
 
     def kernel(self, n: int) -> Kernel:
-        return self.orders.get(n, {})
+        if not 1 <= n <= self.params.horizon:
+            return {}
+        times, kidx, values = self._points(n)
+        marks = np.asarray(self.params.marks)[kidx]
+        slots = [zip(times[:, i].tolist(), marks[:, i].tolist()) for i in range(times.shape[1])]
+        return dict(zip(zip(*slots), values.tolist()))
 
-    def scale_orders(self, factor_of_order) -> "ChaosCoefficients":
-        """New coefficients with order-n kernels scaled by factor_of_order(n)."""
-        scaled = {
-            n: {s: v * factor_of_order(n) for s, v in kern.items()}
-            for n, kern in self.orders.items()
-        }
-        return ChaosCoefficients(self.params, self.f0, scaled)
+    @property
+    def orders(self) -> dict[int, Kernel]:
+        return {n: self.kernel(n) for n in np.unique(self._entries[0]).tolist()}
+
+    def rows(self) -> list[tuple[int, str, float]]:
+        """(order, support label, kernel value), the constant first; a label
+        joins 't:k' points with ';', marks rendered with format 'g'."""
+        names = np.array([[f"{t}:{k:g}" for k in self.params.marks]
+                          for t in range(1, self.params.horizon + 1)], dtype=object)
+        out = [(0, "", self.f0)]
+        for n in np.unique(self._entries[0]).tolist():
+            times, kidx, values = self._points(n)
+            labels = names[times - 1, kidx].tolist()
+            out += [(n, ";".join(label), v) for label, v in zip(labels, values.tolist())]
+        return out
+
+    def csv_text(self) -> str:
+        """CSV rows (order, support, value), values at 17 significant digits."""
+        lines = ["order,support,value", *(f"{n},{label},{v:.17g}" for n, label, v in self.rows())]
+        return "\n".join(lines) + "\n"
 
     def export_csv(self, path: str | os.PathLike) -> None:
-        """CSV rows (order, support, value); support as 't:k' pairs joined by ';'."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["order", "support", "value"])
-            writer.writerow([0, "", repr(self.f0)])
-            for n in sorted(self.orders):
-                for support in sorted(self.orders[n]):
-                    label = ";".join(f"{t}:{k}" for t, k in support)
-                    writer.writerow([n, label, repr(self.orders[n][support])])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.csv_text())
 
 
 # -- tensor transform ------------------------------------------------------------
@@ -137,37 +215,6 @@ def chaos_order_tensor(params: ModelParams) -> np.ndarray:
     return (idx > 0).sum(axis=0)
 
 
-def _tensor_to_coeffs(params: ModelParams, tensor: np.ndarray, tol: float = 0.0) -> ChaosCoefficients:
-    flat = tensor.reshape(-1, order="F")
-    sp = space(params)
-    orders: dict[int, Kernel] = {}
-    f0 = float(flat[0])
-    nz = np.nonzero(np.abs(flat) > tol)[0]
-    for rank in nz:
-        digs = sp.digits[rank]
-        pts = tuple((t + 1, params.marks[d - 1]) for t, d in enumerate(digs) if d > 0)
-        n = len(pts)
-        if n == 0:
-            continue
-        orders.setdefault(n, {})[pts] = float(flat[rank]) / factorial(n)
-    return ChaosCoefficients(params, f0, orders)
-
-
-def _coeffs_to_tensor(coeffs: ChaosCoefficients) -> np.ndarray:
-    params = coeffs.params
-    sp = space(params)
-    flat = np.zeros(sp.n)
-    flat[0] = coeffs.f0
-    for n, kernel in coeffs.orders.items():
-        fact = factorial(n)
-        for support, value in kernel.items():
-            rank = 0
-            for t, k in support:
-                rank += (params.mark_index(k) + 1) * int(sp.powers[t - 1])
-            flat[rank] = fact * value
-    return flat.reshape((sp.base,) * params.horizon, order="F")
-
-
 # -- multiple integrals -----------------------------------------------------------
 
 def multiple_integral(basis: OrthogonalBasis, f_n: Kernel, n: int, family: str = "R") -> PathFunctional:
@@ -175,10 +222,10 @@ def multiple_integral(basis: OrthogonalBasis, f_n: Kernel, n: int, family: str =
 
     family "R" integrates against the orthogonal family, "Z" against the
     raw centered indicators (the pseudo-chaotic form).  Order above the
-    horizon integrates to zero (warned).
+    horizon integrates to zero (warned).  The kernel is scattered into a
+    coefficient tensor and synthesized with the family's one-step values.
     """
     params = basis.params
-    sp = space(params)
     if n == 0:
         c = float(f_n.get((), 0.0)) if isinstance(f_n, dict) else float(f_n)
         return PathFunctional.constant(params, c)
@@ -188,20 +235,9 @@ def multiple_integral(basis: OrthogonalBasis, f_n: Kernel, n: int, family: str =
     if family not in ("R", "Z"):
         raise ValueError(f"family must be 'R' or 'Z', got {family!r}")
     step = r_step_values(params) if family == "R" else z_step_values(params)
-    out = np.zeros(sp.n)
-    fact = factorial(n)
-    for support, value in f_n.items():
-        if value == 0.0:
-            continue
-        prod_vals = np.ones(sp.n)
-        last_t = 0
-        for t, k in support:
-            if t <= last_t:
-                raise ValueError(f"support times must strictly increase: {support}")
-            last_t = t
-            prod_vals = prod_vals * step[sp.digits[:, t - 1], params.mark_index(k)]
-        out += fact * value * prod_vals
-    return PathFunctional(params, values=out)
+    V = np.hstack([np.ones((len(step), 1)), step])
+    table = _apply_per_step(params, _kernel_tensor(params, f_n, n), V).reshape(-1, order="F")
+    return PathFunctional(params, values=np.ascontiguousarray(table))
 
 
 def product_kernel(params: ModelParams, support: tuple[Point, ...]) -> Kernel:
@@ -210,21 +246,15 @@ def product_kernel(params: ModelParams, support: tuple[Point, ...]) -> Kernel:
     return {tuple(support): 1.0 / factorial(len(support))}
 
 
-def stroock_decompose(F: PathFunctional, rel_tol: float = 1e-13) -> ChaosCoefficients:
+def stroock_decompose(F: PathFunctional) -> ChaosCoefficients:
     """Chaos kernels of F: f_0 = E[F], f_n = E[D^(n) F] / n! on ordered
-    supports, computed in one pass by the per-step tensor transform.
-
-    Coefficients below rel_tol times the largest coefficient are rounding
-    dust from the transform and are dropped from the sparse kernels.
-    """
-    tensor = coefficient_tensor(F)
-    tol = rel_tol * max(1e-300, float(np.max(np.abs(tensor))))
-    return _tensor_to_coeffs(F.params, tensor, tol=tol)
+    supports, computed in one pass by the per-step tensor transform."""
+    return ChaosCoefficients.from_tensor(F.params, coefficient_tensor(F))
 
 
 def reconstruct(basis: OrthogonalBasis, coeffs: ChaosCoefficients) -> PathFunctional:
     """F = f_0 + sum_n J_n(f_n); exact inverse of stroock_decompose."""
-    return synthesize(coeffs.params, _coeffs_to_tensor(coeffs))
+    return synthesize(coeffs.params, coeffs.tensor)
 
 
 # -- inner products ---------------------------------------------------------------
@@ -245,11 +275,12 @@ def kernel_inner(basis: OrthogonalBasis, f_n: Kernel, g_n: Kernel, n: int) -> fl
 
 
 def covariance_from_coeffs(basis: OrthogonalBasis, cf: ChaosCoefficients, cg: ChaosCoefficients) -> float:
-    """cov(F, G) = sum_n n! <f_n, g_n>_n."""
-    acc = 0.0
-    for n in set(cf.orders) | set(cg.orders):
-        acc += factorial(n) * kernel_inner(basis, cf.kernel(n), cg.kernel(n), n)
-    return acc
+    """cov(F, G) = sum_n n! <f_n, g_n>_n, by Parseval on the coefficient tensors:
+    the sum over non-constant d of C_F(d) C_G(d) prod_t kappa(d_t), kappa(0) = 1."""
+    sp = space(basis.params)
+    weight = np.concatenate([[1.0], basis.kappa])[sp.digits].prod(axis=1)
+    weight[0] = 0.0
+    return float(np.sum(cf.tensor.reshape(-1, order="F") * cg.tensor.reshape(-1, order="F") * weight))
 
 
 def random_kernel(params: ModelParams, n: int, rng: np.random.Generator, density: float = 1.0) -> Kernel:
@@ -275,33 +306,20 @@ def doleans_exponential(basis: OrthogonalBasis, h: Kernel, mean: float = 1.0) ->
     """
     params = basis.params
     sp = space(params)
-    g = convert_coeffs_r_to_z(basis, h)
-    zvals = z_step_values(params)
-    factors = np.ones((sp.n, params.horizon))
-    for support, value in g.items():
-        ((t, k),) = tuple(support)
-        factors[:, t - 1] += value * zvals[sp.digits[:, t - 1], params.mark_index(k)]
-    return PathFunctional(params, values=mean * factors.prod(axis=1))
+    g = _kernel_tensor(params, convert_coeffs_r_to_z(basis, h), 1)[sp.powers[:, None] * np.arange(1, sp.base)]
+    factors = 1.0 + g @ z_step_values(params).T
+    return PathFunctional(params, values=mean * factors[np.arange(params.horizon), sp.digits].prod(axis=1))
 
 
 def doleans_series(basis: OrthogonalBasis, h: Kernel, mean: float = 1.0) -> PathFunctional:
-    """Termwise chaos series of the exponential (for verification)."""
+    """Chaos series of the exponential (for verification): in sum_n J_n(h tensor n) / n!
+    the coefficient of prod dR over a support is the product of h over it, so
+    the tensor is the outer product over steps of (1, h(t, k^1), ..., h(t, k^m))."""
     params = basis.params
-    by_time: dict[int, list[tuple[Point, float]]] = {}
-    for support, value in h.items():
-        ((t, k),) = tuple(support)
-        by_time.setdefault(t, []).append(((t, k), value))
-    total = PathFunctional.constant(params, 1.0)
-    times = sorted(by_time)
-    for n in range(1, params.horizon + 1):
-        kernel: Kernel = {}
-        for tset in combinations(times, n):
-            for picks in product(*(by_time[t] for t in tset)):
-                support = tuple(pt for pt, _ in picks)
-                val = 1.0
-                for _, v in picks:
-                    val *= v
-                kernel[support] = kernel.get(support, 0.0) + val
-        if kernel:
-            total = total + (1.0 / factorial(n)) * multiple_integral(basis, kernel, n)
-    return PathFunctional(params, values=mean * total.table())
+    sp = space(params)
+    factors = np.ones((params.horizon, sp.base))
+    factors[:, 1:] = _kernel_tensor(params, h, 1)[sp.powers[:, None] * np.arange(1, sp.base)]
+    tensor = factors[0]
+    for row in factors[1:]:
+        tensor = np.multiply.outer(tensor, row)
+    return PathFunctional(params, values=mean * synthesize(params, tensor).table())

@@ -38,12 +38,6 @@ from .space import (
 from . import stein as stein_mod
 
 
-def _float17(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        return "null"
-    return format(float(x), ".17g")
-
-
 def dumps17(obj, indent: int = 0) -> str:
     """JSON text with all floats at 17 significant digits."""
     pad = "  " * indent
@@ -63,8 +57,16 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _float17(float(obj))
+        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
     return json.dumps(obj)
+
+
+def _write(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, payload: dict) -> None:
@@ -72,12 +74,7 @@ def _emit(args, payload: dict) -> None:
     payload["seed"] = args.seed
     if not args.no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = dumps17(payload) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, dumps17(payload) + "\n")
 
 
 def _model_params(args) -> ModelParams:
@@ -115,7 +112,6 @@ def _add_model_flags(sub) -> None:
 def _add_common_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="seed echoed into the output")
     sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
 
 
@@ -125,12 +121,7 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         lines = ["path,digits"]
         lines += [f"{i},{''.join(str(d) for d in row)}" for i, row in enumerate(digs.tolist())]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, "\n".join(lines) + "\n")
         return 0
     _emit(args, {
         "params": {"T": params.horizon, "marks": list(params.marks),
@@ -149,6 +140,8 @@ def _named_functional(params: ModelParams, name: str) -> PathFunctional:
         return PathFunctional(params, values=sp.compound_sum())
     if name.startswith("indicator="):
         rank = int(name.split("=", 1)[1])
+        if not 0 <= rank < sp.n:
+            raise ValueError(f"indicator rank {rank} outside 0..{sp.n - 1}")
         vals = np.zeros(sp.n)
         vals[rank] = 1.0
         return PathFunctional(params, values=vals)
@@ -159,25 +152,13 @@ def cmd_decompose(args) -> int:
     params = _model_params(args)
     F = _named_functional(params, args.functional)
     coeffs = stroock_decompose(F)
-    rows = [(0, "", coeffs.f0)]
-    for n in sorted(coeffs.orders):
-        for support in sorted(coeffs.orders[n]):
-            label = ";".join(f"{t}:{k:g}" for t, k in support)
-            rows.append((n, label, coeffs.orders[n][support]))
     if args.format == "csv":
-        text = "order,support,value\n" + "\n".join(
-            f"{n},{label},{_float17(v)}" for n, label, v in rows
-        ) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, coeffs.csv_text())
         return 0
     _emit(args, {
         "functional": args.functional,
         "mean": coeffs.f0,
-        "coefficients": [{"order": n, "support": label, "value": v} for n, label, v in rows[1:]],
+        "coefficients": [{"order": n, "support": label, "value": v} for n, label, v in coeffs.rows()[1:]],
     })
     return 0
 
@@ -333,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="sample paths")
     _add_model_flags(sim)
     _add_common_flags(sim)
+    sim.add_argument("--format", choices=("json", "csv"), default="json")
     sim.add_argument("--paths", type=int, default=10)
     sim.add_argument("--stream", type=int, default=0)
     sim.set_defaults(fn=cmd_simulate)
@@ -340,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = subs.add_parser("decompose", help="chaotic decomposition of a functional")
     _add_model_flags(dec)
     _add_common_flags(dec)
+    dec.add_argument("--format", choices=("json", "csv"), default="json")
     dec.add_argument("--functional", type=str, default="count")
     dec.set_defaults(fn=cmd_decompose)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product as iproduct
 from math import factorial
 from typing import Callable
 
@@ -203,13 +204,11 @@ def _tensor_recursion(ctx: _Context) -> float:
     if params.horizon < 3:
         return 0.0
     n = 2
-    g = {s: v for s, v in chaos_mod.random_kernel(params, 1, ctx.rng).items()}
+    g = chaos_mod.random_kernel(params, 1, ctx.rng)
     f = chaos_mod.random_kernel(params, n, ctx.rng)
     # left side: symmetric tensor product on ordered 3-supports
     sym: dict = {}
     times = range(1, params.horizon + 1)
-    from itertools import combinations, product as iproduct
-
     for tset in combinations(times, n + 1):
         for ks in iproduct(params.marks, repeat=n + 1):
             support = tuple(zip(tset, ks))
@@ -225,10 +224,7 @@ def _tensor_recursion(ctx: _Context) -> float:
         for k in params.marks:
             dr = basis_mod.delta_r_table(ctx.basis, t, k)
             inner: dict = {}
-            trunc: dict = {}
-            for support, fv in f.items():
-                if all(tt < t for tt, _ in support):
-                    trunc[support] = fv
+            trunc = {s: v for s, v in f.items() if all(tt < t for tt, _ in s)}
             for tset in combinations(range(1, t), n):
                 for ks in iproduct(params.marks, repeat=n):
                     z = tuple(zip(tset, ks))
@@ -410,8 +406,6 @@ def _lemma_iterated_gradient(ctx: _Context) -> float:
     """E[D^(n) F] = E[F prod dR / kappa] over supports of order <= 3."""
     params, sp = ctx.params, ctx.sp
     F = ctx.random_functional()
-    from itertools import combinations, product as iproduct
-
     worst = 0.0
     for n in range(1, min(3, params.horizon) + 1):
         for tset in combinations(range(1, params.horizon + 1), n):

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .malliavin import add_one_cost, gradient, l_inverse, tilde_grad
 from .space import ModelParams, PathFunctional, space
@@ -62,7 +61,8 @@ def stein_constants(lam0: float) -> tuple[float, float, float]:
 
 
 def poisson_pmf(lam0: float, k_max: int) -> np.ndarray:
-    return stats.poisson.pmf(np.arange(k_max + 1), lam0)
+    """P(Poi(lam0) = k) for k = 0..k_max, as e^-lam0 * prod_{j<=k} lam0 / j."""
+    return math.exp(-lam0) * np.cumprod(np.concatenate([[1.0], lam0 / np.arange(1, k_max + 1)]))
 
 
 def _as_mask(A: Iterable[int] | np.ndarray, k_max: int) -> np.ndarray:
@@ -121,11 +121,14 @@ def solve_stein_poisson(lam0: float, A: Iterable[int] | np.ndarray, k_max: int |
     k_max = default_k_max(lam0) if k_max is None else int(k_max)
     mask = _as_mask(A, k_max)
     ks = np.arange(k_max + 1)
-    pmf = stats.poisson.pmf(ks, lam0)
+    # the table runs on past k_max so that the upper tails P(> k) are sums
+    # of terms, never formed as 1 - P(<= k)
+    table = poisson_pmf(lam0, k_max + math.ceil(lam0) + 60)
+    pmf = table[: k_max + 1]
     if np.any(pmf == 0.0):
         raise ValueError(f"k_max={k_max} too large for float precision at lam0={lam0}")
-    cdf = stats.poisson.cdf(ks, lam0)
-    sf = stats.poisson.sf(ks, lam0)
+    cdf = np.cumsum(pmf)
+    sf = table[::-1].cumsum()[::-1][1 : k_max + 2]
     in_a = np.where(mask, pmf, 0.0)
     p_a_low = np.cumsum(in_a)                                  # P(A & {<=k})
     above = in_a[::-1].cumsum()[::-1]

@@ -52,6 +52,10 @@ def test_unordered_support_rejected(cti):
     basis = build_basis(cti)
     with pytest.raises(ValueError, match="strictly increase"):
         multiple_integral(basis, {((2, 1.0), (1, 1.0)): 1.0}, 2)
+    with pytest.raises(ValueError, match="1..3"):
+        multiple_integral(basis, {((4, 1.0),): 1.0}, 1)
+    with pytest.raises(ValueError, match="wrong size"):
+        multiple_integral(basis, {((1, 1.0),): 1.0}, 2)
 
 
 def test_stroock_constant(cti):
@@ -147,6 +151,12 @@ def test_coefficients_validation(cti):
         ChaosCoefficients(cti, 0.0, {2: {((1, 1.0),): 1.0}})
     with pytest.raises(ValueError, match="order"):
         ChaosCoefficients(cti, 0.0, {5: {((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0)): 1.0}})
+    with pytest.raises(ValueError, match="1..3"):
+        ChaosCoefficients(cti, 0.0, {1: {((0, 1.0),): 1.0}})
+    with pytest.raises(ValueError, match="1..3"):
+        ChaosCoefficients(cti, 0.0, {1: {((4, 1.0),): 1.0}})
+    with pytest.raises(ValueError, match="mark"):
+        ChaosCoefficients(cti, 0.0, {1: {((1, 2.0),): 1.0}})
 
 
 def test_coefficients_csv_export(tmp_path, cti):

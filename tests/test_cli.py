@@ -137,6 +137,30 @@ def test_decompose_csv():
     assert orders <= {"0", "1"}
 
 
+@pytest.mark.parametrize("T, rank", [("3", "-1"), ("1", "99")])
+def test_decompose_rejects_indicator_rank_out_of_range(T, rank):
+    flags = ["--T", T, *CTI_FLAGS[2:]]
+    proc = run_cli(["decompose", *flags, "--functional", f"indicator={rank}", "--no-timestamp"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: indicator rank")
+
+
+def test_format_only_on_table_commands():
+    proc = run_cli(["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5", "--format", "csv"])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --format csv" in proc.stderr
+
+
+def test_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, markedbinomial; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_config_file_source(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("T = 3\nmarks = 1,-1\nlambda = 0.5\nQ = 0.5,0.5\nseed = 9\n")

@@ -5,18 +5,22 @@ transition matrices, design-matrix least squares, complete-basis duality,
 dictionary group-bys) and demands pointwise agreement with the package.
 """
 from itertools import combinations, product
+from math import factorial
 
 import numpy as np
 import pytest
 
 from markedbinomial import (
+    ModelParams,
     PathFunctional,
     build_basis,
     divergence,
     gradient,
+    multiple_integral,
     stroock_decompose,
 )
-from markedbinomial.basis import delta_r_table
+from markedbinomial.basis import delta_r_table, delta_z_table
+from markedbinomial.cli import main
 from markedbinomial.malliavin import ProcessTable, ou_spectral
 from markedbinomial.space import space
 
@@ -65,6 +69,60 @@ def test_chaos_coefficients_match_design_matrix_least_squares(cti, rng):
         assert coeffs.kernel(n).get(support, 0.0) == pytest.approx(
             value / factorial(n), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("family", ["R", "Z"])
+@pytest.mark.parametrize("instance", ["cti", "inst2"])
+def test_multiple_integral_equals_sum_of_increment_products(request, instance, family, rng):
+    """J_n(f) = n! * sum over ordered supports of f * prod of increment
+    tables, summed support by support."""
+    params = request.getfixturevalue(instance)
+    basis = build_basis(params)
+    for n in (1, 2, 3):
+        kernel = {}
+        for tset in combinations(range(1, params.horizon + 1), n):
+            for ks in product(params.marks, repeat=n):
+                if rng.random() < 0.7:
+                    kernel[tuple(zip(tset, ks))] = float(rng.normal())
+        expected = np.zeros(params.n_configurations)
+        for support, value in kernel.items():
+            term = factorial(n) * value * np.ones(params.n_configurations)
+            for t, k in support:
+                term = term * (delta_r_table(basis, t, k) if family == "R" else delta_z_table(params, t, k))
+            expected += term
+        got = multiple_integral(basis, kernel, n, family=family).table()
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+
+UNSORTED_MARKS = ModelParams(horizon=4, marks=(2.0, -1.0, 0.5), jump_prob=0.4, mark_probs=(0.2, 0.5, 0.3))
+
+
+@pytest.mark.parametrize("instance", ["inst2", "unsorted_marks"])
+def test_decompose_csv_is_sorted_and_rebuilds_the_functional(request, instance, rng, capsys):
+    """The CSV rows, parsed back, are sorted by (order, (time, mark value)
+    pairs) and f0 + sum n! * value * prod dR gives back the indicator."""
+    params = request.getfixturevalue(instance) if instance == "inst2" else UNSORTED_MARKS
+    flags = ["--T", str(params.horizon), "--marks", ",".join(map(repr, params.marks)),
+             "--lambda", repr(params.jump_prob), "--Q", ",".join(map(repr, params.mark_probs))]
+    basis = build_basis(params)
+    rank = int(rng.integers(params.n_configurations))
+    assert main(["decompose", *flags, "--functional", f"indicator={rank}", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "order,support,value"
+    keys, rebuilt = [], np.zeros(params.n_configurations)
+    for line in lines[1:]:
+        order, label, value = line.split(",")
+        points = [(int(t), float(k)) for t, k in (p.split(":") for p in label.split(";") if p)]
+        assert len(points) == int(order)
+        keys.append((int(order), points))
+        term = factorial(int(order)) * float(value) * np.ones(params.n_configurations)
+        for t, k in points:
+            term = term * delta_r_table(basis, t, k)
+        rebuilt += term
+    assert keys[0] == (0, []) and keys == sorted(keys)
+    expected = np.zeros(params.n_configurations)
+    expected[rank] = 1.0
+    assert np.max(np.abs(rebuilt - expected)) <= 1e-12
 
 
 def test_divergence_duality_on_complete_basis(cti, rng):
