@@ -25,10 +25,8 @@ from .basis import (
     convert_coeffs_r_to_z,
     convert_order1_z_to_r,
     delta_r,
-    delta_r_functional,
     delta_r_table,
     delta_z,
-    delta_z_functional,
     delta_z_table,
 )
 from .chaos import (

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .space import Configuration, ModelParams, PathFunctional, space
+from .space import Configuration, ModelParams, space
 
 Point = tuple[int, float]           # (time step, mark value)
 Kernel = dict[tuple[Point, ...], float]   # order-n kernel on time-ordered supports
@@ -155,14 +155,6 @@ def delta_r(basis: OrthogonalBasis, config: Configuration, point: Point) -> floa
     t, k = point
     digit = config.digits[t - 1]
     return float(r_step_values(basis.params)[digit, basis.params.mark_index(k)])
-
-
-def delta_z_functional(params: ModelParams, point: Point) -> PathFunctional:
-    return PathFunctional(params, values=delta_z_table(params, *point))
-
-
-def delta_r_functional(basis: OrthogonalBasis, point: Point) -> PathFunctional:
-    return PathFunctional(basis.params, values=delta_r_table(basis, *point))
 
 
 # -- kernel coordinate changes --------------------------------------------------

@@ -3,7 +3,9 @@
 JSON is the machine interface (floats rendered with 17 significant
 digits, seed echoed back, timestamps suppressible for byte-stable
 comparisons); CSV is used for tables only.  Exit codes: 0 success,
-1 verify found a violated identity, 2 validation or usage error.
+1 verify found a violated identity, 2 any other failure (bad input,
+unreadable or unwritable file, resource limit), reported as one
+``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -380,8 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any failure is exit 2: exit 1 means only that verify found a violation
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -303,16 +303,12 @@ def _ipp_tilde(ctx: _Context) -> float:
 
 def _ipp_l2(ctx: _Context) -> float:
     """E[F delta u] = E[sum kappa_k D_(t,k)F u_(t,k)] for arbitrary u."""
-    params, sp = ctx.params, ctx.sp
+    sp = ctx.sp
     F = ctx.random_functional()
     u = ctx.random_process()
     lhs = sp.expectation(F.table() * mal.divergence(u).table())
-    rhs = 0.0
-    for t in range(1, params.horizon + 1):
-        for j, k in enumerate(params.marks):
-            rhs += ctx.basis.kappa[j] * sp.expectation(
-                mal.gradient(F, (t, k)).table() * u.values[:, t - 1, j]
-            )
+    DF = mal.gradient_process(F).values
+    rhs = float(np.sum(np.tensordot(sp.probabilities, DF * u.values, axes=1) * ctx.basis.kappa))
     return abs(lhs - rhs)
 
 
@@ -436,16 +432,13 @@ def _stroock_covariance(ctx: _Context) -> float:
 
 
 def _poincare(ctx: _Context, n_draws: int = 100) -> float:
-    params, sp = ctx.params, ctx.sp
+    sp = ctx.sp
     worst = 0.0
     for _ in range(n_draws):
         F = ctx.random_functional()
         var = sp.expectation(F.table() ** 2) - sp.expectation(F.table()) ** 2
-        energy = 0.0
-        for t in range(1, params.horizon + 1):
-            for j, k in enumerate(params.marks):
-                g = mal.gradient(F, (t, k)).table()
-                energy += ctx.basis.kappa[j] * sp.expectation(g * g)
+        DF = mal.gradient_process(F).values
+        energy = float(np.sum(np.tensordot(sp.probabilities, DF * DF, axes=1) * ctx.basis.kappa))
         worst = max(worst, var - energy)
     return max(worst, 0.0)
 

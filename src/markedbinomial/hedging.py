@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .space import ModelParams, PathFunctional, SampleSpace, space
+from .space import ModelParams, PathFunctional, space
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,6 @@ def martingale_diagnostics(market: MarketParams) -> tuple[float, np.ndarray]:
     return gap, per_step * np.arange(market.horizon + 1, dtype=float)
 
 
-def _cond(sp: SampleSpace, values: np.ndarray, t: int) -> np.ndarray:
-    return sp.conditional_expectation(values, t)
-
-
 @dataclass
 class MinimalMartingaleMeasure:
     """Exact minimal-martingale reweighting of the tree."""
@@ -163,8 +159,8 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     factors = np.empty((sp.n, T))
     for t in range(1, T + 1):
         inc = paths.increments[:, t - 1]
-        e1 = _cond(sp, inc, t - 1)
-        e2 = _cond(sp, inc * inc, t - 1)
+        e1 = sp.conditional_expectation(inc, t - 1)
+        e2 = sp.conditional_expectation(inc * inc, t - 1)
         theta[:, t - 1] = e1 / e2
         factors[:, t - 1] = (1.0 - theta[:, t - 1] * inc) / (1.0 - theta[:, t - 1] * e1)
     density = factors.prod(axis=1)
@@ -182,7 +178,7 @@ def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure,
     out = [None] * (market.horizon + 1)
     out[market.horizon] = np.asarray(values, dtype=float)
     for t in range(market.horizon, 0, -1):
-        out[t - 1] = _cond(sp, mmm.factors[:, t - 1] * out[t], t - 1)
+        out[t - 1] = sp.conditional_expectation(mmm.factors[:, t - 1] * out[t], t - 1)
     return out
 
 
@@ -198,10 +194,6 @@ class Strategy:
     def phi_by_atom(self, t: int) -> np.ndarray:
         """The 3^(t-1) distinct values of phi_t (atom order)."""
         return self.phi[: 3 ** (t - 1), t - 1].copy()
-
-    def gain(self) -> np.ndarray:
-        """Discounted trading gain sum_t phi_t dS~_t per configuration."""
-        return (self.phi * price_paths(self.market).increments).sum(axis=1)
 
     def self_financing_residual(self) -> float:
         """Max violation of A_t (alpha_{t+1}-alpha_t) + S_t (phi_{t+1}-phi_t) = 0
@@ -260,7 +252,8 @@ def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
     for t in range(1, T + 1):
         inc = paths.increments[:, t - 1]
         dv = v_hat[t] - v_hat[t - 1]
-        xi[:, t - 1] = _cond(sp, dv * inc, t - 1) / _cond(sp, inc * inc, t - 1)
+        xi[:, t - 1] = (sp.conditional_expectation(dv * inc, t - 1)
+                        / sp.conditional_expectation(inc * inc, t - 1))
         l_process[:, t] = l_process[:, t - 1] + dv - xi[:, t - 1] * inc
     return KWDecomposition(market, float(v_hat[0][0]), xi, l_process)
 
@@ -334,26 +327,23 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
     sizes = [3 ** (t - 1) for t in range(1, T + 1)]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     n_vars = int(offsets[-1])
-    gram = np.zeros((n_vars, n_vars))
-    rhs = np.zeros(n_vars)
     cols = np.empty((sp.n, T), dtype=np.int64)
     for t in range(1, T + 1):
         cols[:, t - 1] = offsets[t - 1] + sp.atom_ids(t - 1)
+    # each configuration touches exactly T variables: one rank-one update
+    # per configuration, accumulated in rank order
+    inc = paths.increments
+    weighted = inc * sp.probabilities[:, None]
+    gram = np.zeros((n_vars, n_vars))
+    np.add.at(gram, (cols[:, :, None], cols[:, None, :]), weighted[:, :, None] * inc[:, None, :])
     target = F.table() - x
-    # each configuration touches exactly T variables: rank-one updates
-    for i in range(sp.n):
-        c = cols[i]
-        v = paths.increments[i] * sp.probabilities[i]
-        gram[np.ix_(c, c)] += np.outer(v, paths.increments[i])
-        rhs[c] += v * target[i]
+    rhs = np.bincount(cols.ravel(), weights=(weighted * target[:, None]).ravel(), minlength=n_vars)
     sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
     if rank < n_vars:
         warnings.warn("singular normal matrix; returning the minimum-norm strategy")
-    phi = np.empty((sp.n, T))
-    for t in range(1, T + 1):
-        phi[:, t - 1] = sol[cols[:, t - 1]]
-    gain = (phi * paths.increments).sum(axis=1)
-    residual = float(sp.expectation((F.table() - x - gain) ** 2))
+    phi = sol[cols]
+    gain = (phi * inc).sum(axis=1)
+    residual = float(sp.expectation((target - gain) ** 2))
     strategy = Strategy(market, phi, _self_financed_alpha(market, phi, 0.0))
     return strategy, residual
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .basis import Point, build_basis, delta_r_table, r_step_values
 from .chaos import chaos_order_tensor, coefficient_tensor, synthesize
-from .space import ModelParams, PathFunctional, space
+from .space import ModelParams, PathFunctional, SampleSpace, space
 
 
 @dataclass
@@ -62,12 +62,10 @@ class ProcessTable:
     def is_predictable(self, tol: float = 0.0) -> bool:
         sp = space(self.params)
         for t in range(1, self.params.horizon + 1):
-            # the atom id is the rank of the atom's representative (future digits 0)
-            atoms = sp.atom_ids(t - 1)
-            for k in range(self.params.n_marks):
-                col = self.values[:, t - 1, k]
-                if np.max(np.abs(col - col[atoms])) > tol:
-                    return False
+            # axes 0 and 1 of the step view hold digits t..T; row [0, 0] has them all 0
+            step = sp.step_view(self.values, t)[..., t - 1, :]
+            if np.max(np.abs(step - step[:1, :1])) > tol:
+                return False
         return True
 
     @classmethod
@@ -81,14 +79,13 @@ class ProcessTable:
         u.values[:, t - 1, params.mark_index(k)] = 1.0
         return u
 
-    @classmethod
-    def from_function(cls, params: ModelParams, fn) -> "ProcessTable":
-        """fn(t, k) -> table over configurations (t is 1-based, k a mark value)."""
-        u = cls.zeros(params)
-        for t in range(1, params.horizon + 1):
-            for j, k in enumerate(params.marks):
-                u.values[:, t - 1, j] = np.asarray(fn(t, k), dtype=float)
-        return u
+
+def _spread(sp: SampleSpace, plane: np.ndarray, t: int) -> np.ndarray:
+    """Table that does not depend on digit t and equals ``plane`` on every
+    slice of the step-t view (plane shape: the view's without axis 1)."""
+    out = np.empty((sp.n,) + plane.shape[2:])
+    sp.step_view(out, t)[:] = plane[:, None]
+    return out
 
 
 # -- L1 difference operators -------------------------------------------------------
@@ -97,33 +94,34 @@ def add_one_cost(F: PathFunctional, point: Point) -> PathFunctional:
     """D+: force a jump with mark k at t versus no jump at t."""
     sp = space(F.params)
     t, k = point
-    vals = F.table()
     j = F.params.mark_index(k)
-    return PathFunctional(F.params, values=vals[sp.ranks_with_digit(t, j + 1)] - vals[sp.ranks_with_digit(t, 0)])
+    step = sp.step_view(F.table(), t)
+    return PathFunctional(F.params, values=_spread(sp, step[:, j + 1] - step[:, 0], t))
 
 
 def remove_one_cost(F: PathFunctional, point: Point) -> PathFunctional:
     """D-: cost of removing the jump (t,k) where it is present, else 0."""
     sp = space(F.params)
     t, k = point
-    vals = F.table()
     j = F.params.mark_index(k)
-    present = sp.digits[:, t - 1] == j + 1
-    return PathFunctional(F.params, values=np.where(present, vals - vals[sp.ranks_with_digit(t, 0)], 0.0))
+    step = sp.step_view(F.table(), t)
+    out = np.zeros(sp.n)
+    sp.step_view(out, t)[:, j + 1] = step[:, j + 1] - step[:, 0]
+    return PathFunctional(F.params, values=out)
 
 
 def bar_grad(F: PathFunctional, t: int) -> PathFunctional:
     sp = space(F.params)
-    vals = F.table()
-    return PathFunctional(F.params, values=vals - vals[sp.ranks_with_digit(t, 0)])
+    step = sp.step_view(F.table(), t)
+    return PathFunctional(F.params, values=(step - step[:, :1]).reshape(sp.n))
 
 
 def tilde_grad(F: PathFunctional, point: Point) -> PathFunctional:
     sp = space(F.params)
     t, k = point
-    vals = F.table()
     j = F.params.mark_index(k)
-    return PathFunctional(F.params, values=vals[sp.ranks_with_digit(t, j + 1)] - vals)
+    step = sp.step_view(F.table(), t)
+    return PathFunctional(F.params, values=(step[:, j + 1 : j + 2] - step).reshape(sp.n))
 
 
 def iterated_difference(F: PathFunctional, support: tuple[Point, ...]) -> PathFunctional:
@@ -135,46 +133,47 @@ def iterated_difference(F: PathFunctional, support: tuple[Point, ...]) -> PathFu
     times = [t for t, _ in support]
     if len(set(times)) != len(times):
         raise ValueError(f"support times must be distinct, got {support}")
-    vals = F.table()
     n = len(support)
     out = np.zeros(sp.n)
     for mask in range(1 << n):
-        ranks = np.arange(sp.n, dtype=np.int64)
-        popcount = 0
+        vals = F.table()
         for i, (t, k) in enumerate(support):
             digit = params.mark_index(k) + 1 if mask >> i & 1 else 0
-            popcount += mask >> i & 1
-            cur = sp.digits[ranks, t - 1].astype(np.int64)
-            ranks = ranks + (digit - cur) * sp.powers[t - 1]
-        out += (-1.0) ** (n - popcount) * vals[ranks]
+            vals = _spread(sp, sp.step_view(vals, t)[:, digit], t)
+        out += (-1.0) ** (n - bin(mask).count("1")) * vals
     return PathFunctional(params, values=out)
 
 
 # -- L2 gradient family -------------------------------------------------------------
+
+def _projection(params: ModelParams) -> np.ndarray:
+    """w_d r_j(d) / kappa_j, shape (base, m): contracting the step axis of
+    a table with column j gives D_(t,k^j)."""
+    rstep = r_step_values(params)
+    return space(params).step_weights[:, None] * rstep / build_basis(params).kappa[None, :]
+
 
 def gradient(F: PathFunctional, point: Point) -> PathFunctional:
     """Annihilation gradient D_(t,k): projection of the step-t slice of F
     onto dR_(t,k), normalized by kappa_k.  Independent of digit t."""
     params = F.params
     sp = space(params)
-    basis = build_basis(params)
     t, k = point
-    j = params.mark_index(k)
-    rstep = r_step_values(params)
-    vals = F.table()
-    acc = np.zeros(sp.n)
-    for d in range(sp.base):
-        acc += sp.step_weights[d] * rstep[d, j] * vals[sp.ranks_with_digit(t, d)]
-    return PathFunctional(params, values=acc / basis.kappa[j])
+    step = np.moveaxis(sp.step_view(F.table(), t), 1, -1)
+    plane = step @ _projection(params)[:, params.mark_index(k)]
+    return PathFunctional(params, values=_spread(sp, plane, t))
 
 
 def gradient_process(F: PathFunctional) -> ProcessTable:
+    """D_(t,k) F for every (t, k): one contraction of the step axis per step."""
     params = F.params
-    u = ProcessTable.zeros(params)
+    sp = space(params)
+    proj = _projection(params)
+    out = np.empty((sp.n, params.horizon, params.n_marks))
     for t in range(1, params.horizon + 1):
-        for k in params.marks:
-            u.values[:, t - 1, params.mark_index(k)] = gradient(F, (t, k)).table()
-    return u
+        plane = np.moveaxis(sp.step_view(F.table(), t), 1, -1) @ proj
+        sp.step_view(out, t)[..., t - 1, :] = plane[:, None]
+    return ProcessTable(params, out)
 
 
 def iterated_gradient(F: PathFunctional, support: tuple[Point, ...]) -> PathFunctional:
@@ -215,13 +214,13 @@ def divergence(u: ProcessTable) -> PathFunctional:
     """
     params = u.params
     sp = space(params)
-    rstep = r_step_values(params)
+    # configuration omega sends p(omega) u(omega, (t,k^j)) w_d r_j(d) to omega with digit t := d
+    spread = (sp.step_weights[:, None] * r_step_values(params)).T
     scatter = np.zeros(sp.n)
     for t in range(1, params.horizon + 1):
-        for j in range(params.n_marks):
-            weight = sp.probabilities * u.values[:, t - 1, j]
-            for d in range(sp.base):
-                np.add.at(scatter, sp.ranks_with_digit(t, d), weight * sp.step_weights[d] * rstep[d, j])
+        step_u = sp.step_view(u.values, t)[..., t - 1, :]
+        mass = np.einsum("adc,adcj->acj", sp.step_view(sp.probabilities, t), step_u)
+        sp.step_view(scatter, t)[:] += np.moveaxis(mass @ spread, -1, 1)
     return PathFunctional(params, values=scatter / sp.probabilities)
 
 
@@ -249,10 +248,11 @@ def mecke_check(u: ProcessTable) -> tuple[float, float]:
     rhs = 0.0
     for t in range(1, params.horizon + 1):
         digit = sp.digits[:, t - 1]
+        step = sp.step_view(u.values, t)
         for j in range(params.n_marks):
             lhs += sp.expectation(np.where(digit == j + 1, u.values[:, t - 1, j], 0.0))
-            forced = sp.ranks_with_digit(t, j + 1)
-            rhs += lq[j] * sp.expectation(u.values[forced, t - 1, j])
+            forced = _spread(sp, step[:, j + 1, :, t - 1, j], t)
+            rhs += lq[j] * sp.expectation(forced)
     return lhs, rhs
 
 
@@ -280,10 +280,11 @@ def l_inverse(F: PathFunctional) -> PathFunctional:
 def tilde_number_operator(F: PathFunctional) -> PathFunctional:
     """L_tilde F = -delta_tilde(D+ F), the L1-theory number operator."""
     params = F.params
+    sp = space(params)
     u = ProcessTable.zeros(params)
     for t in range(1, params.horizon + 1):
-        for k in params.marks:
-            u.values[:, t - 1, params.mark_index(k)] = add_one_cost(F, (t, k)).table()
+        step = sp.step_view(F.table(), t)
+        sp.step_view(u.values, t)[..., t - 1, :] = np.moveaxis(step[:, 1:] - step[:, :1], 1, -1)[:, None]
     return PathFunctional(params, values=-tilde_divergence(u).table())
 
 
@@ -327,34 +328,41 @@ def ou_spectral(F: PathFunctional, tau: float) -> PathFunctional:
     return synthesize(params, C * np.exp(-tau * chaos_order_tensor(params)))
 
 
+MEHLER_BLOCK_DRAWS = 2**18
+
+
 def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
                  stream: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo Mehler estimate of P_tau F at every configuration.
 
     Each digit survives with probability exp(-tau) and is otherwise
-    replaced by a fresh draw from the one-step marginal; one independent
-    seeded substream per configuration keeps the estimate reproducible
-    under any scheduling.  Returns (means, standard errors).
+    replaced by a fresh draw from the one-step marginal.  Configurations
+    are taken in rank-order blocks of at most MEHLER_BLOCK_DRAWS digit
+    draws (at least one configuration each); block b draws from its own
+    stream SeedSequence(rng_seed, spawn_key=(stream, b)), so the estimate
+    is reproducible under any scheduling.  Returns (means, standard errors).
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     params = F.params
     sp = space(params)
     vals = F.table()
     keep_p = exp(-tau)
-    root = np.random.SeedSequence(params.rng_seed, spawn_key=(int(stream),))
-    children = root.spawn(sp.n)
+    block = max(1, MEHLER_BLOCK_DRAWS // (n_samples * params.horizon))
     means = np.empty(sp.n)
     errs = np.empty(sp.n)
-    for i in range(sp.n):
-        rng = np.random.default_rng(children[i])
-        keep = rng.random((n_samples, params.horizon)) < keep_p
-        fresh = rng.choice(sp.base, size=(n_samples, params.horizon), p=sp.step_weights)
-        digs = np.where(keep, sp.digits[i][None, :], fresh).astype(np.int64)
-        ranks = digs @ sp.powers
-        sample = vals[ranks]
-        means[i] = sample.mean()
-        errs[i] = sample.std(ddof=1) / sqrt(n_samples)
+    for b, start in enumerate(range(0, sp.n, block)):
+        stop = min(start + block, sp.n)
+        rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(int(stream), b)))
+        shape = (stop - start, n_samples, params.horizon)
+        keep = rng.random(shape) < keep_p
+        fresh = rng.choice(sp.base, size=shape, p=sp.step_weights)
+        digs = np.where(keep, sp.digits[start:stop, None, :], fresh).astype(np.int64)
+        sample = vals[digs @ sp.powers]
+        means[start:stop] = sample.mean(axis=1)
+        errs[start:stop] = sample.std(axis=1, ddof=1) / sqrt(n_samples)
     return means, errs
 
 
@@ -364,11 +372,10 @@ def clark_integrand(F: PathFunctional) -> ProcessTable:
     """Predictable integrand E[D_(t,k) F | F_{t-1}]."""
     params = F.params
     sp = space(params)
-    u = ProcessTable.zeros(params)
+    u = gradient_process(F)
     for t in range(1, params.horizon + 1):
-        for k in params.marks:
-            g = gradient(F, (t, k)).table()
-            u.values[:, t - 1, params.mark_index(k)] = sp.conditional_expectation(g, t - 1)
+        for j in range(params.n_marks):
+            u.values[:, t - 1, j] = sp.conditional_expectation(u.values[:, t - 1, j], t - 1)
     u.predictable = True
     return u
 

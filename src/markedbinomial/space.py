@@ -98,9 +98,10 @@ class ModelParams:
     def from_file(cls, path: str | os.PathLike) -> "ModelParams":
         """Read params from a flat ``key = value`` file.
 
-        Keys: T, marks, lambda, Q, seed.  Lists are comma separated and
-        ``#`` starts a comment.
+        Keys: T, marks, lambda, Q, seed, each at most once.  Lists are
+        comma separated and ``#`` starts a comment.
         """
+        known = ("T", "marks", "lambda", "Q", "seed")
         entries: dict[str, str] = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -109,8 +110,12 @@ class ModelParams:
                     continue
                 if "=" not in line:
                     raise ValueError(f"malformed config line (expected key = value): {line!r}")
-                key, value = line.split("=", 1)
-                entries[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in known:
+                    raise ValueError(f"unknown config key {key!r} (keys: {', '.join(known)})")
+                if key in entries:
+                    raise ValueError(f"config key {key!r} given twice")
+                entries[key] = value
         missing = {"T", "marks", "lambda", "Q"} - set(entries)
         if missing:
             raise ValueError(f"config file misses keys: {sorted(missing)}")
@@ -198,8 +203,18 @@ class SampleSpace:
             arr.flags.writeable = False
 
     # -- digit surgery ------------------------------------------------------
+    def step_view(self, values: np.ndarray, t: int) -> np.ndarray:
+        """Rank-indexed table with step t (1-based) as its own axis: entry
+        [a, d, c] is row (a * base + d) * base^(t-1) + c, so d is digit t and
+        c, a encode the digits before and after t.  Trailing axes pass
+        through; for a contiguous table the result is a writable view."""
+        self.check_time(t)
+        low = self.base ** (t - 1)
+        return values.reshape((self.n // (low * self.base), self.base, low) + values.shape[1:])
+
     def ranks_with_digit(self, t: int, digit: int) -> np.ndarray:
-        """Rank map omega -> omega with digit t (1-based) forced to ``digit``."""
+        """Rank map omega -> omega with digit t (1-based) forced to ``digit``
+        (index-arithmetic reference that :meth:`step_view` is checked against)."""
         self.check_time(t)
         cur = self.digits[:, t - 1].astype(np.int64)
         return np.arange(self.n, dtype=np.int64) + (digit - cur) * self.powers[t - 1]
@@ -270,10 +285,6 @@ class PathFunctional:
         self.values = values
 
     # -- constructors --------------------------------------------------------
-    @classmethod
-    def from_table(cls, params: ModelParams, values: np.ndarray) -> "PathFunctional":
-        return cls(params, values=values)
-
     @classmethod
     def from_callable(cls, params: ModelParams, fn: Callable[[np.ndarray], np.ndarray]) -> "PathFunctional":
         return cls(params, fn=fn)

@@ -517,6 +517,8 @@ def dna_functional(n: int, h: int, alpha: float, mu_w: float, k_cutoff: int = 40
     geometric(1-alpha) mark w.p. lam' = (1-alpha) mu_w), marks truncated
     at k_cutoff."""
     _check_dna_args(n, h, alpha, mu_w)
+    if k_cutoff < 1:
+        raise ValueError(f"mark cutoff must be at least 1, got {k_cutoff}")
     lamp = (1.0 - alpha) * mu_w
     if alpha == 0.0:
         gv = np.array([1.0])

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from markedbinomial.cli import dumps17, main
 
@@ -200,3 +203,80 @@ def test_verify_reports_worst_offender_on_failure(monkeypatch, capsys):
     report = json.loads(captured.out)
     assert report["all_passed"] is False
     assert report["checks"]["always_fails"]["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *CTI_FLAGS, "--out", "{missing}/x.csv"],
+    ["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5", "--out", "{missing}/y"],
+    ["simulate", "--config", "{missing}.cfg"],
+    ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.2", "--mu", "0.02", "--cutoff", "0"],
+    ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.2", "--mu", "0.02", "--cutoff", "-3"],
+], ids=["simulate-out", "headrun-out", "config", "dna-cutoff-0", "dna-cutoff-negative"])
+def test_failures_exit_2_with_one_error_line(argv, tmp_path, capsys):
+    """Unwritable outputs, unreadable configs and an empty mark law are
+    input errors (exit 2), never a traceback or the verify-only exit 1."""
+    code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+_NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "0.2", "0.5", "-0.1", "1e-3", "nan", "inf", "x", ""])
+_FLAG_VALUES = {
+    **{flag: _NUMBERS for flag in ("--T", "--lambda", "--seed", "--paths", "--stream", "--n", "--m", "--p",
+                                   "--h", "--alpha", "--mu", "--cutoff", "--a", "--b", "--r", "--x",
+                                   "--lambda-target")},
+    **{flag: st.sampled_from(["1,-1", "0.5,0.5", "1,2", "0.25,0.75", "1,1", "0.5", "", "a,b"])
+       for flag in ("--marks", "--Q", "--Q-target")},
+    "--functional": st.sampled_from(["count", "compound", "indicator=5", "indicator=-1", "bogus"]),
+    "--claim": st.sampled_from(["call:K=1.05", "discounted_price", "call:K=x", "put"]),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+}
+_VALID_FLAGS = {
+    "simulate": [*CTI_FLAGS, "--paths", "3"],
+    "decompose": [*CTI_FLAGS, "--functional", "count"],
+    "verify": CTI_FLAGS,
+    "girsanov": [*CTI_FLAGS, "--lambda-target", "0.5", "--Q-target", "0.75,0.25"],
+    "hedge": ["--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5", "--T", "3",
+              "--claim", "call:K=1.05", "--x", "1.0"],
+    "stein headrun": ["--n", "3", "--m", "2", "--p", "0.5"],
+    "stein dna": ["--n", "5", "--h", "2", "--alpha", "0.2", "--mu", "0.02"],
+    "stein": [],
+    "bogus": [],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A valid command line with flags kept, dropped or given another value,
+    plus a few extra flags.  Integer values stay at most 3, so every model is
+    tiny, and paths only ever point into a missing directory, so no example
+    writes a file."""
+    command = draw(st.sampled_from(sorted(_VALID_FLAGS)))
+    flags = _VALID_FLAGS[command]
+    argv = command.split()
+    for flag, value in zip(flags[::2], flags[1::2]):
+        action = draw(st.sampled_from(["keep", "keep", "keep", "drop", "change"]))
+        if action != "drop":
+            argv += [flag, value if action == "keep" else draw(_FLAG_VALUES[flag])]
+    extra = st.sampled_from(sorted(_FLAG_VALUES)).flatmap(lambda f: _FLAG_VALUES[f].map(lambda v: [f, v]))
+    path = st.sampled_from(["--out", "--config", "--basis-csv"]).map(lambda f: [f, "/nonexistent-mbp-dir/f"])
+    for pair in draw(st.lists(st.one_of(extra, path), max_size=3)):
+        argv += pair
+    return argv
+
+
+@given(_argv())
+def test_main_exit_contract_on_generated_arguments(argv):
+    """Any argument list: exit 0, 1 or 2, no traceback, and 1 only from verify."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert argv[0] == "verify", argv

@@ -385,6 +385,21 @@ def test_mehler_mc_reproducible_and_unbiased(cti):
     assert np.max(z) <= 5.0
 
 
+def test_mehler_blocks_draw_from_distinct_streams(cti, rng, monkeypatch):
+    """With one configuration per block and every digit redrawn, each block's
+    sample is its own stream's draws: equal means would mean shared streams."""
+    from markedbinomial import malliavin
+
+    monkeypatch.setattr(malliavin, "MEHLER_BLOCK_DRAWS", 1)
+    means, _ = ou_mehler_mc(_rand(cti, rng), 50.0, 20, stream=1)
+    assert len(set(means.tolist())) == len(means)
+
+
+def test_mehler_rejects_empty_sample(cti):
+    with pytest.raises(ValueError, match="n_samples"):
+        ou_mehler_mc(PathFunctional.constant(cti, 1.0), 1.0, 0)
+
+
 def test_mehler_tau_zero_is_exact(cti, rng):
     F = _rand(cti, rng)
     means, errs = ou_mehler_mc(F, 0.0, 100, stream=0)

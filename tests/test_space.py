@@ -66,6 +66,37 @@ def test_params_from_file(tmp_path, cti):
     assert params.rng_seed == 7
 
 
+@pytest.mark.parametrize("body, message", [
+    ("T = 2\nmarks = 1\nlambda = 0.5\nQ = 1\nT = 3\n", "'T' given twice"),
+    ("T = 2\nmarks = 1\nlambda = 0.5\nQ = 1\nbogus = 7\n", "unknown config key 'bogus'"),
+], ids=["duplicate", "unknown"])
+def test_params_from_file_is_strict(tmp_path, body, message):
+    path = tmp_path / "model.cfg"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        ModelParams.from_file(path)
+
+
+@pytest.mark.parametrize("name", ["cti", "inst2"])
+def test_step_view_matches_rank_map(name, request):
+    """Entry [a, d, c] of the step-t view is the row that ranks_with_digit
+    maps row (a, d', c) to for every d', with trailing axes carried along."""
+    params = request.getfixturevalue(name)
+    sp = space(params)
+    table = np.arange(sp.n * 6, dtype=float).reshape(sp.n, 2, 3)
+    for t in range(1, params.horizon + 1):
+        view = sp.step_view(table, t)
+        assert view.base is not None  # a view, not a copy
+        for digit in range(sp.base):
+            forced = table[sp.ranks_with_digit(t, digit)]
+            spread = np.broadcast_to(view[:, digit : digit + 1], view.shape).reshape(table.shape)
+            assert np.array_equal(spread, forced)
+            assert np.array_equal(view[:, digit].reshape(-1, 2, 3), table[sp.digits[:, t - 1] == digit])
+    for t in (0, params.horizon + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            sp.step_view(table, t)
+
+
 def test_config_probability(cti):
     all_zero = Configuration((0, 0, 0), cti)
     assert config_probability(cti, all_zero) == pytest.approx(0.125, abs=1e-15)
