@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -21,6 +22,7 @@ from .chaos import stroock_decompose
 from .diagnostics import run_identity_suite, worst_offender
 from .girsanov import TargetMeasure, girsanov_density, girsanov_drift, girsanov_varphi
 from .hedging import (
+    LS_ORACLE_MAX_HORIZON,
     MarketParams,
     call_payoff,
     ls_oracle,
@@ -59,7 +61,7 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
+        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
     return json.dumps(obj)
 
 
@@ -221,10 +223,8 @@ def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
 
 
 def cmd_hedge(args) -> int:
-    market = MarketParams(
-        a=args.a, b=args.b, r=args.r, jump_prob=args.lam, up_prob=args.p,
-        horizon=args.T, initial_capital=args.x, rng_seed=args.seed or 0,
-    )
+    market = MarketParams(a=args.a, b=args.b, r=args.r, jump_prob=args.lam, up_prob=args.p,
+                          horizon=args.T, initial_capital=args.x)
     claim = _parse_claim(market, args.claim)
     strategy, residual = optimal_strategy(market, claim, args.x)
     residual_alt = optimal_strategy_t_conditioning(market, claim, args.x)
@@ -248,7 +248,7 @@ def cmd_hedge(args) -> int:
         "K_t": list(k_table),
         "self_financing_residual": strategy.self_financing_residual(),
     }
-    if market.horizon <= 8:
+    if market.horizon <= LS_ORACLE_MAX_HORIZON:
         _, oracle_residual = ls_oracle(market, claim, args.x)
         payload["oracle_residual"] = oracle_residual
         payload["residual_gap"] = abs(residual - oracle_residual)
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     dna.add_argument("--h", type=int, required=True)
     dna.add_argument("--alpha", type=float, required=True)
     dna.add_argument("--mu", type=float, required=True)
-    dna.add_argument("--cutoff", type=int, default=40)
+    dna.add_argument("--cutoff", type=int)
     _add_common_flags(dna)
     dna.set_defaults(fn=cmd_stein_dna)
 

@@ -431,10 +431,10 @@ def _stroock_covariance(ctx: _Context) -> float:
     return abs(lhs - total)
 
 
-def _poincare(ctx: _Context, n_draws: int = 100) -> float:
+def _poincare(ctx: _Context) -> float:
     sp = ctx.sp
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(100):
         F = ctx.random_functional()
         var = sp.expectation(F.table() ** 2) - sp.expectation(F.table()) ** 2
         DF = mal.gradient_process(F).values

@@ -41,7 +41,6 @@ class MarketParams:
     horizon: int
     initial_capital: float = 0.0
     a0: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not -1.0 < self.a < self.r < self.b:
@@ -83,7 +82,6 @@ class MarketParams:
             marks=(1.0, -1.0),
             jump_prob=self.jump_prob,
             mark_probs=(self.up_prob, self.down_prob),
-            rng_seed=self.rng_seed,
         )
 
 
@@ -235,14 +233,14 @@ class KWDecomposition:
     f0: float
     xi: np.ndarray                # shape (n, T), predictable
     l_process: np.ndarray         # shape (n, T+1), L_0 = 0
+    value: list[np.ndarray]       # V_t = E^[F | F_t] for t = 0..T, each shape (n,)
 
 
 def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
     """Projection construction through the minimal martingale measure:
     V_t = E^[F | F_t], xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}],
     L_t = V_t - V_0 - sum_{s<=t} xi_s dS~_s."""
-    params = market.model_params()
-    sp = space(params)
+    sp = space(market.model_params())
     paths = price_paths(market)
     mmm = minimal_martingale_measure(market)
     v_hat = mmm_conditional(market, mmm, F.table())
@@ -255,7 +253,22 @@ def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
         xi[:, t - 1] = (sp.conditional_expectation(dv * inc, t - 1)
                         / sp.conditional_expectation(inc * inc, t - 1))
         l_process[:, t] = l_process[:, t - 1] + dv - xi[:, t - 1] * inc
-    return KWDecomposition(market, float(v_hat[0][0]), xi, l_process)
+    return KWDecomposition(market, float(v_hat[0][0]), xi, l_process, v_hat)
+
+
+def _forward_gain(market: MarketParams, kw: KWDecomposition, x: float, lag: int,
+                  phi: np.ndarray | None = None) -> np.ndarray:
+    """Discounted gain G_T of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1});
+    phi_t is written to phi[:, t-1] when a table is given."""
+    paths = price_paths(market)
+    theta = minimal_martingale_measure(market).theta
+    gain = np.zeros(len(kw.value[0]))
+    for t in range(1, market.horizon + 1):
+        phi_t = kw.xi[:, t - 1] + theta[:, t - 1] * (kw.value[t - lag] - x - gain)
+        if phi is not None:
+            phi[:, t - 1] = phi_t
+        gain += phi_t * paths.increments[:, t - 1]
+    return gain
 
 
 def optimal_strategy(market: MarketParams, F: PathFunctional,
@@ -271,22 +284,13 @@ def optimal_strategy(market: MarketParams, F: PathFunctional,
     the normal-equations oracle (mean-variance tradeoff is deterministic).
     """
     x = market.initial_capital if x is None else float(x)
-    params = market.model_params()
-    sp = space(params)
-    paths = price_paths(market)
-    mmm = minimal_martingale_measure(market)
+    sp = space(market.model_params())
     kw = kunita_watanabe(market, F)
-    v_hat = mmm_conditional(market, mmm, F.table())
-    T = market.horizon
-    phi = np.empty((sp.n, T))
-    gain = np.zeros(sp.n)
-    for t in range(1, T + 1):
-        phi[:, t - 1] = kw.xi[:, t - 1] + mmm.theta[:, t - 1] * (v_hat[t - 1] - x - gain)
-        gain = gain + phi[:, t - 1] * paths.increments[:, t - 1]
+    phi = np.empty((sp.n, market.horizon))
+    gain = _forward_gain(market, kw, x, 1, phi)
     residual = float(sp.expectation((F.table() - x - gain) ** 2))
-    alpha0 = float(v_hat[0][0]) / float(paths.price[0, 0])
-    strategy = Strategy(market, phi, _self_financed_alpha(market, phi, alpha0))
-    return strategy, residual
+    alpha0 = kw.f0 / float(price_paths(market).price[0, 0])
+    return Strategy(market, phi, _self_financed_alpha(market, phi, alpha0)), residual
 
 
 def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
@@ -294,17 +298,8 @@ def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
     """Residual of the variant that conditions the correction term on F_t
     (not predictable; reported for comparison only)."""
     x = market.initial_capital if x is None else float(x)
-    params = market.model_params()
-    sp = space(params)
-    paths = price_paths(market)
-    mmm = minimal_martingale_measure(market)
-    kw = kunita_watanabe(market, F)
-    v_hat = mmm_conditional(market, mmm, F.table())
-    gain = np.zeros(sp.n)
-    for t in range(1, market.horizon + 1):
-        phi_t = kw.xi[:, t - 1] + mmm.theta[:, t - 1] * (v_hat[t] - x - gain)
-        gain = gain + phi_t * paths.increments[:, t - 1]
-    return float(sp.expectation((F.table() - x - gain) ** 2))
+    gain = _forward_gain(market, kunita_watanabe(market, F), x, 0)
+    return float(space(market.model_params()).expectation((F.table() - x - gain) ** 2))
 
 
 LS_ORACLE_MAX_HORIZON = 8

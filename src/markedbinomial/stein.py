@@ -30,7 +30,7 @@ statement, not an asymptotic one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +40,14 @@ from .space import ModelParams, PathFunctional, space
 
 
 # -- constants and generic helpers --------------------------------------------------
+
+TAIL_TOL = 1e-12          # compound pmf mass the target table may leave out
+MAX_PMF_LENGTH = 2**22    # longest compound pmf table the target builds
+GEOMETRIC_TAIL = 1e-17    # geometric mark mass the truncation leaves out
+MAX_GEOMETRIC_MARKS = 2048  # widest geometric law: the exact DNA pmf at n = 50 then takes seconds
+SOLVE_EXTENSION = 64      # steps the compound back substitution runs past its window
+Z_PLUS_TOL = 1e-9         # largest distance from an integer in a Z+-valued table
+
 
 def stein_constants(lam0: float) -> tuple[float, float, float]:
     """Sup-norm estimates for (phi, grad phi, grad^2 phi) at intensity lam0,
@@ -163,14 +171,27 @@ def compound_pmf(lam0: float, mark_pmf: np.ndarray, length: int) -> np.ndarray:
     return p
 
 
+def _geometric_pmf(alpha: float, marks: int | None = None) -> np.ndarray:
+    """P(V = k) for k = 1..marks, V geometric(1-alpha); marks defaults to the
+    first c with alpha^c <= GEOMETRIC_TAIL, and alpha = 0 is the point mass at 1."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if marks is None:
+        marks = 1 if alpha == 0.0 else math.ceil(math.log(GEOMETRIC_TAIL) / math.log(alpha))
+    if not 1 <= marks <= MAX_GEOMETRIC_MARKS:
+        limit = GEOMETRIC_TAIL ** (1 / MAX_GEOMETRIC_MARKS)
+        raise ValueError(f"need 1 to {MAX_GEOMETRIC_MARKS} geometric marks, got {marks} at alpha={alpha} "
+                         f"(the default truncation allows alpha <= {limit:.5f})")
+    return (1.0 - alpha) * alpha ** np.arange(1 if alpha == 0.0 else marks)
+
+
 @dataclass
 class CompoundTarget:
     """Compound Poisson law PC(lam0, gV) with a positive-integer mark pmf."""
 
     lam0: float
-    mark_pmf: np.ndarray         # P(V = k) for k = 1..cutoff
-    tail_tol: float = 1e-12
-    pmf: np.ndarray | None = None
+    mark_pmf: np.ndarray         # P(V = k) for k = 1..len(mark_pmf)
+    pmf: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.lam0 <= 0:
@@ -178,20 +199,21 @@ class CompoundTarget:
         self.mark_pmf = np.asarray(self.mark_pmf, dtype=float)
         if np.any(self.mark_pmf < 0):
             raise ValueError("mark pmf entries must be nonnegative")
-        if abs(self.mark_pmf.sum() - 1.0) > 1e-9:
-            raise ValueError(f"mark pmf must sum to 1, got {self.mark_pmf.sum()!r}")
-        if self.pmf is None:
-            length = max(64, int(8 * self.lam0 * self.mean_mark) + 64)
-            while True:
-                pmf = compound_pmf(self.lam0, self.mark_pmf, length)
-                if 1.0 - pmf.sum() <= self.tail_tol:
-                    break
-                length *= 2
-                if length > 2**22:
-                    raise ValueError("compound pmf support too large for the tail tolerance")
-            self.pmf = pmf
-        if 1.0 - self.pmf.sum() > self.tail_tol:
-            raise ValueError("compound pmf table misses more than the tail tolerance")
+        total = float(self.mark_pmf.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"mark pmf must sum to 1, got {total!r}")
+        # a defective mark law caps the compound mass at exp(-lam0 (1 - total))
+        if -math.expm1(-self.lam0 * (1.0 - total)) > TAIL_TOL:
+            raise ValueError(f"mark pmf misses {1.0 - total:.3g}, beyond the tail tolerance {TAIL_TOL:g}")
+        length = max(64, int(8 * self.lam0 * self.mean_mark) + 64)
+        while True:
+            pmf = compound_pmf(self.lam0, self.mark_pmf, length)
+            if 1.0 - pmf.sum() <= TAIL_TOL:
+                break
+            length *= 2
+            if length > MAX_PMF_LENGTH:
+                raise ValueError("compound pmf support too large for the tail tolerance")
+        self.pmf = pmf
 
     @property
     def mean_mark(self) -> float:
@@ -209,23 +231,17 @@ class CompoundTarget:
         return float(self.pmf[:width][mask[:width]].sum())
 
     @classmethod
-    def polya_aeppli(cls, lam0: float, alpha: float, cutoff: int = 64) -> "CompoundTarget":
-        """Poisson(lam0) compounded by geometric(1-alpha) marks."""
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-        if alpha == 0.0:
-            gv = np.zeros(1)
-            gv[0] = 1.0
-        else:
-            gv = (1.0 - alpha) * alpha ** np.arange(cutoff)
-        return cls(lam0=lam0, mark_pmf=gv)
+    def polya_aeppli(cls, lam0: float, alpha: float) -> "CompoundTarget":
+        """Poisson(lam0) compounded by geometric(1-alpha) marks, truncated
+        where less than GEOMETRIC_TAIL of the mark mass is left."""
+        return cls(lam0=lam0, mark_pmf=_geometric_pmf(alpha))
 
 
 def compound_stein_solve(target: CompoundTarget, A: Iterable[int] | np.ndarray,
-                         l_max: int | None = None, extension: int = 64) -> tuple[np.ndarray, float]:
+                         l_max: int | None = None) -> tuple[np.ndarray, float]:
     """Solve the compound Stein equation for l = 1..l_max.
 
-    Back substitution runs on 1..l_max+extension with zero tail, so the
+    Back substitution runs on 1..l_max+SOLVE_EXTENSION with zero tail, so the
     truncation error has decayed below rounding inside the reported
     window; returns (psi(0..l_max) with psi(0) = 0, max residual).
     """
@@ -234,7 +250,7 @@ def compound_stein_solve(target: CompoundTarget, A: Iterable[int] | np.ndarray,
     p_a = target.prob_of(mask)
     kmax = len(target.mark_pmf)
     weighted = np.arange(1, kmax + 1) * target.mark_pmf
-    total = l_max + extension
+    total = l_max + SOLVE_EXTENSION
     psi = np.zeros(total + kmax + 2)
     for l in range(total, 0, -1):
         h = (1.0 if l <= l_max and mask[l] else 0.0) - p_a
@@ -262,12 +278,12 @@ def exact_tv(pmf_a: Sequence[float], pmf_b: Sequence[float]) -> float:
     return 0.5 * (float(np.abs(a - b).sum()) + abs(tail_a - tail_b))
 
 
-def functional_pmf(F: PathFunctional, tol: float = 1e-9) -> np.ndarray:
+def functional_pmf(F: PathFunctional) -> np.ndarray:
     """Law of a Z+-valued exact functional as a pmf table."""
     sp = space(F.params)
     vals = F.table()
     rounded = np.rint(vals)
-    if np.max(np.abs(vals - rounded)) > tol or np.min(rounded) < 0:
+    if np.max(np.abs(vals - rounded)) > Z_PLUS_TOL or np.min(rounded) < 0:
         raise ValueError("functional is not Z+-valued")
     return np.bincount(rounded.astype(int), weights=sp.probabilities)
 
@@ -290,11 +306,9 @@ def poisson_bound(F: PathFunctional, lam0: float) -> float:
         raise ValueError(f"mark-space size must be 1, got {params.n_marks}")
     if lam0 <= 0:
         raise ValueError(f"lam0 must be positive, got {lam0}")
+    functional_pmf(F)  # raises unless F is Z+-valued
     sp = space(params)
     vals = F.table()
-    rounded = np.rint(vals)
-    if np.max(np.abs(vals - rounded)) > 1e-9 or np.min(rounded) < 0:
-        raise ValueError("functional must be Z+-valued")
     mean = sp.expectation(vals)
     if abs(mean - lam0) > 1e-9:
         raise ValueError(f"mean mismatch: E[F]={mean!r} but lam0={lam0!r}")
@@ -314,9 +328,9 @@ def poisson_bound(F: PathFunctional, lam0: float) -> float:
 
 # -- compound Poisson approximation bound --------------------------------------------------
 
-def default_set_family(length: int, extra_diff: tuple[np.ndarray, np.ndarray] | None = None) -> list[np.ndarray]:
-    """Singletons, lower intervals, and (optionally) the positive-part set
-    of a pmf difference, as boolean masks over 0..length-1."""
+def default_set_family(length: int, extra_diff: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """Singletons, lower intervals, and the positive-part set of the pmf
+    difference extra_diff = (a, b), as boolean masks over 0..length-1."""
     family = []
     for j in range(length):
         single = np.zeros(length, dtype=bool)
@@ -325,12 +339,11 @@ def default_set_family(length: int, extra_diff: tuple[np.ndarray, np.ndarray] | 
         lower = np.zeros(length, dtype=bool)
         lower[: j + 1] = True
         family.append(lower)
-    if extra_diff is not None:
-        a, b = extra_diff
-        width = min(len(a), len(b), length)
-        diff = np.zeros(length, dtype=bool)
-        diff[:width] = a[:width] > b[:width]
-        family.append(diff)
+    a, b = extra_diff
+    width = min(len(a), len(b), length)
+    diff = np.zeros(length, dtype=bool)
+    diff[:width] = a[:width] > b[:width]
+    family.append(diff)
     return family
 
 
@@ -366,9 +379,10 @@ def compound_poisson_bound_details(F: PathFunctional | ModelParams, target: Comp
     set family of the two exactly evaluated integral terms of the Stein
     identity.  Returns (bound, attaining set mask).
 
-    Accepts either an exact first-chaos functional (evaluated by
-    enumeration) or bare ModelParams describing the compound sum (terms
-    evaluated through iid convolutions; no enumeration needed).
+    Accepts either an exact first-chaos functional or bare ModelParams
+    describing the compound sum.  Either way the terms are evaluated
+    through iid convolutions of the one-step law; a functional is only
+    checked, by enumeration, to be such a compound sum.
     """
     if isinstance(F, PathFunctional):
         params = _first_chaos_step_law(F)
@@ -390,12 +404,10 @@ def compound_poisson_bound_details(F: PathFunctional | ModelParams, target: Comp
     step[0] = 1.0 - lam
     for k, qk in zip(marks, q):
         step[k] += lam * qk
-    pmf_full = step.copy()
-    for _ in range(params.horizon - 1):
-        pmf_full = np.convolve(pmf_full, step)
     pmf_drop = np.array([1.0])
     for _ in range(params.horizon - 1):
         pmf_drop = np.convolve(pmf_drop, step)
+    pmf_full = np.convolve(pmf_drop, step)
     l_max = len(pmf_full) + kmax + 8
     family = a_family if a_family is not None else default_set_family(
         min(l_max, len(target.pmf)), extra_diff=(pmf_full, target.pmf)
@@ -511,31 +523,24 @@ def _check_dna_args(n: int, h: int, alpha: float, mu_w: float):
         raise ValueError(f"need 0 < h < n, got h={h}, n={n}")
 
 
-def dna_functional(n: int, h: int, alpha: float, mu_w: float, k_cutoff: int = 40) -> np.ndarray:
+def dna_functional(n: int, h: int, alpha: float, mu_w: float, k_cutoff: int | None = None) -> np.ndarray:
     """Exact pmf of the geometric-marked occurrence count H: the
     (n-h+1)-fold convolution of one step (no jump w.p. 1 - lam',
     geometric(1-alpha) mark w.p. lam' = (1-alpha) mu_w), marks truncated
-    at k_cutoff."""
+    at k_cutoff, by default where less than GEOMETRIC_TAIL of the mark
+    mass is left."""
     _check_dna_args(n, h, alpha, mu_w)
-    if k_cutoff < 1:
-        raise ValueError(f"mark cutoff must be at least 1, got {k_cutoff}")
     lamp = (1.0 - alpha) * mu_w
-    if alpha == 0.0:
-        gv = np.array([1.0])
-    else:
-        gv = (1.0 - alpha) * alpha ** np.arange(k_cutoff)
-    step = np.zeros(len(gv) + 1)
-    step[0] = 1.0 - lamp
-    step[1:] = lamp * gv
+    step = np.concatenate([[1.0 - lamp], lamp * _geometric_pmf(alpha, k_cutoff)])
     pmf = np.array([1.0])
     for _ in range(n - h + 1):
         pmf = np.convolve(pmf, step)
     return pmf
 
 
-def dna_target(n: int, h: int, alpha: float, mu_w: float, cutoff: int = 64) -> CompoundTarget:
+def dna_target(n: int, h: int, alpha: float, mu_w: float) -> CompoundTarget:
     """Polya-Aeppli law matched to the occurrence count."""
-    return CompoundTarget.polya_aeppli(dna_lambda0(n, h, alpha, mu_w), alpha, cutoff)
+    return CompoundTarget.polya_aeppli(dna_lambda0(n, h, alpha, mu_w), alpha)
 
 
 def dna_bound(n: int, h: int, alpha: float, mu_w: float) -> float:

@@ -82,6 +82,16 @@ def test_stein_dna_payload():
     assert payload["exact_tv"] <= payload["clump_term"]
 
 
+@pytest.mark.parametrize("alpha", ["0.7", "0.8", "0.95"])
+def test_stein_dna_large_alpha(alpha, capsys):
+    """Alphas whose geometric marks outlast a fixed 64-mark cut."""
+    code = main(["stein", "dna", "--n", "50", "--h", "5", "--alpha", alpha, "--mu", "0.02", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    payload = json.loads(captured.out)
+    assert 0.0 < payload["exact_tv"] <= payload["clump_term"]
+
+
 def test_hedge_payload():
     proc = run_cli(["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025",
                     "--lambda", "0.5", "--p", "0.5", "--T", "3",
@@ -211,7 +221,8 @@ def test_verify_reports_worst_offender_on_failure(monkeypatch, capsys):
     ["simulate", "--config", "{missing}.cfg"],
     ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.2", "--mu", "0.02", "--cutoff", "0"],
     ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.2", "--mu", "0.02", "--cutoff", "-3"],
-], ids=["simulate-out", "headrun-out", "config", "dna-cutoff-0", "dna-cutoff-negative"])
+    ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.999", "--mu", "0.02"],
+], ids=["simulate-out", "headrun-out", "config", "dna-cutoff-0", "dna-cutoff-negative", "dna-alpha-limit"])
 def test_failures_exit_2_with_one_error_line(argv, tmp_path, capsys):
     """Unwritable outputs, unreadable configs and an empty mark law are
     input errors (exit 2), never a traceback or the verify-only exit 1."""

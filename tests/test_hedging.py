@@ -126,6 +126,17 @@ def test_kunita_watanabe_attainable_claim():
     assert kw.f0 == pytest.approx(1.0, abs=1e-13)
 
 
+def test_kunita_watanabe_keeps_the_value_process(rng):
+    market = mk()
+    F = random_claim(market, rng)
+    kw = kunita_watanabe(market, F)
+    expected = mmm_conditional(market, minimal_martingale_measure(market), F.table())
+    assert len(kw.value) == market.horizon + 1
+    for got, want in zip(kw.value, expected):
+        np.testing.assert_array_equal(got, want)
+    assert kw.f0 == kw.value[0][0]
+
+
 def test_kunita_watanabe_constant_claim():
     market = mk()
     kw = kunita_watanabe(market, PathFunctional.constant(market.model_params(), 2.0))
@@ -255,6 +266,31 @@ def test_t_conditioning_variant_differs_under_drift(rng):
     _, residual = optimal_strategy(market, F, 1.0)
     alt = optimal_strategy_t_conditioning(market, F, 1.0)
     assert alt >= residual - 1e-12  # the predictable recursion is the minimizer
+
+
+@pytest.mark.parametrize("param_set", [MARTINGALE, DRIFTED])
+def test_forward_recursions_match_reference_loops(param_set, rng):
+    """phi_t = xi_t + theta_t (V_s - x - G_{t-1}) written out from
+    V = mmm_conditional: s = t-1 for optimal_strategy, s = t for the
+    t-conditioning variant; same arithmetic, so equal to the bit."""
+    market = mk(horizon=3, **param_set)
+    F = random_claim(market, rng)
+    x = 0.7
+    sp = space(market.model_params())
+    increments = price_paths(market).increments
+    mmm = minimal_martingale_measure(market)
+    xi = kunita_watanabe(market, F).xi
+    v = mmm_conditional(market, mmm, F.table())
+    strategy, residual = optimal_strategy(market, F, x)
+    alt = optimal_strategy_t_conditioning(market, F, x)
+    for lag, got in ((1, residual), (0, alt)):
+        gain = np.zeros(sp.n)
+        for t in range(1, 4):
+            phi_t = xi[:, t - 1] + mmm.theta[:, t - 1] * (v[t - lag] - x - gain)
+            if lag == 1:
+                np.testing.assert_array_equal(strategy.phi[:, t - 1], phi_t)
+            gain = gain + phi_t * increments[:, t - 1]
+        assert got == float(sp.expectation((F.table() - x - gain) ** 2))
 
 
 def test_trinomial_pgf_equivalence():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,30 @@ def test_compound_target_validation():
         CompoundTarget.polya_aeppli(1.0, 1.0)
 
 
+def test_compound_target_refuses_defective_mark_law_up_front():
+    """A mark law missing 5e-10 passes the sum check but caps the compound
+    mass at exp(-5e-10), so the tail tolerance can never be reached."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="misses"):
+        CompoundTarget(1.0, np.array([0.5, 0.5 - 5e-10]))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_compound_target_sum_message_prints_a_plain_float():
+    with pytest.raises(ValueError, match=r"got 0\.9\d*$"):
+        CompoundTarget(1.0, np.array([0.5, 0.4]))
+
+
+@pytest.mark.parametrize("alpha, marks", [(0.0, 1), (0.1, 18), (0.2, 25), (0.5, 57), (0.9, 372), (0.98, 1938)])
+def test_polya_aeppli_truncation_derived_from_alpha(alpha, marks):
+    """The mark law keeps the first c marks with alpha^c <= 1e-17."""
+    target = CompoundTarget.polya_aeppli(0.5, alpha)
+    assert len(target.mark_pmf) == marks
+    if alpha > 0.0:
+        assert alpha**marks <= 1e-17 < alpha ** (marks - 1)
+    assert 1.0 - target.pmf.sum() <= 1e-12
+
+
 def test_compound_target_alpha_zero_is_poisson():
     target = CompoundTarget.polya_aeppli(1.3, 0.0)
     assert np.max(np.abs(target.pmf - poisson_pmf(1.3, len(target.pmf) - 1))) <= 1e-13
@@ -447,6 +472,27 @@ def test_dna_instance_dominance():
     target = dna_target(n, h, alpha, mu_w)
     tv = exact_tv(pmf, target.pmf)
     assert tv <= (n - h + 1) * target.d_pc * mu_w**2
+
+
+def test_dna_default_truncation_is_exact():
+    """At alpha = 0.65 a 40-mark law leaves out 3e-8 of the mark mass; the
+    derived truncation agrees with a 400-mark one to rounding."""
+    n, h, alpha, mu_w = 50, 5, 0.65, 0.02
+    target = dna_target(n, h, alpha, mu_w)
+    tv = exact_tv(dna_functional(n, h, alpha, mu_w), target.pmf)
+    assert tv == pytest.approx(exact_tv(dna_functional(n, h, alpha, mu_w, k_cutoff=400), target.pmf), abs=1e-15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dna_target(50, 5, 0.999, 0.02),
+    lambda: dna_functional(50, 5, 0.999, 0.02),
+    lambda: dna_functional(50, 5, 0.5, 0.02, k_cutoff=10**6),
+], ids=["target-alpha", "pmf-alpha", "pmf-cutoff"])
+def test_dna_refuses_mark_laws_past_the_limit(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="geometric marks"):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dna_validation():
