@@ -297,21 +297,21 @@ def random_kernel(params: ModelParams, n: int, rng: np.random.Generator, density
 
 # -- Doleans exponentials ----------------------------------------------------------
 
-def doleans_exponential(basis: OrthogonalBasis, h: Kernel, mean: float = 1.0) -> PathFunctional:
+def doleans_exponential(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:
     """Exponential functional of an order-1 kernel h.
 
-    Product form: mean * prod_t (1 + sum_k g(t,k) (1{(t,k) in omega} - lambda Q_k))
+    Product form: prod_t (1 + sum_k g(t,k) (1{(t,k) in omega} - lambda Q_k))
     with g the Z-coordinates of h; equivalently the chaos series
-    mean * (1 + sum_n J_n(h tensor n) / n!), which the tests check termwise.
+    1 + sum_n J_n(h tensor n) / n!, which the tests check termwise.
     """
     params = basis.params
     sp = space(params)
     g = _kernel_tensor(params, convert_coeffs_r_to_z(basis, h), 1)[sp.powers[:, None] * np.arange(1, sp.base)]
     factors = 1.0 + g @ z_step_values(params).T
-    return PathFunctional(params, values=mean * factors[np.arange(params.horizon), sp.digits].prod(axis=1))
+    return PathFunctional(params, values=factors[np.arange(params.horizon), sp.digits].prod(axis=1))
 
 
-def doleans_series(basis: OrthogonalBasis, h: Kernel, mean: float = 1.0) -> PathFunctional:
+def doleans_series(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:
     """Chaos series of the exponential (for verification): in sum_n J_n(h tensor n) / n!
     the coefficient of prod dR over a support is the product of h over it, so
     the tensor is the outer product over steps of (1, h(t, k^1), ..., h(t, k^m))."""
@@ -322,4 +322,4 @@ def doleans_series(basis: OrthogonalBasis, h: Kernel, mean: float = 1.0) -> Path
     tensor = factors[0]
     for row in factors[1:]:
         tensor = np.multiply.outer(tensor, row)
-    return PathFunctional(params, values=mean * synthesize(params, tensor).table())
+    return PathFunctional(params, values=synthesize(params, tensor).table())

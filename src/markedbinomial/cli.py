@@ -199,7 +199,7 @@ def cmd_stein_dna(args) -> int:
     n, h, alpha, mu = args.n, args.h, args.alpha, args.mu
     lam0 = stein_mod.dna_lambda0(n, h, alpha, mu)
     target = stein_mod.dna_target(n, h, alpha, mu)
-    pmf = stein_mod.dna_functional(n, h, alpha, mu, k_cutoff=args.cutoff)
+    pmf = stein_mod.dna_functional(n, h, alpha, mu)
     tv = stein_mod.exact_tv(pmf, target.pmf)
     payload = {
         "n": n, "h": h, "alpha": alpha, "mu": mu,
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     dna.add_argument("--h", type=int, required=True)
     dna.add_argument("--alpha", type=float, required=True)
     dna.add_argument("--mu", type=float, required=True)
-    dna.add_argument("--cutoff", type=int)
     _add_common_flags(dna)
     dna.set_defaults(fn=cmd_stein_dna)
 

@@ -134,19 +134,14 @@ def _dr_identically_distributed(ctx: _Context) -> float:
     (probability attached to each distinct increment value)."""
     sp = ctx.sp
     worst = 0.0
-
-    def law(table: np.ndarray) -> dict[float, float]:
-        out: dict[float, float] = {}
-        for value, prob in zip(np.round(table, 12), sp.probabilities):
-            out[value] = out.get(value, 0.0) + prob
-        return out
-
     for k in ctx.params.marks:
-        ref = law(basis_mod.delta_r_table(ctx.basis, 1, k))
+        ref = np.round(basis_mod.delta_r_table(ctx.basis, 1, k), 12)
         for t in range(2, ctx.params.horizon + 1):
-            cur = law(basis_mod.delta_r_table(ctx.basis, t, k))
-            for value in set(ref) | set(cur):
-                worst = max(worst, abs(ref.get(value, 0.0) - cur.get(value, 0.0)))
+            cur = np.round(basis_mod.delta_r_table(ctx.basis, t, k), 12)
+            values, atoms = np.unique(np.concatenate([ref, cur]), return_inverse=True)
+            ref_law = np.bincount(atoms[: sp.n], weights=sp.probabilities, minlength=len(values))
+            cur_law = np.bincount(atoms[sp.n :], weights=sp.probabilities, minlength=len(values))
+            worst = max(worst, float(np.max(np.abs(ref_law - cur_law))))
     return worst
 
 

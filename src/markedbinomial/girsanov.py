@@ -106,7 +106,7 @@ def girsanov_density_doleans(params: ModelParams, target: TargetMeasure) -> Path
     mapped to basis coordinates and exponentiated with unit mean."""
     basis = build_basis(params)
     h = convert_order1_z_to_r(basis, girsanov_drift(params, target))
-    return doleans_exponential(basis, h, mean=1.0)
+    return doleans_exponential(basis, h)
 
 
 def reweighted_expectation(F: PathFunctional, target: TargetMeasure) -> float:

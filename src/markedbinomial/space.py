@@ -148,11 +148,6 @@ class Configuration:
     def rank(self) -> int:
         return rank_of_digits(self.digits, self.params.n_marks)
 
-    def with_digit(self, t: int, digit: int) -> "Configuration":
-        digs = list(self.digits)
-        digs[t - 1] = digit
-        return Configuration(tuple(digs), self.params)
-
 
 def rank_of_digits(digits: Sequence[int], n_marks: int) -> int:
     base = 1 + n_marks

@@ -42,9 +42,9 @@ from .space import ModelParams, PathFunctional, space
 # -- constants and generic helpers --------------------------------------------------
 
 TAIL_TOL = 1e-12          # compound pmf mass the target table may leave out
-MAX_PMF_LENGTH = 2**22    # longest compound pmf table the target builds
-GEOMETRIC_TAIL = 1e-17    # geometric mark mass the truncation leaves out
-MAX_GEOMETRIC_MARKS = 2048  # widest geometric law: the exact DNA pmf at n = 50 then takes seconds
+MAX_PMF_LENGTH = 2**22    # longest pmf table the target or the exact DNA law builds
+GEOMETRIC_TAIL = 1e-17    # mass the geometric truncation, or one exact DNA table, leaves out
+MAX_GEOMETRIC_MARKS = 2048  # widest geometric law in the target: each Panjer entry sums over its marks
 SOLVE_EXTENSION = 64      # steps the compound back substitution runs past its window
 Z_PLUS_TOL = 1e-9         # largest distance from an integer in a Z+-valued table
 
@@ -171,20 +171,6 @@ def compound_pmf(lam0: float, mark_pmf: np.ndarray, length: int) -> np.ndarray:
     return p
 
 
-def _geometric_pmf(alpha: float, marks: int | None = None) -> np.ndarray:
-    """P(V = k) for k = 1..marks, V geometric(1-alpha); marks defaults to the
-    first c with alpha^c <= GEOMETRIC_TAIL, and alpha = 0 is the point mass at 1."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if marks is None:
-        marks = 1 if alpha == 0.0 else math.ceil(math.log(GEOMETRIC_TAIL) / math.log(alpha))
-    if not 1 <= marks <= MAX_GEOMETRIC_MARKS:
-        limit = GEOMETRIC_TAIL ** (1 / MAX_GEOMETRIC_MARKS)
-        raise ValueError(f"need 1 to {MAX_GEOMETRIC_MARKS} geometric marks, got {marks} at alpha={alpha} "
-                         f"(the default truncation allows alpha <= {limit:.5f})")
-    return (1.0 - alpha) * alpha ** np.arange(1 if alpha == 0.0 else marks)
-
-
 @dataclass
 class CompoundTarget:
     """Compound Poisson law PC(lam0, gV) with a positive-integer mark pmf."""
@@ -196,6 +182,8 @@ class CompoundTarget:
     def __post_init__(self):
         if self.lam0 <= 0:
             raise ValueError(f"lam0 must be positive, got {self.lam0}")
+        if math.exp(-self.lam0) < np.finfo(float).tiny:
+            raise ValueError(f"lam0 = {self.lam0:g} is too large: e^-lam0 is below the smallest normal float")
         self.mark_pmf = np.asarray(self.mark_pmf, dtype=float)
         if np.any(self.mark_pmf < 0):
             raise ValueError("mark pmf entries must be nonnegative")
@@ -232,9 +220,16 @@ class CompoundTarget:
 
     @classmethod
     def polya_aeppli(cls, lam0: float, alpha: float) -> "CompoundTarget":
-        """Poisson(lam0) compounded by geometric(1-alpha) marks, truncated
-        where less than GEOMETRIC_TAIL of the mark mass is left."""
-        return cls(lam0=lam0, mark_pmf=_geometric_pmf(alpha))
+        """Poisson(lam0) compounded by geometric(1-alpha) marks, truncated to
+        the first c marks with alpha^c <= GEOMETRIC_TAIL (c = 1 at alpha = 0)."""
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+        marks = 1 if alpha == 0.0 else math.ceil(math.log(GEOMETRIC_TAIL) / math.log(alpha))
+        if marks > MAX_GEOMETRIC_MARKS:
+            limit = GEOMETRIC_TAIL ** (1 / MAX_GEOMETRIC_MARKS)
+            raise ValueError(f"need at most {MAX_GEOMETRIC_MARKS} geometric marks, got {marks} at "
+                             f"alpha={alpha} (the truncation allows alpha <= {limit:.5f})")
+        return cls(lam0=lam0, mark_pmf=(1.0 - alpha) * alpha ** np.arange(marks))
 
 
 def compound_stein_solve(target: CompoundTarget, A: Iterable[int] | np.ndarray,
@@ -523,28 +518,43 @@ def _check_dna_args(n: int, h: int, alpha: float, mu_w: float):
         raise ValueError(f"need 0 < h < n, got h={h}, n={n}")
 
 
-def dna_functional(n: int, h: int, alpha: float, mu_w: float, k_cutoff: int | None = None) -> np.ndarray:
-    """Exact pmf of the geometric-marked occurrence count H: the
-    (n-h+1)-fold convolution of one step (no jump w.p. 1 - lam',
-    geometric(1-alpha) mark w.p. lam' = (1-alpha) mu_w), marks truncated
-    at k_cutoff, by default where less than GEOMETRIC_TAIL of the mark
-    mass is left."""
+def dna_functional(n: int, h: int, alpha: float, mu_w: float) -> np.ndarray:
+    """Exact pmf of the geometric-marked occurrence count H, with no mark truncation.  H sums
+    K ~ Binomial(N, lam') geometric(1-alpha) marks, N = n-h+1 and lam' = (1-alpha) mu_w, so
+    pmf(x) = sum_k P(K = k) nb_k(x): nb_0 = delta_0, nb_k(x) = alpha nb_k(x-1) + (1-alpha) nb_{k-1}(x-1).
+    Each table stops where a ratio bound puts the mass it leaves out below GEOMETRIC_TAIL."""
     _check_dna_args(n, h, alpha, mu_w)
-    lamp = (1.0 - alpha) * mu_w
-    step = np.concatenate([[1.0 - lamp], lamp * _geometric_pmf(alpha, k_cutoff)])
-    pmf = np.array([1.0])
-    for _ in range(n - h + 1):
-        pmf = np.convolve(pmf, step)
-    return pmf
+    big_n, lamp = n - h + 1, (1.0 - alpha) * mu_w
+    weights = [math.exp(big_n * math.log1p(-lamp))]
+    if weights[0] < np.finfo(float).tiny:
+        raise ValueError(f"P(K = 0) = (1-lam')^N is below the smallest normal float at N={big_n}")
+    for k in range(big_n):
+        ratio = (big_n - k) / (k + 1) * lamp / (1.0 - lamp)  # P(K = k+1) / P(K = k), falling in k
+        if ratio < 1.0 and weights[k] * ratio < GEOMETRIC_TAIL * (1.0 - ratio):
+            break
+        weights.append(weights[k] * ratio)
+    w = np.array(weights)
+    k_max = len(w) - 1
+    if (k_max - math.log(GEOMETRIC_TAIL)) / (1.0 - alpha) > MAX_PMF_LENGTH:  # about its length
+        raise ValueError(f"exact pmf longer than {MAX_PMF_LENGTH} entries at N={big_n}, alpha={alpha}")
+    nb, pmf = np.concatenate(([1.0], np.zeros(k_max))), []
+    for x in range(MAX_PMF_LENGTH):
+        pmf.append(float(w @ nb))
+        # nb_k(x+1) / nb_k(x) = alpha x / (x-k+1) falls in x; rest > 0 needs x >= k_max and puts it below 1
+        rest = x - k_max + 1 - alpha * x
+        if rest > 0.0 and pmf[-1] * alpha * x < GEOMETRIC_TAIL * rest:
+            return np.array(pmf)
+        nb = np.concatenate(([0.0], alpha * nb[1:] + (1.0 - alpha) * nb[:-1]))  # nb_0 is 0 past x = 0
+    raise ValueError(f"exact pmf longer than {MAX_PMF_LENGTH} entries at N={big_n}, alpha={alpha}")
 
 
 def dna_target(n: int, h: int, alpha: float, mu_w: float) -> CompoundTarget:
     """Polya-Aeppli law matched to the occurrence count."""
+    _check_dna_args(n, h, alpha, mu_w)
     return CompoundTarget.polya_aeppli(dna_lambda0(n, h, alpha, mu_w), alpha)
 
 
 def dna_bound(n: int, h: int, alpha: float, mu_w: float) -> float:
     """2 h mu(W) declumping term plus (n-h+1) d_PC mu(W)^2."""
-    _check_dna_args(n, h, alpha, mu_w)
     target = dna_target(n, h, alpha, mu_w)
     return 2.0 * h * mu_w + (n - h + 1) * target.d_pc * mu_w**2

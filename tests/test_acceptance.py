@@ -211,7 +211,7 @@ def test_criterion_5_head_run_dominance(n, m, p):
 
 def test_criterion_6_dna_compound():
     n, h, alpha, mu_w = 50, 5, 0.2, 0.02
-    pmf = dna_functional(n, h, alpha, mu_w, k_cutoff=40)
+    pmf = dna_functional(n, h, alpha, mu_w)
     target = dna_target(n, h, alpha, mu_w)
     tv = mbp.exact_tv(pmf, target.pmf)
     clump_bound = (n - h + 1) * target.d_pc * mu_w**2

@@ -219,13 +219,13 @@ def test_verify_reports_worst_offender_on_failure(monkeypatch, capsys):
     ["simulate", *CTI_FLAGS, "--out", "{missing}/x.csv"],
     ["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5", "--out", "{missing}/y"],
     ["simulate", "--config", "{missing}.cfg"],
-    ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.2", "--mu", "0.02", "--cutoff", "0"],
-    ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.2", "--mu", "0.02", "--cutoff", "-3"],
     ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.999", "--mu", "0.02"],
-], ids=["simulate-out", "headrun-out", "config", "dna-cutoff-0", "dna-cutoff-negative", "dna-alpha-limit"])
+    ["stein", "dna", "--n", "100000", "--h", "5", "--alpha", "0.2", "--mu", "0.01"],
+], ids=["simulate-out", "headrun-out", "config", "dna-alpha-limit", "dna-target-underflow"])
 def test_failures_exit_2_with_one_error_line(argv, tmp_path, capsys):
-    """Unwritable outputs, unreadable configs and an empty mark law are
-    input errors (exit 2), never a traceback or the verify-only exit 1."""
+    """Unwritable outputs, unreadable configs, a mark law past the limit and
+    a target whose e^-lam0 underflows are input errors (exit 2), never a
+    traceback or the verify-only exit 1."""
     code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
     captured = capsys.readouterr()
     assert code == 2

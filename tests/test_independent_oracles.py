@@ -15,6 +15,7 @@ from markedbinomial import (
     PathFunctional,
     build_basis,
     divergence,
+    dna_functional,
     gradient,
     multiple_integral,
     stroock_decompose,
@@ -173,3 +174,23 @@ def test_probabilities_against_explicit_product(cti):
         for digit in sp.digits[rank]:
             prob *= (1 - lam) if digit == 0 else lam * cti.mark_probs[digit - 1]
         assert sp.probabilities[rank] == pytest.approx(prob, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, alpha", [(100, 0.0), (100, 0.2), (100, 0.65), (100, 0.95), (100, 0.98)])
+def test_dna_law_equals_convolution_of_steps(n, alpha):
+    """The law of the geometric-marked count as the (n-h+1)-fold convolution
+    of one step: no jump w.p. 1 - lam', mark j >= 1 w.p. lam' (1-alpha) alpha^(j-1).
+    The mark law keeps every mark with alpha^(j-1) >= 1e-20, and the running
+    table is cut to the compared window plus one mark law, since entries
+    below the cut never depend on entries above it."""
+    h, mu = 5, 0.02
+    lamp = (1 - alpha) * mu
+    marks = 1 if alpha == 0 else int(np.ceil(np.log(1e-20) / np.log(alpha)))
+    step = np.concatenate([[1 - lamp], lamp * (1 - alpha) * alpha ** np.arange(marks)])
+    got = dna_functional(n, h, alpha, mu)
+    window = len(got) + marks
+    expected = np.array([1.0])
+    for _ in range(n - h + 1):
+        expected = np.convolve(expected, step)[:window]
+    assert np.max(np.abs(got - expected[: len(got)])) <= 1e-14
+    assert expected[len(got) :].sum() <= 1e-14

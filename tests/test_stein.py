@@ -468,26 +468,57 @@ def test_dna_alpha_zero_reduces_to_binomial_poisson():
 
 def test_dna_instance_dominance():
     n, h, alpha, mu_w = 50, 5, 0.2, 0.02
-    pmf = dna_functional(n, h, alpha, mu_w, k_cutoff=40)
+    pmf = dna_functional(n, h, alpha, mu_w)
     target = dna_target(n, h, alpha, mu_w)
     tv = exact_tv(pmf, target.pmf)
     assert tv <= (n - h + 1) * target.d_pc * mu_w**2
 
 
-def test_dna_default_truncation_is_exact():
-    """At alpha = 0.65 a 40-mark law leaves out 3e-8 of the mark mass; the
-    derived truncation agrees with a 400-mark one to rounding."""
-    n, h, alpha, mu_w = 50, 5, 0.65, 0.02
-    target = dna_target(n, h, alpha, mu_w)
-    tv = exact_tv(dna_functional(n, h, alpha, mu_w), target.pmf)
-    assert tv == pytest.approx(exact_tv(dna_functional(n, h, alpha, mu_w, k_cutoff=400), target.pmf), abs=1e-15)
+def test_dna_law_moments_past_the_target_limit():
+    """At alpha = 0.999 no convolution is feasible (the mark law needs about
+    39,000 marks): the exact law still has mass 1, mean N mu and variance
+    N (lam' E[V^2] - lam'^2 E[V]^2), E[V] = 1/(1-alpha), E[V^2] = (1+alpha)/(1-alpha)^2."""
+    n, h, alpha, mu_w = 100, 5, 0.999, 0.02
+    big_n, lamp = n - h + 1, (1 - alpha) * mu_w
+    pmf = dna_functional(n, h, alpha, mu_w)
+    x = np.arange(len(pmf))
+    mean = float(np.dot(x, pmf))
+    variance = float(np.dot((x - mean) ** 2, pmf))
+    e_v, e_v2 = 1 / (1 - alpha), (1 + alpha) / (1 - alpha) ** 2
+    assert pmf.sum() == pytest.approx(1.0, rel=1e-10)
+    assert mean == pytest.approx(big_n * mu_w, rel=1e-10)
+    assert variance == pytest.approx(big_n * (lamp * e_v2 - lamp**2 * e_v**2), rel=1e-10)
+
+
+def test_dna_law_at_a_billion_positions():
+    """The weights run from P(K = 0) by their ratio and stop past the mode,
+    so N = 10^9 builds no table of length N."""
+    start = time.perf_counter()
+    pmf = dna_functional(10**9, 5, 0.5, 1e-9)
+    assert time.perf_counter() - start < 1.0
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
+    assert float(np.dot(np.arange(len(pmf)), pmf)) == pytest.approx((10**9 - 4) * 1e-9, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: CompoundTarget(750.0, [1.0]), "lam0 = 750"),
+    (lambda: dna_target(100000, 5, 0.2, 0.01), "lam0 = 799.968"),
+    (lambda: dna_functional(1210, 5, 0.0, 0.5), "smallest normal float"),
+    (lambda: dna_functional(50, 5, 1 - 1e-8, 0.02), "exact pmf longer than"),
+], ids=["target", "dna-target", "pmf-weights", "pmf-length"])
+def test_refuses_underflow_and_overlong_tables_up_front(call, match):
+    """e^-lam0 (the Panjer start) or (1-lam')^N below the smallest normal
+    float would make every table entry 0; a pmf longer than MAX_PMF_LENGTH
+    would run for minutes.  Each is refused before any table is built."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("call", [
     lambda: dna_target(50, 5, 0.999, 0.02),
-    lambda: dna_functional(50, 5, 0.999, 0.02),
-    lambda: dna_functional(50, 5, 0.5, 0.02, k_cutoff=10**6),
-], ids=["target-alpha", "pmf-alpha", "pmf-cutoff"])
+], ids=["target-alpha"])
 def test_dna_refuses_mark_laws_past_the_limit(call):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="geometric marks"):
@@ -496,6 +527,10 @@ def test_dna_refuses_mark_laws_past_the_limit(call):
 
 
 def test_dna_validation():
+    with pytest.raises(ValueError, match="mu_w"):
+        dna_target(50, 5, 0.2, 1.5)
+    with pytest.raises(ValueError, match="0 < h < n"):
+        dna_target(50, 50, 0.2, 0.02)
     with pytest.raises(ValueError):
         dna_bound(50, 5, 1.0, 0.02)
     with pytest.raises(ValueError):
