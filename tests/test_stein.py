@@ -504,24 +504,27 @@ def test_dna_law_at_a_billion_positions():
     (lambda: CompoundTarget(750.0, [1.0]), "lam0 = 750"),
     (lambda: dna_target(100000, 5, 0.2, 0.01), "lam0 = 799.968"),
     (lambda: dna_functional(1210, 5, 0.0, 0.5), "smallest normal float"),
-    (lambda: dna_functional(50, 5, 1 - 1e-8, 0.02), "exact pmf longer than"),
-], ids=["target", "dna-target", "pmf-weights", "pmf-length"])
-def test_refuses_underflow_and_overlong_tables_up_front(call, match):
+], ids=["target", "dna-target", "pmf-weights"])
+def test_refuses_underflow_up_front(call, match):
     """e^-lam0 (the Panjer start) or (1-lam')^N below the smallest normal
-    float would make every table entry 0; a pmf longer than MAX_PMF_LENGTH
-    would run for minutes.  Each is refused before any table is built."""
+    float would make every table entry 0, so each is refused before any
+    table is built."""
     start = time.perf_counter()
     with pytest.raises(ValueError, match=match):
         call()
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("call", [
-    lambda: dna_target(50, 5, 0.999, 0.02),
-], ids=["target-alpha"])
-def test_dna_refuses_mark_laws_past_the_limit(call):
+@pytest.mark.parametrize("call, match", [
+    (lambda: dna_target(50, 5, 0.999, 0.02), "geometric marks"),
+    (lambda: dna_functional(50, 5, 1 - 1e-8, 0.02), "exact pmf longer than"),
+], ids=["target-alpha", "pmf-alpha"])
+def test_dna_refuses_mark_laws_past_the_limit(call, match):
+    """The target refuses a mark law wider than MAX_GEOMETRIC_MARKS; the
+    untruncated exact pmf refuses an alpha whose table would pass
+    MAX_PMF_LENGTH and run for minutes.  Both refuse before any table."""
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="geometric marks"):
+    with pytest.raises(ValueError, match=match):
         call()
     assert time.perf_counter() - start < 1.0
 
