@@ -131,17 +131,26 @@ def _dz_equals_m_dr(ctx: _Context) -> float:
 
 def _dr_identically_distributed(ctx: _Context) -> float:
     """Same one-step law at every time: full atom-by-atom law comparison
-    (probability attached to each distinct increment value)."""
+    (probability attached to each distinct increment value).  The t=1 law
+    is tabulated once per mark; each later table's values are located
+    among its atoms, and a value that is not one of them is an atom of
+    its own."""
     sp = ctx.sp
     worst = 0.0
     for k in ctx.params.marks:
-        ref = np.round(basis_mod.delta_r_table(ctx.basis, 1, k), 12)
+        ref_values, ref_atoms = np.unique(np.round(basis_mod.delta_r_table(ctx.basis, 1, k), 12),
+                                          return_inverse=True)
+        ref_law = np.bincount(ref_atoms, weights=sp.probabilities, minlength=len(ref_values))
         for t in range(2, ctx.params.horizon + 1):
             cur = np.round(basis_mod.delta_r_table(ctx.basis, t, k), 12)
-            values, atoms = np.unique(np.concatenate([ref, cur]), return_inverse=True)
-            ref_law = np.bincount(atoms[: sp.n], weights=sp.probabilities, minlength=len(values))
-            cur_law = np.bincount(atoms[sp.n :], weights=sp.probabilities, minlength=len(values))
+            atoms = np.minimum(np.searchsorted(ref_values, cur), len(ref_values) - 1)
+            shared = ref_values[atoms] == cur
+            cur_law = np.bincount(atoms[shared], weights=sp.probabilities[shared], minlength=len(ref_values))
             worst = max(worst, float(np.max(np.abs(ref_law - cur_law))))
+            if not shared.all():
+                _, extra_atoms = np.unique(cur[~shared], return_inverse=True)
+                extra_law = np.bincount(extra_atoms, weights=sp.probabilities[~shared])
+                worst = max(worst, float(np.max(extra_law)))
     return worst
 
 

@@ -43,9 +43,19 @@ from .chaos import chaos_order_tensor, coefficient_tensor, synthesize
 from .space import ModelParams, PathFunctional, SampleSpace, space
 
 
+def _step_major(params: ModelParams, alloc=np.empty) -> np.ndarray:
+    """(n_configs, T, m) array stored as (T, m, n_configs): each
+    ``values[:, t-1, j]`` is a contiguous rank-indexed table."""
+    return alloc((params.horizon, params.n_marks, params.n_configurations)).transpose(2, 0, 1)
+
+
 @dataclass
 class ProcessTable:
-    """Exact process u(omega, (t,k)): array of shape (n_configs, T, m)."""
+    """Exact process u(omega, (t,k)): array of shape (n_configs, T, m).
+
+    Tables this module allocates are step-major in memory (see
+    ``_step_major``); a table handed to the constructor is kept as is.
+    """
 
     params: ModelParams
     values: np.ndarray
@@ -70,7 +80,7 @@ class ProcessTable:
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "ProcessTable":
-        return cls(params, np.zeros((params.n_configurations, params.horizon, params.n_marks)))
+        return cls(params, _step_major(params, np.zeros))
 
     @classmethod
     def deterministic_indicator(cls, params: ModelParams, point: Point) -> "ProcessTable":
@@ -169,7 +179,7 @@ def gradient_process(F: PathFunctional) -> ProcessTable:
     params = F.params
     sp = space(params)
     proj = _projection(params)
-    out = np.empty((sp.n, params.horizon, params.n_marks))
+    out = _step_major(params)
     for t in range(1, params.horizon + 1):
         plane = np.moveaxis(sp.step_view(F.table(), t), 1, -1) @ proj
         sp.step_view(out, t)[..., t - 1, :] = plane[:, None]
@@ -219,7 +229,11 @@ def divergence(u: ProcessTable) -> PathFunctional:
     scatter = np.zeros(sp.n)
     for t in range(1, params.horizon + 1):
         step_u = sp.step_view(u.values, t)[..., t - 1, :]
-        mass = np.einsum("adc,adcj->acj", sp.step_view(sp.probabilities, t), step_u)
+        step_p = sp.step_view(sp.probabilities, t)[..., None]
+        # sum over digit t in digit order: the same rounding on every memory layout of u
+        mass = step_p[:, 0] * step_u[:, 0]
+        for d in range(1, sp.base):
+            mass += step_p[:, d] * step_u[:, d]
         sp.step_view(scatter, t)[:] += np.moveaxis(mass @ spread, -1, 1)
     return PathFunctional(params, values=scatter / sp.probabilities)
 
@@ -230,11 +244,12 @@ def tilde_divergence(u: ProcessTable) -> PathFunctional:
     sp = space(params)
     lq = params.jump_prob * np.asarray(params.mark_probs)
     charged = np.zeros(sp.n)
+    compensator = np.zeros(sp.n)  # summed in (t, k) order: the same rounding on every memory layout of u
     for t in range(1, params.horizon + 1):
         digit = sp.digits[:, t - 1]
         for j in range(params.n_marks):
             charged += np.where(digit == j + 1, u.values[:, t - 1, j], 0.0)
-    compensator = (u.values * lq[None, None, :]).sum(axis=(1, 2))
+            compensator += lq[j] * u.values[:, t - 1, j]
     return PathFunctional(params, values=charged - compensator)
 
 
@@ -336,11 +351,15 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
     """Monte Carlo Mehler estimate of P_tau F at every configuration.
 
     Each digit survives with probability exp(-tau) and is otherwise
-    replaced by a fresh draw from the one-step marginal.  Configurations
-    are taken in rank-order blocks of at most MEHLER_BLOCK_DRAWS digit
-    draws (at least one configuration each); block b draws from its own
-    stream SeedSequence(rng_seed, spawn_key=(stream, b)), so the estimate
-    is reproducible under any scheduling.  Returns (means, standard errors).
+    replaced by a fresh draw from the one-step marginal.  One uniform u
+    per digit does both: u below exp(-tau) keeps the digit, and otherwise
+    u, uniform on the rest of [0, 1), falls into the cell of digit d
+    among the edges exp(-tau) + (1 - exp(-tau)) (w_0 + ... + w_(d-1)).
+    Configurations are taken in rank-order blocks of at most
+    MEHLER_BLOCK_DRAWS digit draws (at least one configuration each);
+    block b draws from its own stream SeedSequence(rng_seed,
+    spawn_key=(stream, b)), so the estimate is reproducible under any
+    scheduling.  Returns (means, standard errors).
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -350,16 +369,18 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
     sp = space(params)
     vals = F.table()
     keep_p = exp(-tau)
+    edges = keep_p + (1.0 - keep_p) * np.concatenate([[0.0], np.cumsum(sp.step_weights[:-1])])
     block = max(1, MEHLER_BLOCK_DRAWS // (n_samples * params.horizon))
     means = np.empty(sp.n)
     errs = np.empty(sp.n)
     for b, start in enumerate(range(0, sp.n, block)):
         stop = min(start + block, sp.n)
         rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(int(stream), b)))
-        shape = (stop - start, n_samples, params.horizon)
-        keep = rng.random(shape) < keep_p
-        fresh = rng.choice(sp.base, size=shape, p=sp.step_weights)
-        digs = np.where(keep, sp.digits[start:stop, None, :], fresh).astype(np.int64)
+        u = rng.random((stop - start, n_samples, params.horizon))
+        pick = np.zeros(u.shape, dtype=np.int8)  # 0: keep the digit, d + 1: draw digit d
+        for edge in edges:
+            pick += u >= edge
+        digs = np.where(pick == 0, sp.digits[start:stop, None, :], pick - 1)
         sample = vals[digs @ sp.powers]
         means[start:stop] = sample.mean(axis=1)
         errs[start:stop] = sample.std(axis=1, ddof=1) / sqrt(n_samples)

@@ -202,10 +202,15 @@ class SampleSpace:
         """Rank-indexed table with step t (1-based) as its own axis: entry
         [a, d, c] is row (a * base + d) * base^(t-1) + c, so d is digit t and
         c, a encode the digits before and after t.  Trailing axes pass
-        through; for a contiguous table the result is a writable view."""
+        through.  The result is always a view, writable when ``values`` is;
+        an input that could only be reshaped by a copy (where writes would
+        be lost) raises ValueError."""
         self.check_time(t)
         low = self.base ** (t - 1)
-        return values.reshape((self.n // (low * self.base), self.base, low) + values.shape[1:])
+        view = np.reshape(values, (self.n // (low * self.base), self.base, low) + np.shape(values)[1:])
+        if not np.shares_memory(view, values):
+            raise ValueError("step view needs a table it can reshape without a copy")
+        return view
 
     def ranks_with_digit(self, t: int, digit: int) -> np.ndarray:
         """Rank map omega -> omega with digit t (1-based) forced to ``digit``
@@ -399,11 +404,8 @@ def mc_expectation(F: PathFunctional, n_samples: int, stream: int | np.random.Ge
         ranks = (digs.astype(np.int64) * sp.powers[None, :]).sum(axis=1)
         vals = F.values[ranks]
     else:
-        try:
-            vals = np.asarray(F.fn(digs), dtype=float)   # batched evaluation
-            if vals.shape != (n_samples,):
-                raise ValueError
-        except Exception:
+        vals = np.asarray(F.fn(digs), dtype=float)   # batched evaluation
+        if vals.shape != (n_samples,):  # a per-path callable: call it row by row
             vals = np.asarray([float(F.fn(row)) for row in digs])
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 

@@ -166,6 +166,47 @@ def test_conditional_expectation_against_dict_groupby(inst2, rng):
         assert np.max(np.abs(got - expected)) <= 1e-13
 
 
+@pytest.mark.parametrize("instance", ["cti", "inst2"])
+@pytest.mark.parametrize("perturb", [None, "new-value", "moved-mass"])
+def test_dr_law_check_against_dict_groupby(request, instance, perturb, monkeypatch):
+    """The dr_identically_distributed residual equals the largest gap between
+    the t=1 law and each later law, each tabulated by a dictionary group-by
+    over the rounded values, also when a later table takes a value the t=1
+    table never takes or moves mass between its atoms."""
+    from markedbinomial import basis as basis_mod, diagnostics
+
+    params = request.getfixturevalue(instance)
+    sp = space(params)
+    exact = basis_mod.delta_r_table
+
+    def table(basis, t, k):
+        values = exact(basis, t, k).copy()
+        if t == 2 and perturb == "new-value":  # one new atom that outweighs each atom it drains
+            values[sp.digits[:, 1] <= 1] = 123.0
+        if t == 2 and perturb == "moved-mass":
+            values[sp.digits[:, 1] == 0] = values[sp.digits[:, 1] == 1][0]
+        return values
+
+    monkeypatch.setattr(basis_mod, "delta_r_table", table)
+    basis = build_basis(params)
+
+    def law(values):
+        out = {}
+        for value, p in zip(np.round(values, 12).tolist(), sp.probabilities.tolist()):
+            out[value] = out.get(value, 0.0) + p
+        return out
+
+    worst = 0.0
+    for k in params.marks:
+        ref = law(table(basis, 1, k))
+        for t in range(2, params.horizon + 1):
+            cur = law(table(basis, t, k))
+            worst = max([worst] + [abs(ref.get(v, 0.0) - cur.get(v, 0.0)) for v in set(ref) | set(cur)])
+    residual = diagnostics._dr_identically_distributed(diagnostics._Context(params, 0))
+    assert residual == worst
+    assert (residual > 1e-3) == (perturb is not None)
+
+
 def test_probabilities_against_explicit_product(cti):
     sp = space(cti)
     lam = cti.jump_prob

@@ -395,6 +395,23 @@ def test_mehler_blocks_draw_from_distinct_streams(cti, rng, monkeypatch):
     assert len(set(means.tolist())) == len(means)
 
 
+@pytest.mark.parametrize("name", ["cti", "inst2"])
+def test_mehler_per_digit_law(name, request):
+    """For F = 1{d_t = d} the Mehler step gives P_tau F = e^-tau F + (1 - e^-tau) w_d:
+    a digit is kept with probability e^-tau and otherwise redrawn from the one-step law."""
+    params = request.getfixturevalue(name)
+    sp = space(params)
+    tau = 0.7
+    keep = math.exp(-tau)
+    for t in (1, 2, params.horizon):
+        for d in range(sp.base):
+            F = (sp.digits[:, t - 1] == d).astype(float)
+            means, errs = ou_mehler_mc(PathFunctional(params, values=F), tau, 1000, stream=t * sp.base + d)
+            exact = keep * F + (1.0 - keep) * sp.step_weights[d]
+            assert np.all(errs > 0)
+            assert np.max(np.abs(means - exact) / errs) <= 6.0
+
+
 def test_mehler_rejects_empty_sample(cti):
     with pytest.raises(ValueError, match="n_samples"):
         ou_mehler_mc(PathFunctional.constant(cti, 1.0), 1.0, 0)
@@ -465,3 +482,44 @@ def test_process_table_validation(cti):
         bad = np.zeros((27, 3, 2))
         bad[:, 2, 0] = np.arange(27)  # depends on digit 3: not F_2-measurable
         ProcessTable(cti, bad, predictable=True)
+
+
+# -- memory layout ---------------------------------------------------------------------
+
+def _c_order(params, alloc=np.empty):
+    return alloc((params.n_configurations, params.horizon, params.n_marks))
+
+
+@pytest.mark.parametrize("name", ["cti", "inst2"])
+def test_allocated_process_tables_are_step_major(name, request, rng):
+    params = request.getfixturevalue(name)
+    F = _rand(params, rng)
+    for u in (ProcessTable.zeros(params), gradient_process(F), clark_integrand(F)):
+        assert u.values.shape == (params.n_configurations, params.horizon, params.n_marks)
+        for t in range(1, params.horizon + 1):
+            for j in range(params.n_marks):
+                assert u.values[:, t - 1, j].flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", ["cti", "inst2"])
+def test_operators_agree_bitwise_on_both_layouts(name, request, rng, monkeypatch):
+    from markedbinomial import malliavin
+
+    params = request.getfixturevalue(name)
+    F = _rand(params, rng)
+    u = ProcessTable.zeros(params)
+    u.values[:] = rng.normal(size=u.values.shape)
+    predictable = clark_integrand(F)
+    for step_major in (u, predictable):
+        copy = ProcessTable(params, np.ascontiguousarray(step_major.values))
+        assert copy.values.flags.c_contiguous and not step_major.values.flags.c_contiguous
+        assert np.array_equal(divergence(step_major).table(), divergence(copy).table())
+        assert np.array_equal(tilde_divergence(step_major).table(), tilde_divergence(copy).table())
+        assert mecke_check(step_major) == mecke_check(copy)
+        for tol in (0.0, 1e-12):
+            assert step_major.is_predictable(tol) == copy.is_predictable(tol)
+    assert predictable.is_predictable(1e-12) and not u.is_predictable(1e-12)
+    step_major_clark = clark_reconstruct(F).table()
+    monkeypatch.setattr(malliavin, "_step_major", _c_order)
+    assert clark_integrand(F).values.flags.c_contiguous
+    assert np.array_equal(clark_reconstruct(F).table(), step_major_clark)

@@ -97,6 +97,30 @@ def test_step_view_matches_rank_map(name, request):
             sp.step_view(table, t)
 
 
+def test_step_view_writes_through_step_major_table(inst2):
+    from markedbinomial import ProcessTable
+
+    sp = space(inst2)
+    u = ProcessTable.zeros(inst2)
+    for t in range(1, inst2.horizon + 1):
+        view = sp.step_view(u.values, t)
+        assert np.shares_memory(view, u.values)
+        view[:, t % sp.base, :, t - 1, t % inst2.n_marks] = float(t)
+    for t in range(1, inst2.horizon + 1):
+        expected = np.where(sp.digits[:, t - 1] == t % sp.base, float(t), 0.0)
+        assert np.array_equal(u.values[:, t - 1, t % inst2.n_marks], expected)
+    assert np.count_nonzero(u.values) == sum(
+        np.count_nonzero(sp.digits[:, t - 1] == t % sp.base) for t in range(1, inst2.horizon + 1))
+
+
+def test_step_view_refuses_a_copy(cti):
+    """A table that can only be reshaped by a copy would lose every write."""
+    sp = space(cti)
+    table = np.zeros((sp.n, 2))
+    with pytest.raises(ValueError, match="without a copy"):
+        sp.step_view(table.tolist(), 2)
+
+
 def test_config_probability(cti):
     all_zero = Configuration((0, 0, 0), cti)
     assert config_probability(cti, all_zero) == pytest.approx(0.125, abs=1e-15)
@@ -190,6 +214,14 @@ def test_mc_expectation_callable(cti):
     F = PathFunctional.from_callable(cti, lambda digits: float((digits > 0).sum()))
     mean, se = mc_expectation(F, 20000, stream=1)
     assert abs(mean - 1.5) <= 4 * se
+
+
+def test_mc_expectation_batched_error_propagates(cti):
+    """Only a batched result of the wrong shape falls back to per-row calls;
+    an error raised on the batch is the caller's to see."""
+    F = PathFunctional.from_callable(cti, lambda digits: 1.0 / (digits.ndim - 2) + digits.sum(axis=-1))
+    with pytest.raises(ZeroDivisionError):
+        mc_expectation(F, 100, stream=1)
 
 
 def test_export_table_csv(tmp_path, cti):
