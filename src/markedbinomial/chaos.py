@@ -144,9 +144,14 @@ class ChaosCoefficients:
         slots = [zip(times[:, i].tolist(), marks[:, i].tolist()) for i in range(times.shape[1])]
         return dict(zip(zip(*slots), values.tolist()))
 
+    def _present_orders(self) -> list[int]:
+        """Orders with a retained coefficient, ascending (a bincount: np.unique
+        would import numpy.ma)."""
+        return np.flatnonzero(np.bincount(self._entries[0])).tolist()
+
     @property
     def orders(self) -> dict[int, Kernel]:
-        return {n: self.kernel(n) for n in np.unique(self._entries[0]).tolist()}
+        return {n: self.kernel(n) for n in self._present_orders()}
 
     def rows(self) -> list[tuple[int, str, float]]:
         """(order, support label, kernel value), the constant first; a label
@@ -154,7 +159,7 @@ class ChaosCoefficients:
         names = np.array([[f"{t}:{k:g}" for k in self.params.marks]
                           for t in range(1, self.params.horizon + 1)], dtype=object)
         out = [(0, "", self.f0)]
-        for n in np.unique(self._entries[0]).tolist():
+        for n in self._present_orders():
             times, kidx, values = self._points(n)
             labels = names[times - 1, kidx].tolist()
             out += [(n, ";".join(label), v) for label, v in zip(labels, values.tolist())]

@@ -20,6 +20,7 @@ every predictable strategy at once.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +44,9 @@ class MarketParams:
     a0: float = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "r", "jump_prob", "up_prob", "horizon", "initial_capital", "a0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not -1.0 < self.a < self.r < self.b:
             raise ValueError(
                 f"need -1 < a < r < b, got a={self.a}, r={self.r}, b={self.b}"
@@ -101,6 +105,11 @@ def price_paths(market: MarketParams) -> PricePaths:
     """Cached per market; the returned tables are shared and read-only."""
     params = market.model_params()
     sp = space(params)
+    smallest = float(sp.probabilities.min())
+    if smallest < np.finfo(float).tiny:
+        raise ValueError(
+            f"smallest configuration probability {smallest:.3e} is below the smallest normal float"
+        )
     T = market.horizon
     factor_of_digit = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
     factors = factor_of_digit[sp.digits]
@@ -195,17 +204,17 @@ class Strategy:
 
     def self_financing_residual(self) -> float:
         """Max violation of A_t (alpha_{t+1}-alpha_t) + S_t (phi_{t+1}-phi_t) = 0
-        over t = 0..T-1, with the convention phi_0 = phi_1."""
+        over t = 0..T-1, with the convention phi_0 = phi_1; NaN if any
+        entry is NaN."""
         paths = price_paths(self.market)
-        T = self.market.horizon
-        worst = 0.0
-        for t in range(0, T):
+        worst = []
+        for t in range(0, self.market.horizon):
             phi_next = self.phi[:, t]
             phi_cur = self.phi[:, t - 1] if t >= 1 else self.phi[:, 0]
             lhs = paths.riskless[t] * (self.alpha[:, t + 1] - self.alpha[:, t]) \
                 + paths.price[:, t] * (phi_next - phi_cur)
-            worst = max(worst, float(np.max(np.abs(lhs))))
-        return worst
+            worst.append(np.max(np.abs(lhs)))
+        return float(np.max(worst))  # np.max, unlike max(), propagates NaN
 
 
 def _self_financed_alpha(market: MarketParams, phi: np.ndarray, alpha0: float) -> np.ndarray:
@@ -302,41 +311,67 @@ def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
     return float(space(market.model_params()).expectation((F.table() - x - gain) ** 2))
 
 
-LS_ORACLE_MAX_HORIZON = 8
+LS_ORACLE_MAX_HORIZON = 11
+# A pivot at or below this fraction of its assembled diagonal counts as not
+# positive: rounding noise in the pivots of near-arbitrage markets reaches
+# about 1e-14 of the diagonal, with either sign.
+_PIVOT_RTOL = 1e-14
 
 
 def ls_oracle(market: MarketParams, F: PathFunctional,
               x: float | None = None) -> tuple[Strategy, float]:
     """Independent least-squares oracle: one unknown per (t, F_{t-1} atom),
-    normal equations assembled from exact enumeration moments, global
-    minimizer by (minimum-norm) solve."""
+    normal equations assembled from exact enumeration moments and solved by
+    elimination in scenario-tree order.
+
+    Unknown (s, b), b = rank mod 3^(s-1), couples only with the atoms above
+    and below b in the tree.  Its row is kept as the table
+    A_s[b, t-1] = E[1_b dS~_t dS~_s] for t <= s (the ancestor of b at step
+    t is b mod 3^(t-1)), and its right-hand side as r_s[b].  Eliminating
+    step T first, then T-1, ... creates no fill-in: every Schur update lands
+    on an ancestor's row and is a sum over rank residues.  The matrix is
+    positive definite in exact arithmetic; a pivot that is not positive in
+    floating point (near-arbitrage markets) raises ValueError.
+    """
     x = market.initial_capital if x is None else float(x)
     if market.horizon > LS_ORACLE_MAX_HORIZON:
         raise ValueError(
             f"ls_oracle caps the horizon at {LS_ORACLE_MAX_HORIZON}, got {market.horizon}"
         )
-    params = market.model_params()
-    sp = space(params)
-    paths = price_paths(market)
-    T = market.horizon
-    sizes = [3 ** (t - 1) for t in range(1, T + 1)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n_vars = int(offsets[-1])
-    cols = np.empty((sp.n, T), dtype=np.int64)
-    for t in range(1, T + 1):
-        cols[:, t - 1] = offsets[t - 1] + sp.atom_ids(t - 1)
-    # each configuration touches exactly T variables: one rank-one update
-    # per configuration, accumulated in rank order
-    inc = paths.increments
-    weighted = inc * sp.probabilities[:, None]
-    gram = np.zeros((n_vars, n_vars))
-    np.add.at(gram, (cols[:, :, None], cols[:, None, :]), weighted[:, :, None] * inc[:, None, :])
+    sp = space(market.model_params())
+    inc = price_paths(market).increments
+    T, base = market.horizon, sp.base
     target = F.table() - x
-    rhs = np.bincount(cols.ravel(), weights=(weighted * target[:, None]).ravel(), minlength=n_vars)
-    sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-    if rank < n_vars:
-        warnings.warn("singular normal matrix; returning the minimum-norm strategy")
-    phi = sol[cols]
+    rows, rhs = [], []
+    for s in range(1, T + 1):
+        atoms = base ** (s - 1)
+        w = sp.probabilities * inc[:, s - 1]
+        rows.append(np.stack([(w * inc[:, t - 1]).reshape(-1, atoms).sum(axis=0)
+                              for t in range(1, s + 1)], axis=1))
+        rhs.append((w * target).reshape(-1, atoms).sum(axis=0))
+    diagonal = [row[:, -1].copy() for row in rows]
+    for s in range(T, 0, -1):
+        row, pivot = rows[s - 1], rows[s - 1][:, s - 1]
+        bad = np.flatnonzero(~(pivot > _PIVOT_RTOL * diagonal[s - 1]))
+        if bad.size:
+            b = int(bad[0])
+            raise ValueError(
+                f"singular normal matrix: pivot {pivot[b]:.3e} of step {s}, atom {b} "
+                f"is not positive against its diagonal {diagonal[s - 1][b]:.3e}"
+            )
+        for t in range(1, s):
+            scaled = row[:, t - 1] / pivot
+            atoms = base ** (t - 1)
+            rows[t - 1] -= (scaled[:, None] * row[:, :t]).reshape(-1, atoms, t).sum(axis=0)
+            rhs[t - 1] -= (scaled * rhs[s - 1]).reshape(-1, atoms).sum(axis=0)
+    # back substitution from the root: phi_s = (r_s - sum_{t<s} A_s[:, t-1] phi_t[ancestor]) / pivot
+    phi = np.empty((sp.n, T))
+    for s in range(1, T + 1):
+        row, atoms = rows[s - 1], base ** (s - 1)
+        acc = rhs[s - 1].copy()
+        for t in range(1, s):
+            acc -= row[:, t - 1] * phi[:atoms, t - 1]
+        phi[:, s - 1] = np.tile(acc / row[:, s - 1], sp.n // atoms)
     gain = (phi * inc).sum(axis=1)
     residual = float(sp.expectation((target - gain) ** 2))
     strategy = Strategy(market, phi, _self_financed_alpha(market, phi, 0.0))

@@ -420,8 +420,10 @@ def clark_integrand_z(F: PathFunctional) -> ProcessTable:
     params = F.params
     basis = build_basis(params)
     u = clark_integrand(F)
-    out = ProcessTable.zeros(params)
-    out.values[:] = np.einsum("ntj,ji->nti", u.values, basis.matrix_m_inv)
+    values = _step_major(params)
+    # on the (T, m, n) bases, step t is one (m, m) @ (m, n) product
+    np.matmul(basis.matrix_m_inv.T, u.values.transpose(1, 2, 0), out=values.transpose(1, 2, 0))
+    out = ProcessTable(params, values)
     out.predictable = True
     return out
 

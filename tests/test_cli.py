@@ -4,12 +4,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from markedbinomial.cli import dumps17, main
 
 CTI_FLAGS = ["--T", "3", "--marks", "1,-1", "--lambda", "0.5", "--Q", "0.5,0.5"]
+HEDGE_T3 = ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5", "--T", "3",
+            "--claim", "call:K=1.05"]
 
 
 def run_cli(args, **kw):
@@ -34,6 +37,28 @@ def test_dumps17_renders_17_significant_digits():
     text = dumps17({"x": 0.1, "n": 3, "flag": True, "none": None})
     assert "0.10000000000000001" in text
     assert json.loads(text) == {"x": 0.1, "n": 3, "flag": True, "none": None}
+
+
+@pytest.mark.parametrize("seq", [
+    [0.1, float("nan"), float("inf"), -float("inf"), np.float64(1 / 3), np.float32(0.1), -0.0],
+    np.array([1e-300, 2.5, np.nan]),
+    [0.5, 1, 2.0],
+    [0.5, True],
+    [0.5, [0.25, float("nan")], []],
+    [[], [1.5]],
+    [],
+])
+def test_dumps17_flat_float_lists_match_the_general_path(seq):
+    """A list of floats only is rendered in one pass; the text equals the
+    element-by-element rendering of the general path, nested or not."""
+    for indent in (0, 2):
+        pad = "  " * indent
+        items = [f"{pad}  {dumps17(v, indent + 1)}" for v in list(seq)]
+        expected = "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+        assert dumps17(seq, indent) == expected
+        assert dumps17({"k": seq}) == "{\n" + f'  "k": {dumps17(seq, 1)}' + "\n}"
+    assert dumps17([np.float64(0.1), float("nan")]) == "[\n  0.10000000000000001,\n  null\n]"
+    assert dumps17([1, True]) == "[\n  1,\n  true\n]"
 
 
 def test_verify_cti_passes_and_is_deterministic():
@@ -174,6 +199,22 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [HEDGE_T3 + ["--x", "1.0"],
+                                  ["decompose", *CTI_FLAGS, "--functional", "indicator=5"],
+                                  ["decompose", *CTI_FLAGS, "--functional", "count", "--format", "csv"]])
+def test_hedge_and_decompose_leave_numpy_ma_out(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from markedbinomial.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_config_file_source(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("T = 3\nmarks = 1,-1\nlambda = 0.5\nQ = 0.5,0.5\nseed = 9\n")
@@ -221,7 +262,12 @@ def test_verify_reports_worst_offender_on_failure(monkeypatch, capsys):
     ["simulate", "--config", "{missing}.cfg"],
     ["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.999", "--mu", "0.02"],
     ["stein", "dna", "--n", "100000", "--h", "5", "--alpha", "0.2", "--mu", "0.01"],
-], ids=["simulate-out", "headrun-out", "config", "dna-alpha-limit", "dna-target-underflow"])
+    [*HEDGE_T3, "--x", "nan"],
+    [*HEDGE_T3, "--x", "inf"],
+    ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "1e-200", "--p", "0.5", "--T", "3",
+     "--claim", "call:K=1.05", "--x", "1.0"],
+], ids=["simulate-out", "headrun-out", "config", "dna-alpha-limit", "dna-target-underflow",
+        "hedge-x-nan", "hedge-x-inf", "hedge-probability-underflow"])
 def test_failures_exit_2_with_one_error_line(argv, tmp_path, capsys):
     """Unwritable outputs, unreadable configs, a mark law past the limit and
     a target whose e^-lam0 underflows are input errors (exit 2), never a

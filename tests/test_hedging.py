@@ -44,6 +44,29 @@ def test_params_validation():
     assert market.drift_gap == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "r", "jump_prob", "up_prob", "horizon", "initial_capital", "a0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_params_refuse_non_finite_fields(field, value):
+    base = dict(MARTINGALE, horizon=2)
+    base[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MarketParams(**base)
+
+
+def test_price_paths_refuse_underflowing_probabilities():
+    market = mk(horizon=3, jump_prob=1e-200)  # (lambda p)^3 underflows to 0
+    with pytest.raises(ValueError, match="smallest normal float"):
+        price_paths(market)
+    price_paths(mk(horizon=3, jump_prob=1e-100))  # 1.25e-301 is still normal
+
+
+def test_self_financing_residual_propagates_nan(rng):
+    market = mk()
+    strategy, _ = optimal_strategy(market, random_claim(market, rng), 1.0)
+    strategy.phi[5, 2] = np.nan
+    assert np.isnan(strategy.self_financing_residual())
+
+
 def test_price_paths_no_jump_and_all_up():
     market = mk(horizon=2)
     paths = price_paths(market)
@@ -255,9 +278,18 @@ def test_oracle_dominates_random_strategies(rng):
 
 
 def test_oracle_horizon_cap():
-    market = mk(horizon=9)
+    market = mk(horizon=12)
     with pytest.raises(ValueError, match="caps the horizon"):
         ls_oracle(market, PathFunctional.constant(market.model_params(), 1.0), 0.0)
+
+
+def test_oracle_refuses_a_near_arbitrage_market():
+    """Positive definite in exact arithmetic, but at a mean-variance
+    tradeoff of 443 per step rounding noise swamps the pivots by T=8."""
+    market = mk(horizon=8, **dict(DRIFTED, jump_prob=0.999, up_prob=0.999))
+    assert martingale_diagnostics(market)[1][1] > 400
+    with pytest.raises(ValueError, match="singular normal matrix"):
+        ls_oracle(market, call_payoff(market, 1.05), 1.0)
 
 
 def test_t_conditioning_variant_differs_under_drift(rng):

@@ -11,17 +11,23 @@ import numpy as np
 import pytest
 
 from markedbinomial import (
+    MarketParams,
     ModelParams,
     PathFunctional,
     build_basis,
+    call_payoff,
     divergence,
     dna_functional,
     gradient,
+    ls_oracle,
     multiple_integral,
+    optimal_strategy,
+    price_paths,
     stroock_decompose,
 )
 from markedbinomial.basis import delta_r_table, delta_z_table
 from markedbinomial.cli import main
+from markedbinomial.hedging import random_claim
 from markedbinomial.malliavin import ProcessTable, ou_spectral
 from markedbinomial.space import space
 
@@ -235,3 +241,90 @@ def test_dna_law_equals_convolution_of_steps(n, alpha):
         expected = np.convolve(expected, step)[:window]
     assert np.max(np.abs(got - expected[: len(got)])) <= 1e-14
     assert expected[len(got) :].sum() <= 1e-14
+
+
+# -- the least-squares hedging oracle ------------------------------------------------
+
+MARKETS = {
+    "martingale": dict(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5),
+    "drifted": dict(a=-0.1, b=0.2, r=0.0, jump_prob=0.5, up_prob=0.5),
+}
+
+
+def _dense_least_squares(market, F, x):
+    """The normal equations as one dense matrix, one unknown per (t, F_{t-1}
+    atom) numbered step by step, summed configuration by configuration with
+    np.add.at and solved by lstsq."""
+    sp = space(market.model_params())
+    inc = price_paths(market).increments
+    T = market.horizon
+    offsets = np.cumsum([0] + [3 ** (t - 1) for t in range(1, T + 1)])
+    cols = np.stack([offsets[t - 1] + np.arange(sp.n) % 3 ** (t - 1) for t in range(1, T + 1)], axis=1)
+    weighted = inc * sp.probabilities[:, None]
+    gram = np.zeros((offsets[-1], offsets[-1]))
+    np.add.at(gram, (cols[:, :, None], cols[:, None, :]), weighted[:, :, None] * inc[:, None, :])
+    target = F.table() - x
+    rhs = np.zeros(offsets[-1])
+    np.add.at(rhs, cols, weighted * target[:, None])
+    solution, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+    assert rank == offsets[-1]
+    phi = solution[cols]
+    return phi, float(sp.expectation((target - (phi * inc).sum(axis=1)) ** 2))
+
+
+@pytest.mark.parametrize("market_name", sorted(MARKETS))
+@pytest.mark.parametrize("horizon", [1, 2, 4, 6])
+def test_ls_oracle_equals_dense_least_squares(market_name, horizon, rng):
+    market = MarketParams(horizon=horizon, **MARKETS[market_name])
+    claims = [(call_payoff(market, 1.05), 1.0), (random_claim(market, rng), float(rng.uniform(0.0, 2.0)))]
+    for F, x in claims:
+        strategy, residual = ls_oracle(market, F, x)
+        phi, expected = _dense_least_squares(market, F, x)
+        assert np.max(np.abs(strategy.phi - phi)) <= 1e-10
+        assert abs(residual - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("market_name", sorted(MARKETS))
+@pytest.mark.parametrize("horizon", [9, 10, 11])
+def test_ls_oracle_matches_the_recursion_past_the_dense_range(market_name, horizon):
+    market = MarketParams(horizon=horizon, **MARKETS[market_name])
+    F = call_payoff(market, 1.05)
+    _, residual = optimal_strategy(market, F, 1.0)
+    _, oracle = ls_oracle(market, F, 1.0)
+    assert abs(residual - oracle) <= 1e-9
+
+
+def test_ls_oracle_never_calls_the_recursion(monkeypatch, rng):
+    from markedbinomial import hedging
+
+    market = MarketParams(horizon=4, **MARKETS["drifted"])
+    F = random_claim(market, rng)
+    expected = ls_oracle(market, F, 0.5)[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not use the recursion")
+
+    for name in ("minimal_martingale_measure", "mmm_conditional", "kunita_watanabe",
+                 "_forward_gain", "optimal_strategy"):
+        monkeypatch.setattr(hedging, name, refuse)
+    assert ls_oracle(market, F, 0.5)[1] == expected
+
+
+def test_ls_oracle_refuses_a_singular_normal_matrix(monkeypatch):
+    """A step whose increments are all zero leaves its unknowns unconstrained."""
+    from dataclasses import replace
+
+    from markedbinomial import hedging
+
+    exact = hedging.price_paths
+
+    def zeroed(market):
+        paths = exact(market)
+        increments = paths.increments.copy()
+        increments[:, 1] = 0.0
+        return replace(paths, increments=increments)
+
+    monkeypatch.setattr(hedging, "price_paths", zeroed)
+    market = MarketParams(horizon=3, **MARKETS["drifted"])
+    with pytest.raises(ValueError, match="singular normal matrix"):
+        ls_oracle(market, call_payoff(market, 1.05), 1.0)

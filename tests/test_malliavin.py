@@ -31,7 +31,7 @@ from markedbinomial import (
 )
 from markedbinomial.basis import delta_r_table
 from markedbinomial.chaos import random_kernel
-from markedbinomial.malliavin import clark_reconstruct_z, gradient_via_chaos
+from markedbinomial.malliavin import clark_integrand_z, clark_reconstruct_z, gradient_via_chaos
 from markedbinomial.space import space
 
 
@@ -494,7 +494,7 @@ def _c_order(params, alloc=np.empty):
 def test_allocated_process_tables_are_step_major(name, request, rng):
     params = request.getfixturevalue(name)
     F = _rand(params, rng)
-    for u in (ProcessTable.zeros(params), gradient_process(F), clark_integrand(F)):
+    for u in (ProcessTable.zeros(params), gradient_process(F), clark_integrand(F), clark_integrand_z(F)):
         assert u.values.shape == (params.n_configurations, params.horizon, params.n_marks)
         for t in range(1, params.horizon + 1):
             for j in range(params.n_marks):
