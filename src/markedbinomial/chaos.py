@@ -49,7 +49,7 @@ from .basis import (
     r_step_values,
     z_step_values,
 )
-from .space import ModelParams, PathFunctional, space
+from .space import ModelParams, PathFunctional, _distinct, space
 
 # Coefficients at or below this fraction of the largest one are rounding
 # dust from the transform; kernels read out of the tensor leave them out.
@@ -144,14 +144,9 @@ class ChaosCoefficients:
         slots = [zip(times[:, i].tolist(), marks[:, i].tolist()) for i in range(times.shape[1])]
         return dict(zip(zip(*slots), values.tolist()))
 
-    def _present_orders(self) -> list[int]:
-        """Orders with a retained coefficient, ascending (a bincount: np.unique
-        would import numpy.ma)."""
-        return np.flatnonzero(np.bincount(self._entries[0])).tolist()
-
     @property
     def orders(self) -> dict[int, Kernel]:
-        return {n: self.kernel(n) for n in self._present_orders()}
+        return {n: self.kernel(n) for n in _distinct(self._entries[0]).tolist()}
 
     def rows(self) -> list[tuple[int, str, float]]:
         """(order, support label, kernel value), the constant first; a label
@@ -159,7 +154,7 @@ class ChaosCoefficients:
         names = np.array([[f"{t}:{k:g}" for k in self.params.marks]
                           for t in range(1, self.params.horizon + 1)], dtype=object)
         out = [(0, "", self.f0)]
-        for n in self._present_orders():
+        for n in _distinct(self._entries[0]).tolist():
             times, kidx, values = self._points(n)
             labels = names[times - 1, kidx].tolist()
             out += [(n, ";".join(label), v) for label, v in zip(labels, values.tolist())]

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -34,11 +35,16 @@ from .hedging import (
 from .space import (
     ModelParams,
     PathFunctional,
+    _distinct,
     expectation,
     sample_digits,
     space,
 )
 from . import stein as stein_mod
+
+
+def _float17(v) -> str:
+    return format(float(v), ".17g") if math.isfinite(v) else "null"
 
 
 def dumps17(obj, indent: int = 0) -> str:
@@ -54,7 +60,7 @@ def dumps17(obj, indent: int = 0) -> str:
         if not seq:
             return "[]"
         if all(isinstance(v, (float, np.floating)) for v in seq):  # flat float lists: one pass
-            rows = [f"{pad}  {format(float(v), '.17g') if math.isfinite(v) else 'null'}" for v in seq]
+            rows = [f"{pad}  {_float17(v)}" for v in seq]
         else:
             rows = [f"{pad}  {dumps17(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
@@ -63,7 +69,7 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
+        return _float17(obj)
     return json.dumps(obj)
 
 
@@ -222,12 +228,6 @@ def cmd_stein_dna(args) -> int:
 HEDGE_ORACLE_MAX_HORIZON = 8
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values; np.unique would import numpy.ma."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
 def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
     if spec.startswith("call:K="):
         return call_payoff(market, float(spec.split("=", 1)[1]))
@@ -263,9 +263,13 @@ def cmd_hedge(args) -> int:
         "self_financing_residual": strategy.self_financing_residual(),
     }
     if market.horizon <= HEDGE_ORACLE_MAX_HORIZON:
-        _, oracle_residual = ls_oracle(market, claim, args.x)
-        payload["oracle_residual"] = oracle_residual
-        payload["residual_gap"] = abs(residual - oracle_residual)
+        try:
+            _, oracle_residual = ls_oracle(market, claim, args.x)
+        except ValueError as exc:  # a failed cross-check leaves the recursion's result standing
+            warnings.warn(f"least-squares cross-check skipped: {exc}")
+        else:
+            payload["oracle_residual"] = oracle_residual
+            payload["residual_gap"] = abs(residual - oracle_residual)
     _emit(args, payload)
     return 0
 

@@ -312,26 +312,27 @@ def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
 
 
 LS_ORACLE_MAX_HORIZON = 11
-# A pivot at or below this fraction of its assembled diagonal counts as not
-# positive: rounding noise in the pivots of near-arbitrage markets reaches
-# about 1e-14 of the diagonal, with either sign.
-_PIVOT_RTOL = 1e-14
 
 
 def ls_oracle(market: MarketParams, F: PathFunctional,
               x: float | None = None) -> tuple[Strategy, float]:
     """Independent least-squares oracle: one unknown per (t, F_{t-1} atom),
-    normal equations assembled from exact enumeration moments and solved by
-    elimination in scenario-tree order.
+    solved by orthogonal elimination in scenario-tree order.
 
-    Unknown (s, b), b = rank mod 3^(s-1), couples only with the atoms above
-    and below b in the tree.  Its row is kept as the table
-    A_s[b, t-1] = E[1_b dS~_t dS~_s] for t <= s (the ancestor of b at step
-    t is b mod 3^(t-1)), and its right-hand side as r_s[b].  Eliminating
-    step T first, then T-1, ... creates no fill-in: every Schur update lands
-    on an ancestor's row and is a sum over rank residues.  The matrix is
-    positive definite in exact arithmetic; a pivot that is not positive in
-    floating point (near-arbitrage markets) raises ValueError.
+    Unknown (s, b), b = rank mod 3^(s-1), has the design column X_s 1_b with
+    X_s = sqrt(p) dS~_s, and couples only with the atoms above and below b
+    in the tree (the ancestor of b at step t is b mod 3^(t-1)).  Step T is
+    eliminated first, then T-1, ...: on every F_{s-1} atom the columns of
+    the earlier steps and the weighted target are projected off X_s
+    (modified Gram-Schmidt).  This is the square-root form of eliminating
+    the normal equations in the same order: no fill-in arises, and each
+    pivot is a sum of squares.  Eliminating the normal matrix itself forms
+    each pivot as a difference of moments, which cancels to rounding noise
+    in near-arbitrage markets.  The projection coefficients R_s[t-1, b],
+    t < s, are the tree-shaped factor; back substitution from the root
+    gives phi.  A pivot at or below (T eps)^2 of its own diagonal
+    E[1_b dS~_s^2], the level rounding leaves in a projected column, raises
+    ValueError.
     """
     x = market.initial_capital if x is None else float(x)
     if market.horizon > LS_ORACLE_MAX_HORIZON:
@@ -342,36 +343,39 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
     inc = price_paths(market).increments
     T, base = market.horizon, sp.base
     target = F.table() - x
-    rows, rhs = [], []
-    for s in range(1, T + 1):
-        atoms = base ** (s - 1)
-        w = sp.probabilities * inc[:, s - 1]
-        rows.append(np.stack([(w * inc[:, t - 1]).reshape(-1, atoms).sum(axis=0)
-                              for t in range(1, s + 1)], axis=1))
-        rhs.append((w * target).reshape(-1, atoms).sum(axis=0))
-    diagonal = [row[:, -1].copy() for row in rows]
+    root = np.sqrt(sp.probabilities)
+    columns = np.multiply(inc.T, root, order="C")  # row s-1 holds X_s
+    residual_column = target * root
+    floor = (T * np.finfo(float).eps) ** 2
+    factor, rhs = [None] * T, [None] * T
     for s in range(T, 0, -1):
-        row, pivot = rows[s - 1], rows[s - 1][:, s - 1]
-        bad = np.flatnonzero(~(pivot > _PIVOT_RTOL * diagonal[s - 1]))
+        atoms = base ** (s - 1)
+        xs = columns[s - 1].reshape(-1, atoms)
+        pivot = (xs * xs).sum(axis=0)
+        diagonal = (sp.probabilities * inc[:, s - 1] ** 2).reshape(-1, atoms).sum(axis=0)
+        bad = np.flatnonzero(~(pivot > floor * diagonal))
         if bad.size:
             b = int(bad[0])
             raise ValueError(
                 f"singular normal matrix: pivot {pivot[b]:.3e} of step {s}, atom {b} "
-                f"is not positive against its diagonal {diagonal[s - 1][b]:.3e}"
+                f"is at the rounding level of its diagonal {diagonal[b]:.3e}"
             )
+        factor[s - 1] = np.empty((s - 1, atoms))
         for t in range(1, s):
-            scaled = row[:, t - 1] / pivot
-            atoms = base ** (t - 1)
-            rows[t - 1] -= (scaled[:, None] * row[:, :t]).reshape(-1, atoms, t).sum(axis=0)
-            rhs[t - 1] -= (scaled * rhs[s - 1]).reshape(-1, atoms).sum(axis=0)
-    # back substitution from the root: phi_s = (r_s - sum_{t<s} A_s[:, t-1] phi_t[ancestor]) / pivot
+            xt = columns[t - 1].reshape(-1, atoms)
+            factor[s - 1][t - 1] = coef = (xt * xs).sum(axis=0) / pivot
+            xt -= coef * xs
+        ys = residual_column.reshape(-1, atoms)
+        rhs[s - 1] = coef = (ys * xs).sum(axis=0) / pivot
+        ys -= coef * xs
+    # back substitution from the root: phi_s = r_s - sum_{t<s} R_s[t-1] phi_t[ancestor]
     phi = np.empty((sp.n, T))
     for s in range(1, T + 1):
-        row, atoms = rows[s - 1], base ** (s - 1)
+        atoms = base ** (s - 1)
         acc = rhs[s - 1].copy()
         for t in range(1, s):
-            acc -= row[:, t - 1] * phi[:atoms, t - 1]
-        phi[:, s - 1] = np.tile(acc / row[:, s - 1], sp.n // atoms)
+            acc -= factor[s - 1][t - 1] * phi[:atoms, t - 1]
+        phi[:, s - 1] = np.tile(acc, sp.n // atoms)
     gain = (phi * inc).sum(axis=1)
     residual = float(sp.expectation((target - gain) ** 2))
     strategy = Strategy(market, phi, _self_financed_alpha(market, phi, 0.0))

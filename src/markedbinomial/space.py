@@ -149,6 +149,15 @@ class Configuration:
         return rank_of_digits(self.digits, self.params.n_marks)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: a sort and a neighbour mask, because np.unique
+    imports numpy.ma, which costs the CLI about 15 ms per process."""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.shape, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def rank_of_digits(digits: Sequence[int], n_marks: int) -> int:
     base = 1 + n_marks
     rank = 0

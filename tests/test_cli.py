@@ -199,6 +199,18 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_hedge_keeps_its_result_when_the_cross_check_refuses(capsys):
+    """A market whose oracle pivots sink to rounding level still exits 0 with
+    the recursion's result; the oracle fields are left out, with a warning."""
+    argv = ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "1e-6", "--p", "0.5",
+            "--T", "8", "--claim", "call:K=1.05", "--x", "1.0", "--no-timestamp"]
+    with pytest.warns(UserWarning, match="least-squares cross-check skipped: singular normal matrix"):
+        assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["residual_risk"] == pytest.approx(2.25006e-9, rel=1e-5)
+    assert "oracle_residual" not in payload and "residual_gap" not in payload
+
+
 @pytest.mark.parametrize("argv", [HEDGE_T3 + ["--x", "1.0"],
                                   ["decompose", *CTI_FLAGS, "--functional", "indicator=5"],
                                   ["decompose", *CTI_FLAGS, "--functional", "count", "--format", "csv"]])

@@ -283,12 +283,27 @@ def test_oracle_horizon_cap():
         ls_oracle(market, PathFunctional.constant(market.model_params(), 1.0), 0.0)
 
 
-def test_oracle_refuses_a_near_arbitrage_market():
-    """Positive definite in exact arithmetic, but at a mean-variance
-    tradeoff of 443 per step rounding noise swamps the pivots by T=8."""
-    market = mk(horizon=8, **dict(DRIFTED, jump_prob=0.999, up_prob=0.999))
-    assert martingale_diagnostics(market)[1][1] > 400
-    with pytest.raises(ValueError, match="singular normal matrix"):
+@pytest.mark.parametrize("kw", [
+    dict(DRIFTED, jump_prob=0.999, up_prob=0.999),
+    dict(a=-0.46, b=2.96, r=0.027, jump_prob=0.9986, up_prob=0.9922),
+], ids=["tradeoff-443", "tradeoff-103"])
+def test_oracle_matches_the_recursion_near_arbitrage(kw):
+    """Mean-variance tradeoffs of 443 and 103 per step: eliminating the
+    normal equations left no positive pivot (first) or a residual 2.5e-5 above
+    the recursion's 2.4e-13 (second); the orthogonal elimination agrees."""
+    market = mk(horizon=8, **kw)
+    assert martingale_diagnostics(market)[1][1] > 100
+    F = call_payoff(market, 1.05)
+    _, residual = optimal_strategy(market, F, 1.0)
+    _, oracle = ls_oracle(market, F, 1.0)
+    assert abs(oracle - residual) <= min(1e-9, 1e-6 * residual)
+
+
+def test_oracle_refuses_pivots_at_the_rounding_level():
+    """Jumps at rate 1e-6 over 8 steps: the step-1 pivot falls to about
+    1e-31 of its diagonal, below what rounding leaves in a projected column."""
+    market = mk(horizon=8, jump_prob=1e-6)
+    with pytest.raises(ValueError, match="singular normal matrix: pivot .* rounding level"):
         ls_oracle(market, call_payoff(market, 1.05), 1.0)
 
 

@@ -16,6 +16,7 @@ from markedbinomial import (
 )
 from markedbinomial.basis import build_basis, delta_r_table
 from markedbinomial.space import (
+    _distinct,
     digits_of_rank,
     export_table_csv,
     mc_expectation,
@@ -234,3 +235,15 @@ def test_export_table_csv(tmp_path, cti):
     assert len(lines) == 28
     rank, prob, value = lines[1].split(",")
     assert rank == "0" and float(prob) == pytest.approx(0.125) and float(value) == 0.0
+
+
+@pytest.mark.parametrize("values", [
+    np.array([]),
+    np.array([3, 1, 3, 2, 1]),
+    np.array([0.5, -0.0, 0.0, 0.5, -2.0]),
+    np.array([7.0]),
+])
+def test_distinct_equals_np_unique(values):
+    got = _distinct(values)
+    assert got.dtype == values.dtype
+    assert np.array_equal(got, np.unique(values))
