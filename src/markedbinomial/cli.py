@@ -224,7 +224,7 @@ def cmd_stein_dna(args) -> int:
 
 # `hedge` cross-checks the recursion against `ls_oracle` up to this horizon,
 # below the oracle's own cap of 11, so its output at T >= 9 keeps its fields:
-# at T=11 the oracle would add about 0.3 s to a 1.25 s run (2 CPUs).
+# at T=11 the oracle would add about 0.1-0.2 s to a 0.4-0.5 s run (2 CPUs, in process).
 HEDGE_ORACLE_MAX_HORIZON = 8
 
 
@@ -256,7 +256,10 @@ def cmd_hedge(args) -> int:
         },
         "residual_risk": residual,
         "residual_risk_t_conditioning": residual_alt,
-        "theta": {str(t): list(_distinct(mmm.theta[:, t - 1])) for t in range(1, market.horizon + 1)},
+        "theta": {
+            str(t): list(_distinct(mmm.theta[: 3 ** (t - 1), t - 1]))
+            for t in range(1, market.horizon + 1)
+        },
         "signed_density": mmm.signed,
         "drift_gap": gap,
         "K_t": list(k_table),

@@ -17,6 +17,15 @@ tablewise, the value-process decomposition really is orthogonal, and the
 recursive optimal strategy can be confronted with an independent
 normal-equations oracle that solves the same least-squares problem over
 every predictable strategy at once.
+
+The recursions run on the scenario tree, not on dense tables.  An
+F_t-measurable rank-indexed table is fixed by its first 3^t entries, its
+prefix, because the F_t atom of rank omega is omega mod 3^t.  Step t
+reads a prefix as the (3, 3^(t-1)) grid ``prefix.reshape(3, -1)``, whose
+entry [d, c] is digit t = d on the F_{t-1} atom c: a backward step maps
+3^t entries to 3^(t-1), a forward step 3^(t-1) to 3^t.  Dense tables are
+returned step-major, as a (T, n) array seen through ``.T``, so column t
+is contiguous and its first 3^t entries are the prefix again.
 """
 from __future__ import annotations
 
@@ -91,7 +100,7 @@ class MarketParams:
 
 @dataclass
 class PricePaths:
-    """Exact price tables per configuration (columns t = 0..T)."""
+    """Exact price tables per configuration (columns t = 0..T), step-major."""
 
     market: MarketParams
     riskless: np.ndarray          # A_t, shape (T+1,)
@@ -102,7 +111,11 @@ class PricePaths:
 
 @lru_cache(maxsize=64)
 def price_paths(market: MarketParams) -> PricePaths:
-    """Cached per market; the returned tables are shared and read-only."""
+    """Cached per market; the returned tables are shared and read-only.
+
+    S_t is built step by step on prefixes, S_t[d, c] = factor(d) S_{t-1}[c],
+    the same products in the same order as a cumulative product over the
+    digits."""
     params = market.model_params()
     sp = space(params)
     smallest = float(sp.probabilities.min())
@@ -112,16 +125,23 @@ def price_paths(market: MarketParams) -> PricePaths:
         )
     T = market.horizon
     factor_of_digit = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
-    factors = factor_of_digit[sp.digits]
-    price = np.concatenate([np.ones((sp.n, 1)), np.cumprod(factors, axis=1)], axis=1)
     disc = (1.0 + market.r) ** np.arange(T + 1)
-    discounted = price / disc[None, :]
+    price, discounted = np.empty((T + 1, sp.n)), np.empty((T + 1, sp.n))
+    increments = np.empty((T, sp.n))
+    price[0] = discounted[0] = 1.0
+    for t in range(1, T + 1):
+        atoms = 3 ** (t - 1)
+        s_t = np.multiply.outer(factor_of_digit, price[t - 1, :atoms])
+        d_t = s_t / disc[t]
+        for table, prefix in ((price[t], s_t), (discounted[t], d_t),
+                              (increments[t - 1], d_t - discounted[t - 1, :atoms])):
+            table.reshape(-1, 3 * atoms)[:] = prefix.ravel()
     paths = PricePaths(
         market=market,
         riskless=market.a0 * disc,
-        price=price,
-        discounted=discounted,
-        increments=np.diff(discounted, axis=1),
+        price=price.T,
+        discounted=discounted.T,
+        increments=increments.T,
     )
     for arr in (paths.riskless, paths.price, paths.discounted, paths.increments):
         arr.flags.writeable = False
@@ -131,20 +151,39 @@ def price_paths(market: MarketParams) -> PricePaths:
 def martingale_diagnostics(market: MarketParams) -> tuple[float, np.ndarray]:
     """(drift gap, mean-variance tradeoff table K_0..K_T).
 
-    K uses the closed-form per-step constant
-    gap^2 / (lambda p (1-lambda p) b^2 + a^2 lambda q (1-lambda q)), so it
-    is linear in t and deterministic.
+    Per step K grows by E[dS~ | F]^2 / Var[dS~ | F] = gap^2 / Var(eta dN):
+    the one-step return is b with probability lambda p, a with lambda q and
+    0 otherwise, so Var(eta dN) = lambda p (1-lambda p) b^2
+    + lambda q (1-lambda q) a^2 - 2 lambda^2 p q a b, the last term the
+    covariance of the mutually exclusive up and down jumps.  K is linear in
+    t and deterministic.
     """
     lam, p, q = market.jump_prob, market.up_prob, market.down_prob
+    a, b = market.a, market.b
     gap = market.drift_gap
-    denom = lam * p * (1.0 - lam * p) * market.b**2 + market.a**2 * lam * q * (1.0 - lam * q)
+    denom = lam * p * (1.0 - lam * p) * b**2 + lam * q * (1.0 - lam * q) * a**2 - 2.0 * lam**2 * p * q * a * b
     per_step = gap**2 / denom
     return gap, per_step * np.arange(market.horizon + 1, dtype=float)
 
 
+def _step_mean(weights: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """E[X | F_{t-1}] on the 3^(t-1) atoms for X given on its (3, 3^(t-1))
+    prefix grid; ``weights`` are the one-step digit weights."""
+    return weights @ grid / weights.sum()
+
+
+def _dense(prefixes: list[np.ndarray], n: int) -> np.ndarray:
+    """Dense (n, len(prefixes)) table whose column j repeats prefixes[j],
+    stored step-major as (len(prefixes), n); each row is one broadcast write."""
+    table = np.empty((len(prefixes), n))
+    for row, prefix in zip(table, prefixes):
+        row.reshape(-1, prefix.size)[:] = prefix.ravel()
+    return table.T
+
+
 @dataclass
 class MinimalMartingaleMeasure:
-    """Exact minimal-martingale reweighting of the tree."""
+    """Exact minimal-martingale reweighting of the tree (step-major tables)."""
 
     market: MarketParams
     theta: np.ndarray             # shape (n, T): predictable tables
@@ -158,41 +197,49 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     """theta_t = E[dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] and the product
     density prod (1 - theta dS~) / (1 - theta E[dS~ | F_{t-1}]); under it
     discounted prices are a martingale tablewise."""
-    params = market.model_params()
-    sp = space(params)
+    sp = space(market.model_params())
     paths = price_paths(market)
-    T = market.horizon
-    theta = np.empty((sp.n, T))
-    factors = np.empty((sp.n, T))
-    for t in range(1, T + 1):
-        inc = paths.increments[:, t - 1]
-        e1 = sp.conditional_expectation(inc, t - 1)
-        e2 = sp.conditional_expectation(inc * inc, t - 1)
-        theta[:, t - 1] = e1 / e2
-        factors[:, t - 1] = (1.0 - theta[:, t - 1] * inc) / (1.0 - theta[:, t - 1] * e1)
-    density = factors.prod(axis=1)
+    weights = sp.step_weights
+    thetas, factors = [], []
+    density = np.ones(1)
+    for t in range(1, market.horizon + 1):
+        inc = paths.increments[: 3**t, t - 1].reshape(3, -1)
+        e1 = _step_mean(weights, inc)
+        theta = e1 / _step_mean(weights, inc * inc)
+        factor = (1.0 - theta * inc) / (1.0 - theta * e1)
+        density = (density * factor).ravel()
+        thetas.append(theta)
+        factors.append(factor)
     signed = bool(np.any(density <= 0.0))
     if signed:
         warnings.warn("minimal martingale measure is signed for these parameters")
-    return MinimalMartingaleMeasure(market, theta, factors, density, signed)
+    return MinimalMartingaleMeasure(market, _dense(thetas, sp.n), _dense(factors, sp.n), density, signed)
+
+
+def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
+                    values: np.ndarray) -> list[np.ndarray]:
+    """The prefixes of E^[values | F_t], t = 0..T (3^t entries each), by
+    backward induction on the density factors."""
+    weights = space(market.model_params()).step_weights
+    T = market.horizon
+    prefixes = [None] * T + [np.asarray(values, dtype=float)]
+    for t in range(T, 0, -1):
+        weighted = mmm.factors[: 3**t, t - 1].reshape(3, -1) * prefixes[t].reshape(3, -1)
+        prefixes[t - 1] = _step_mean(weights, weighted)
+    return prefixes
 
 
 def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure,
                     values: np.ndarray) -> list[np.ndarray]:
     """E^[values | F_t] for t = 0..T by backward induction on the density
     factors (exact, works for signed measures)."""
-    sp = space(market.model_params())
-    out = [None] * (market.horizon + 1)
-    out[market.horizon] = np.asarray(values, dtype=float)
-    for t in range(market.horizon, 0, -1):
-        out[t - 1] = sp.conditional_expectation(mmm.factors[:, t - 1] * out[t], t - 1)
-    return out
+    return list(_dense(_value_prefixes(market, mmm, values), np.size(values)).T)
 
 
 @dataclass
 class Strategy:
     """Predictable risky quotas phi_t (one value per F_{t-1} atom, stored
-    as dense tables) and the self-financed riskless quotas alpha_t."""
+    as step-major dense tables) and the self-financed riskless quotas alpha_t."""
 
     market: MarketParams
     phi: np.ndarray               # shape (n, T)
@@ -204,8 +251,8 @@ class Strategy:
 
     def self_financing_residual(self) -> float:
         """Max violation of A_t (alpha_{t+1}-alpha_t) + S_t (phi_{t+1}-phi_t) = 0
-        over t = 0..T-1, with the convention phi_0 = phi_1; NaN if any
-        entry is NaN."""
+        over t = 0..T-1 and every configuration, with the convention
+        phi_0 = phi_1; NaN if any entry is NaN."""
         paths = price_paths(self.market)
         worst = []
         for t in range(0, self.market.horizon):
@@ -219,18 +266,19 @@ class Strategy:
 
 def _self_financed_alpha(market: MarketParams, phi: np.ndarray, alpha0: float) -> np.ndarray:
     """alpha_t = alpha_{t-1} - (phi_t - phi_{t-1}) S_{t-1} / A_{t-1}
-    (phi_0 := phi_1), which makes the book-balance identity hold for any a0."""
+    (phi_0 := phi_1), which makes the book-balance identity hold for any a0.
+    alpha_t is F_{t-1}-measurable, so step t computes the first 3^(t-1)
+    entries of its step-major column from those of the columns before."""
     paths = price_paths(market)
     T = market.horizon
-    n = phi.shape[0]
-    alpha = np.empty((n, T + 1))
-    alpha[:, 0] = alpha0
-    prev_phi = phi[:, 0]
+    alpha = np.empty((T + 1, phi.shape[0]))
+    alpha[0] = alpha0
     for t in range(1, T + 1):
-        ratio = paths.price[:, t - 1] / paths.riskless[t - 1]
-        alpha[:, t] = alpha[:, t - 1] - (phi[:, t - 1] - prev_phi) * ratio
-        prev_phi = phi[:, t - 1]
-    return alpha
+        atoms = 3 ** (t - 1)
+        ratio = paths.price[:atoms, t - 1] / paths.riskless[t - 1]
+        step = (phi[:atoms, t - 1] - phi[:atoms, max(t - 2, 0)]) * ratio
+        alpha[t].reshape(-1, atoms)[:] = alpha[t - 1, :atoms] - step
+    return alpha.T
 
 
 @dataclass
@@ -245,39 +293,46 @@ class KWDecomposition:
     value: list[np.ndarray]       # V_t = E^[F | F_t] for t = 0..T, each shape (n,)
 
 
+def _kw_prefixes(market: MarketParams, F: PathFunctional) -> tuple[list, list, list]:
+    """The prefixes of V_t (3^t entries), xi_t (3^(t-1)) and L_t (3^t)."""
+    paths = price_paths(market)
+    weights = space(market.model_params()).step_weights
+    value = _value_prefixes(market, minimal_martingale_measure(market), F.table())
+    xis, ls = [], [np.zeros(1)]
+    for t in range(1, market.horizon + 1):
+        inc = paths.increments[: 3**t, t - 1].reshape(3, -1)
+        dv = value[t].reshape(3, -1) - value[t - 1]
+        xi = _step_mean(weights, dv * inc) / _step_mean(weights, inc * inc)
+        ls.append((ls[-1] + dv - xi * inc).ravel())
+        xis.append(xi)
+    return value, xis, ls
+
+
 def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
     """Projection construction through the minimal martingale measure:
     V_t = E^[F | F_t], xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}],
     L_t = V_t - V_0 - sum_{s<=t} xi_s dS~_s."""
-    sp = space(market.model_params())
-    paths = price_paths(market)
-    mmm = minimal_martingale_measure(market)
-    v_hat = mmm_conditional(market, mmm, F.table())
-    T = market.horizon
-    xi = np.empty((sp.n, T))
-    l_process = np.zeros((sp.n, T + 1))
-    for t in range(1, T + 1):
-        inc = paths.increments[:, t - 1]
-        dv = v_hat[t] - v_hat[t - 1]
-        xi[:, t - 1] = (sp.conditional_expectation(dv * inc, t - 1)
-                        / sp.conditional_expectation(inc * inc, t - 1))
-        l_process[:, t] = l_process[:, t - 1] + dv - xi[:, t - 1] * inc
-    return KWDecomposition(market, float(v_hat[0][0]), xi, l_process, v_hat)
+    n = space(market.model_params()).n
+    value, xis, ls = _kw_prefixes(market, F)
+    return KWDecomposition(market, float(value[0][0]), _dense(xis, n), _dense(ls, n),
+                           list(_dense(value, n).T))
 
 
-def _forward_gain(market: MarketParams, kw: KWDecomposition, x: float, lag: int,
-                  phi: np.ndarray | None = None) -> np.ndarray:
-    """Discounted gain G_T of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1});
-    phi_t is written to phi[:, t-1] when a table is given."""
+def _forward_gain(market: MarketParams, value: list[np.ndarray], xi: list[np.ndarray],
+                  x: float, lag: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Discounted gain G_T of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1})
+    from the prefixes of V and xi, and the prefixes of phi_t: 3^(t-1)
+    entries for lag 1, 3^t for lag 0."""
     paths = price_paths(market)
     theta = minimal_martingale_measure(market).theta
-    gain = np.zeros(len(kw.value[0]))
+    gain = np.zeros(1)
+    phis = []
     for t in range(1, market.horizon + 1):
-        phi_t = kw.xi[:, t - 1] + theta[:, t - 1] * (kw.value[t - lag] - x - gain)
-        if phi is not None:
-            phi[:, t - 1] = phi_t
-        gain += phi_t * paths.increments[:, t - 1]
-    return gain
+        atoms = 3 ** (t - 1)
+        phi_t = xi[t - 1] + theta[:atoms, t - 1] * (value[t - lag].reshape(-1, atoms) - x - gain)
+        gain = (gain + phi_t * paths.increments[: 3**t, t - 1].reshape(3, -1)).ravel()
+        phis.append(phi_t)
+    return gain, phis
 
 
 def optimal_strategy(market: MarketParams, F: PathFunctional,
@@ -294,11 +349,11 @@ def optimal_strategy(market: MarketParams, F: PathFunctional,
     """
     x = market.initial_capital if x is None else float(x)
     sp = space(market.model_params())
-    kw = kunita_watanabe(market, F)
-    phi = np.empty((sp.n, market.horizon))
-    gain = _forward_gain(market, kw, x, 1, phi)
+    value, xi, _ = _kw_prefixes(market, F)
+    gain, phis = _forward_gain(market, value, xi, x, 1)
     residual = float(sp.expectation((F.table() - x - gain) ** 2))
-    alpha0 = kw.f0 / float(price_paths(market).price[0, 0])
+    phi = _dense(phis, sp.n)
+    alpha0 = float(value[0][0]) / float(price_paths(market).price[0, 0])
     return Strategy(market, phi, _self_financed_alpha(market, phi, alpha0)), residual
 
 
@@ -307,7 +362,8 @@ def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
     """Residual of the variant that conditions the correction term on F_t
     (not predictable; reported for comparison only)."""
     x = market.initial_capital if x is None else float(x)
-    gain = _forward_gain(market, kunita_watanabe(market, F), x, 0)
+    value, xi, _ = _kw_prefixes(market, F)
+    gain, _ = _forward_gain(market, value, xi, x, 0)
     return float(space(market.model_params()).expectation((F.table() - x - gain) ** 2))
 
 
@@ -369,13 +425,14 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
         rhs[s - 1] = coef = (ys * xs).sum(axis=0) / pivot
         ys -= coef * xs
     # back substitution from the root: phi_s = r_s - sum_{t<s} R_s[t-1] phi_t[ancestor]
-    phi = np.empty((sp.n, T))
+    phi = np.empty((T, sp.n))  # step-major: row s-1 repeats its first 3^(s-1) entries
     for s in range(1, T + 1):
         atoms = base ** (s - 1)
         acc = rhs[s - 1].copy()
         for t in range(1, s):
-            acc -= factor[s - 1][t - 1] * phi[:atoms, t - 1]
-        phi[:, s - 1] = np.tile(acc, sp.n // atoms)
+            acc -= factor[s - 1][t - 1] * phi[t - 1, :atoms]
+        phi[s - 1].reshape(-1, atoms)[:] = acc
+    phi = phi.T
     gain = (phi * inc).sum(axis=1)
     residual = float(sp.expectation((target - gain) ** 2))
     strategy = Strategy(market, phi, _self_financed_alpha(market, phi, 0.0))

@@ -20,6 +20,7 @@ from markedbinomial import (
     dna_functional,
     gradient,
     ls_oracle,
+    martingale_diagnostics,
     multiple_integral,
     optimal_strategy,
     price_paths,
@@ -27,7 +28,12 @@ from markedbinomial import (
 )
 from markedbinomial.basis import delta_r_table, delta_z_table
 from markedbinomial.cli import main
-from markedbinomial.hedging import random_claim
+from markedbinomial.hedging import (
+    kunita_watanabe,
+    minimal_martingale_measure,
+    optimal_strategy_t_conditioning,
+    random_claim,
+)
 from markedbinomial.malliavin import ProcessTable, ou_spectral
 from markedbinomial.space import space
 
@@ -305,7 +311,8 @@ def test_ls_oracle_never_calls_the_recursion(monkeypatch, rng):
         raise AssertionError("the oracle must not use the recursion")
 
     for name in ("minimal_martingale_measure", "mmm_conditional", "kunita_watanabe",
-                 "_forward_gain", "optimal_strategy"):
+                 "_forward_gain", "optimal_strategy", "_step_mean", "_dense", "_value_prefixes",
+                 "_kw_prefixes"):
         monkeypatch.setattr(hedging, name, refuse)
     assert ls_oracle(market, F, 0.5)[1] == expected
 
@@ -328,3 +335,133 @@ def test_ls_oracle_refuses_a_singular_normal_matrix(monkeypatch):
     market = MarketParams(horizon=3, **MARKETS["drifted"])
     with pytest.raises(ValueError, match="singular normal matrix"):
         ls_oracle(market, call_payoff(market, 1.05), 1.0)
+
+
+# -- the hedging recursion -----------------------------------------------------------
+
+HEDGING_MARKETS = {
+    "M1": dict(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5),
+    "M2": dict(a=-0.1, b=0.2, r=0.0, jump_prob=0.5, up_prob=0.5),
+    "M3": dict(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7),
+    "signed": dict(a=-0.9, b=0.05, r=0.04, jump_prob=0.999, up_prob=0.001),
+}
+
+
+def _dense_hedging(market, F, x):
+    """The Foellmer-Schweizer construction on full rank-indexed tables: prices
+    by a cumulative product over the digits, every conditional expectation
+    through SampleSpace.conditional_expectation."""
+    sp = space(market.model_params())
+    T, n = market.horizon, sp.n
+    cond = sp.conditional_expectation
+    growth = np.array([1.0, 1.0 + market.b, 1.0 + market.a])[sp.digits]
+    price = np.concatenate([np.ones((n, 1)), np.cumprod(growth, axis=1)], axis=1)
+    riskless = (1.0 + market.r) ** np.arange(T + 1)
+    inc = np.diff(price / riskless, axis=1)
+    theta, factors = np.empty((n, T)), np.empty((n, T))
+    for t in range(1, T + 1):
+        e1 = cond(inc[:, t - 1], t - 1)
+        theta[:, t - 1] = e1 / cond(inc[:, t - 1] ** 2, t - 1)
+        factors[:, t - 1] = (1.0 - theta[:, t - 1] * inc[:, t - 1]) / (1.0 - theta[:, t - 1] * e1)
+    value = [None] * T + [F.table()]
+    for t in range(T, 0, -1):
+        value[t - 1] = cond(factors[:, t - 1] * value[t], t - 1)
+    xi, l_process = np.empty((n, T)), np.zeros((n, T + 1))
+    for t in range(1, T + 1):
+        dv = value[t] - value[t - 1]
+        xi[:, t - 1] = cond(dv * inc[:, t - 1], t - 1) / cond(inc[:, t - 1] ** 2, t - 1)
+        l_process[:, t] = l_process[:, t - 1] + dv - xi[:, t - 1] * inc[:, t - 1]
+    residuals, phi = [], np.empty((n, T))
+    for lag in (1, 0):
+        gain = np.zeros(n)
+        for t in range(1, T + 1):
+            phi_t = xi[:, t - 1] + theta[:, t - 1] * (value[t - lag] - x - gain)
+            if lag == 1:
+                phi[:, t - 1] = phi_t
+            gain = gain + phi_t * inc[:, t - 1]
+        residuals.append(sp.expectation((F.table() - x - gain) ** 2))
+    alpha = np.empty((n, T + 1))
+    alpha[:, 0] = value[0][0]
+    for t in range(1, T + 1):
+        step = phi[:, t - 1] - phi[:, max(t - 2, 0)]
+        alpha[:, t] = alpha[:, t - 1] - step * price[:, t - 1] / riskless[t - 1]
+    return dict(theta=theta, density=factors.prod(axis=1), value=np.stack(value, axis=1), xi=xi,
+                l_process=l_process, phi=phi, alpha=alpha, residuals=np.array(residuals))
+
+
+@pytest.mark.filterwarnings("ignore:minimal martingale measure is signed")
+@pytest.mark.parametrize("market_name", sorted(HEDGING_MARKETS))
+@pytest.mark.parametrize("horizon", range(1, 7))
+def test_hedging_recursion_matches_the_dense_reference(market_name, horizon, rng):
+    """Agreement within 1e-12 (1 + K_T) relative, K_T the mean-variance
+    tradeoff: each step divides by 1 - theta E[dS~ | F] = 1 / (1 + K_1), so
+    rounding grows with it.  K_T is at most 0.5 on M1-M3 and 3,091 on the
+    signed market at T=6, whose density both routes give only to about 2e-11
+    of 50-digit arithmetic."""
+    market = MarketParams(horizon=horizon, **HEDGING_MARKETS[market_name])
+    tol = 1e-12 * (1.0 + martingale_diagnostics(market)[1][-1])
+    for F, x in ((call_payoff(market, 1.05), 1.0), (random_claim(market, rng), 0.5)):
+        expected = _dense_hedging(market, F, x)
+        mmm = minimal_martingale_measure(market)
+        kw = kunita_watanabe(market, F)
+        strategy, residual = optimal_strategy(market, F, x)
+        got = dict(theta=mmm.theta, density=mmm.density, value=np.stack(kw.value, axis=1), xi=kw.xi,
+                   l_process=kw.l_process, phi=strategy.phi, alpha=strategy.alpha,
+                   residuals=np.array([residual, optimal_strategy_t_conditioning(market, F, x)]))
+        for name, want in expected.items():
+            assert got[name].shape == want.shape, name
+            error = np.max(np.abs(got[name] - want) / np.maximum(1.0, np.abs(want)))
+            assert error <= tol, f"{name}: {error:.3e}"
+
+
+def _phi_50_digits(market, strike, x):
+    """phi_t on the F_{t-1} atoms in 50-digit arithmetic, atom by atom: the
+    children of atom c at step t are the ranks d 3^(t-1) + c."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        a, b, r, lam, p = (mpf(v) for v in (market.a, market.b, market.r, market.jump_prob, market.up_prob))
+        strike, x = mpf(strike), mpf(x)
+        w = [1 - lam, lam * p, lam * (1 - p)]
+        growth = [mpf(1), 1 + b, 1 + a]
+        T = market.horizon
+
+        def mean(values, k, c):  # E[X | F_{t-1}] on atom c from X on its children
+            return sum(w[d] * values(d * k + c) for d in range(3)) / sum(w)
+
+        price, disc = [[mpf(1)]], [[mpf(1)]]
+        for t in range(1, T + 1):
+            price.append([growth[d] * s for d in range(3) for s in price[-1]])
+            disc.append([s / (1 + r) ** t for s in price[-1]])
+        inc = [None] + [[disc[t][i] - disc[t - 1][i % 3 ** (t - 1)] for i in range(3**t)] for t in range(1, T + 1)]
+        theta, var, factor = [None], [None], [None]
+        for t in range(1, T + 1):
+            k = 3 ** (t - 1)
+            e1 = [mean(lambda i: inc[t][i], k, c) for c in range(k)]
+            var.append([mean(lambda i: inc[t][i] ** 2, k, c) for c in range(k)])
+            theta.append([e1[c] / var[t][c] for c in range(k)])
+            factor.append([(1 - theta[t][i % k] * inc[t][i]) / (1 - theta[t][i % k] * e1[i % k])
+                           for i in range(3 * k)])
+        value = [None] * T + [[max(s - strike, mpf(0)) for s in price[T]]]
+        for t in range(T, 0, -1):
+            k = 3 ** (t - 1)
+            value[t - 1] = [mean(lambda i: factor[t][i] * value[t][i], k, c) for c in range(k)]
+        gain, phis = [mpf(0)], []
+        for t in range(1, T + 1):
+            k = 3 ** (t - 1)
+            xi = [mean(lambda i: (value[t][i] - value[t - 1][c]) * inc[t][i], k, c) / var[t][c] for c in range(k)]
+            phi = [xi[c] + theta[t][c] * (value[t - 1][c] - x - gain[c]) for c in range(k)]
+            gain = [gain[i % k] + phi[i % k] * inc[t][i] for i in range(3 * k)]
+            phis.append(np.array([float(v) for v in phi]))
+        return phis
+
+
+@pytest.mark.parametrize("market_name", ["M1", "M2", "M3"])
+def test_optimal_strategy_against_50_digit_arithmetic(market_name):
+    pytest.importorskip("mpmath")
+    market = MarketParams(horizon=7, **HEDGING_MARKETS[market_name])
+    strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
+    for t, want in enumerate(_phi_50_digits(market, 1.05, 1.0), start=1):
+        got = strategy.phi_by_atom(t)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
