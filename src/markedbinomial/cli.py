@@ -47,6 +47,20 @@ def _float17(v) -> str:
     return format(float(v), ".17g") if math.isfinite(v) else "null"
 
 
+def _floats17(values: np.ndarray, pad: str) -> str:
+    """A flat float array as a JSON list, in one format call; an array with
+    a non-finite entry (rendered null) is formatted element by element."""
+    if not values.size:
+        return "[]"
+    items = values.tolist()
+    sep = f",\n{pad}  "
+    if np.isfinite(values).all():
+        body = sep.join(["%.17g"] * len(items)) % tuple(items)
+    else:
+        body = sep.join(map(_float17, items))
+    return f"[\n{pad}  {body}\n{pad}]"
+
+
 def dumps17(obj, indent: int = 0) -> str:
     """JSON text with all floats at 17 significant digits."""
     pad = "  " * indent
@@ -56,13 +70,12 @@ def dumps17(obj, indent: int = 0) -> str:
         rows = [f'{pad}  {json.dumps(str(k))}: {dumps17(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+            return _floats17(obj, pad)
         seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (float, np.floating)) for v in seq):  # flat float lists: one pass
-            rows = [f"{pad}  {_float17(v)}" for v in seq]
-        else:
-            rows = [f"{pad}  {dumps17(v, indent + 1)}" for v in seq]
+        if all(isinstance(v, (float, np.floating)) for v in seq):
+            return _floats17(np.array(seq, dtype=float), pad)
+        rows = [f"{pad}  {dumps17(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
@@ -224,7 +237,7 @@ def cmd_stein_dna(args) -> int:
 
 # `hedge` cross-checks the recursion against `ls_oracle` up to this horizon,
 # below the oracle's own cap of 11, so its output at T >= 9 keeps its fields:
-# at T=11 the oracle would add about 0.1-0.2 s to a 0.4-0.5 s run (2 CPUs, in process).
+# at T=11 the oracle would add about 0.1-0.2 s to a 0.3-0.4 s run (2 CPUs, in process).
 HEDGE_ORACLE_MAX_HORIZON = 8
 
 
@@ -249,20 +262,14 @@ def cmd_hedge(args) -> int:
                    "lambda": market.jump_prob, "p": market.up_prob,
                    "T": market.horizon, "x": args.x},
         "claim": args.claim,
-        "phi_star": {str(t): list(strategy.phi_by_atom(t)) for t in range(1, market.horizon + 1)},
-        "alpha": {
-            str(t): list(strategy.alpha[: 3 ** max(t - 1, 0), t])
-            for t in range(market.horizon + 1)
-        },
+        "phi_star": {str(t): strategy.phi_by_atom(t) for t in range(1, market.horizon + 1)},
+        "alpha": {str(t): strategy.alpha[: 3 ** max(t - 1, 0), t] for t in range(market.horizon + 1)},
         "residual_risk": residual,
         "residual_risk_t_conditioning": residual_alt,
-        "theta": {
-            str(t): list(_distinct(mmm.theta[: 3 ** (t - 1), t - 1]))
-            for t in range(1, market.horizon + 1)
-        },
+        "theta": {str(t): _distinct(mmm.theta_prefixes[t - 1]) for t in range(1, market.horizon + 1)},
         "signed_density": mmm.signed,
         "drift_gap": gap,
-        "K_t": list(k_table),
+        "K_t": k_table,
         "self_financing_residual": strategy.self_financing_residual(),
     }
     if market.horizon <= HEDGE_ORACLE_MAX_HORIZON:

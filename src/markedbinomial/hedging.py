@@ -181,15 +181,28 @@ def _dense(prefixes: list[np.ndarray], n: int) -> np.ndarray:
     return table.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinimalMartingaleMeasure:
-    """Exact minimal-martingale reweighting of the tree (step-major tables)."""
+    """Exact minimal-martingale reweighting of the tree, kept on prefixes.
+
+    The cached measure is shared, so its arrays are read-only; ``theta``
+    and ``factors`` build fresh dense tables on each access."""
 
     market: MarketParams
-    theta: np.ndarray             # shape (n, T): predictable tables
-    factors: np.ndarray           # per-step density factors rho_t, shape (n, T)
+    theta_prefixes: tuple[np.ndarray, ...]    # theta_t on the 3^(t-1) F_{t-1} atoms
+    factor_prefixes: tuple[np.ndarray, ...]   # rho_t on its (3, 3^(t-1)) grid
     density: np.ndarray           # dP^ / dP, shape (n,)
     signed: bool                  # True if the density takes nonpositive values
+
+    @property
+    def theta(self) -> np.ndarray:
+        """theta_t as a step-major (n, T) predictable table."""
+        return _dense(self.theta_prefixes, self.density.size)
+
+    @property
+    def factors(self) -> np.ndarray:
+        """The per-step density factors rho_t as a step-major (n, T) table."""
+        return _dense(self.factor_prefixes, self.density.size)
 
 
 @lru_cache(maxsize=64)
@@ -197,9 +210,8 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     """theta_t = E[dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] and the product
     density prod (1 - theta dS~) / (1 - theta E[dS~ | F_{t-1}]); under it
     discounted prices are a martingale tablewise."""
-    sp = space(market.model_params())
+    weights = space(market.model_params()).step_weights
     paths = price_paths(market)
-    weights = sp.step_weights
     thetas, factors = [], []
     density = np.ones(1)
     for t in range(1, market.horizon + 1):
@@ -210,10 +222,12 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
         density = (density * factor).ravel()
         thetas.append(theta)
         factors.append(factor)
+    for arr in (*thetas, *factors, density):
+        arr.flags.writeable = False
     signed = bool(np.any(density <= 0.0))
     if signed:
         warnings.warn("minimal martingale measure is signed for these parameters")
-    return MinimalMartingaleMeasure(market, _dense(thetas, sp.n), _dense(factors, sp.n), density, signed)
+    return MinimalMartingaleMeasure(market, tuple(thetas), tuple(factors), density, signed)
 
 
 def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
@@ -224,7 +238,7 @@ def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
     T = market.horizon
     prefixes = [None] * T + [np.asarray(values, dtype=float)]
     for t in range(T, 0, -1):
-        weighted = mmm.factors[: 3**t, t - 1].reshape(3, -1) * prefixes[t].reshape(3, -1)
+        weighted = mmm.factor_prefixes[t - 1] * prefixes[t].reshape(3, -1)
         prefixes[t - 1] = _step_mean(weights, weighted)
     return prefixes
 
@@ -324,12 +338,12 @@ def _forward_gain(market: MarketParams, value: list[np.ndarray], xi: list[np.nda
     from the prefixes of V and xi, and the prefixes of phi_t: 3^(t-1)
     entries for lag 1, 3^t for lag 0."""
     paths = price_paths(market)
-    theta = minimal_martingale_measure(market).theta
+    theta = minimal_martingale_measure(market).theta_prefixes
     gain = np.zeros(1)
     phis = []
     for t in range(1, market.horizon + 1):
         atoms = 3 ** (t - 1)
-        phi_t = xi[t - 1] + theta[:atoms, t - 1] * (value[t - lag].reshape(-1, atoms) - x - gain)
+        phi_t = xi[t - 1] + theta[t - 1] * (value[t - lag].reshape(-1, atoms) - x - gain)
         gain = (gain + phi_t * paths.increments[: 3**t, t - 1].reshape(3, -1)).ravel()
         phis.append(phi_t)
     return gain, phis

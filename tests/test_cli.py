@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from markedbinomial import MarketParams, call_payoff, optimal_strategy
 from markedbinomial.cli import dumps17, main
 
 CTI_FLAGS = ["--T", "3", "--marks", "1,-1", "--lambda", "0.5", "--Q", "0.5,0.5"]
@@ -47,6 +49,14 @@ def test_dumps17_renders_17_significant_digits():
     [0.5, [0.25, float("nan")], []],
     [[], [1.5]],
     [],
+    np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-308, 1 / 3]),
+    np.array([0.1, 1 / 3, 1e20, -7.0], dtype=np.float32),
+    [-0.0, 5e-324, 1.7976931348623157e308],
+    np.array([0.5, np.nan, np.inf, -np.inf]),
+    np.array([], dtype=float),
+    np.array([2.0 / 3]),
+    np.array([[0.1, np.nan], [1 / 3, -0.0]]),
+    np.array([3, -1, 0]),
 ])
 def test_dumps17_flat_float_lists_match_the_general_path(seq):
     """A list of floats only is rendered in one pass; the text equals the
@@ -137,6 +147,39 @@ def test_hedge_attainable_claim():
     assert payload["residual_risk"] <= 1e-10
     for values in payload["phi_star"].values():
         assert all(abs(v - 1.0) <= 1e-8 for v in values)
+
+
+def _reference_json(obj, indent=0):
+    """dumps17's layout with every float formatted on its own."""
+    pad = "  " * indent
+    if isinstance(obj, float):
+        return format(float(obj), ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, dict):
+        rows, brackets = [f"{pad}  {json.dumps(k)}: {_reference_json(v, indent + 1)}" for k, v in obj.items()], "{}"
+    elif isinstance(obj, list):
+        rows, brackets = [f"{pad}  {_reference_json(v, indent + 1)}" for v in obj], "[]"
+    else:
+        return json.dumps(obj)
+    if not rows:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(rows) + f"\n{pad}" + brackets[1]
+
+
+def test_hedge_file_matches_a_per_element_rendering_at_t9(tmp_path):
+    """The one-pass float rendering of a 6,561-atom payload is byte-identical
+    to formatting every number on its own; numbers are parsed back as floats
+    so that integral values such as 1 and -0 keep their rendering."""
+    out = tmp_path / "hedge.json"
+    argv = ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5",
+            "--T", "9", "--claim", "call:K=1.05", "--x", "1.0", "--no-timestamp", "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+    payload = json.loads(text, parse_int=float)
+    assert text == _reference_json(payload) + "\n"
+    assert len(payload["phi_star"]["9"]) == 3**8
+    market = MarketParams(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5, horizon=9, initial_capital=1.0)
+    strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
+    assert payload["phi_star"]["9"] == strategy.phi_by_atom(9).tolist()
 
 
 def test_girsanov_payload():

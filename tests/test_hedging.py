@@ -13,6 +13,7 @@ from markedbinomial import (
     price_paths,
 )
 from markedbinomial.hedging import (
+    _dense,
     mmm_conditional,
     optimal_strategy_t_conditioning,
     pgf_ratio_enumerated,
@@ -189,6 +190,45 @@ def test_minimal_martingale_measure_signed_warns():
     assert mmm.signed
     sp = space(market.model_params())
     assert float(np.dot(sp.probabilities, mmm.density)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_cached_measure_cannot_be_corrupted():
+    """The cached measure is shared by every later hedge in the process: its
+    prefixes and density refuse writes, and writing into a dense table it
+    returns leaves the next strategy bit-identical."""
+    market = MarketParams(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7, horizon=4)
+    F = call_payoff(market, 1.05)
+    before, residual_before = optimal_strategy(market, F, 1.0)
+    mmm = minimal_martingale_measure(market)
+    for arr in (*mmm.theta_prefixes, *mmm.factor_prefixes, mmm.density):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    theta, factors = mmm.theta, mmm.factors
+    theta[:] *= 2
+    factors[:] *= 1.5
+    after, residual_after = optimal_strategy(market, F, 1.0)
+    assert residual_after == residual_before
+    np.testing.assert_array_equal(after.phi, before.phi)
+    np.testing.assert_array_equal(after.alpha, before.alpha)
+    assert not np.array_equal(mmm.theta, theta)
+
+
+def test_measure_is_kept_on_prefixes():
+    """At T=11 the cached measure holds no (n, T) table: its prefixes take
+    under 4 MB against 31 MB for dense theta and factors, which are built
+    from them on access."""
+    market = MarketParams(horizon=11, **DRIFTED)
+    n = 3**11
+    mmm = minimal_martingale_measure(market)
+    prefixes = (*mmm.theta_prefixes, *mmm.factor_prefixes)
+    for t in range(1, 12):
+        assert mmm.theta_prefixes[t - 1].shape == (3 ** (t - 1),)
+        assert mmm.factor_prefixes[t - 1].shape == (3, 3 ** (t - 1))
+    assert all(arr.ndim <= 2 and arr.size <= n for arr in (*prefixes, mmm.density))
+    assert sum(arr.nbytes for arr in prefixes) < 4e6
+    for dense, parts in ((mmm.theta, mmm.theta_prefixes), (mmm.factors, mmm.factor_prefixes)):
+        assert dense.shape == (n, 11)
+        np.testing.assert_array_equal(dense, _dense(parts, n))
 
 
 def test_kunita_watanabe_attainable_claim():
