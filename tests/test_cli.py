@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,30 @@ def test_hedge_file_matches_a_per_element_rendering_at_t9(tmp_path):
     market = MarketParams(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5, horizon=9, initial_capital=1.0)
     strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
     assert payload["phi_star"]["9"] == strategy.phi_by_atom(9).tolist()
+
+
+DATA = Path(__file__).parent / "data"
+MARKET_FLAGS = {
+    "M1": ["--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5"],
+    "M3": ["--a", "-0.3", "--b", "0.5", "--r", "0.01", "--lambda", "0.3", "--p", "0.7"],
+    "signed": ["--a", "-0.9", "--b", "0.05", "--r", "0.04", "--lambda", "0.999", "--p", "0.001"],
+}
+
+
+@pytest.mark.parametrize("market, claim, golden", [
+    ("M1", "call:K=1.05", "hedge_M1_call_T4.json"),
+    ("M1", "discounted_price", "hedge_M1_discounted_price_T4.json"),
+    ("M3", "call:K=1.05", "hedge_M3_call_T4.json"),
+    ("signed", "call:K=1.05", "hedge_signed_call_T4.json"),
+])
+def test_hedge_output_is_byte_identical_to_the_golden_file(market, claim, golden, capsys):
+    """`hedge --T 4 --x 1.0 --no-timestamp`, the least-squares fields included,
+    reproduces the committed file byte for byte."""
+    argv = ["hedge", *MARKET_FLAGS[market], "--T", "4", "--claim", claim, "--x", "1.0", "--no-timestamp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the signed market warns once per process
+        assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
 
 
 def test_girsanov_payload():
