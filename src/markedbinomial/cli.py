@@ -245,7 +245,7 @@ def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
     if spec.startswith("call:K="):
         return call_payoff(market, float(spec.split("=", 1)[1]))
     if spec == "discounted_price":
-        return PathFunctional(market.model_params(), values=price_paths(market).discounted[:, -1])
+        return PathFunctional(market.model_params(), values=price_paths(market).discounted_prefixes[-1])
     raise ValueError(f"unknown claim {spec!r} (use call:K=<strike> or discounted_price)")
 
 
@@ -262,11 +262,11 @@ def cmd_hedge(args) -> int:
                    "lambda": market.jump_prob, "p": market.up_prob,
                    "T": market.horizon, "x": args.x},
         "claim": args.claim,
-        "phi_star": {str(t): strategy.phi_by_atom(t) for t in range(1, market.horizon + 1)},
-        "alpha": {str(t): strategy.alpha[: 3 ** max(t - 1, 0), t] for t in range(market.horizon + 1)},
+        "phi_star": {str(t): phi for t, phi in enumerate(strategy.phi_prefixes, start=1)},
+        "alpha": {str(t): alpha for t, alpha in enumerate(strategy.alpha_prefixes)},
         "residual_risk": residual,
         "residual_risk_t_conditioning": residual_alt,
-        "theta": {str(t): _distinct(mmm.theta_prefixes[t - 1]) for t in range(1, market.horizon + 1)},
+        "theta": {str(t): _distinct(theta) for t, theta in enumerate(mmm.theta_prefixes, start=1)},
         "signed_density": mmm.signed,
         "drift_gap": gap,
         "K_t": k_table,
@@ -329,6 +329,9 @@ def cmd_verify(args) -> int:
             f"tolerance={offender.tolerance:.1e}",
             file=sys.stderr,
         )
+        failing = [r.name for r in results if not r.passed]
+        if len(failing) > 1:
+            print(f"failing checks ({len(failing)}): {', '.join(failing)}", file=sys.stderr)
         return 1
     return 0
 

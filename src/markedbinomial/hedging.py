@@ -23,9 +23,9 @@ F_t-measurable rank-indexed table is fixed by its first 3^t entries, its
 prefix, because the F_t atom of rank omega is omega mod 3^t.  Step t
 reads a prefix as the (3, 3^(t-1)) grid ``prefix.reshape(3, -1)``, whose
 entry [d, c] is digit t = d on the F_{t-1} atom c: a backward step maps
-3^t entries to 3^(t-1), a forward step 3^(t-1) to 3^t.  Dense tables are
-returned step-major, as a (T, n) array seen through ``.T``, so column t
-is contiguous and its first 3^t entries are the prefix again.
+3^t entries to 3^(t-1), a forward step 3^(t-1) to 3^t.  Results store
+only prefixes; their dense (n, T) tables are built on each access,
+step-major (a (T, n) array seen through ``.T``).
 """
 from __future__ import annotations
 
@@ -98,54 +98,71 @@ class MarketParams:
         )
 
 
-@dataclass
+def _dense(prefixes: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """Dense (n, len(prefixes)) table whose column j repeats prefixes[j],
+    stored step-major as (len(prefixes), n); each row is one broadcast write."""
+    table = np.empty((len(prefixes), n))
+    for row, prefix in zip(table, prefixes):
+        row.reshape(-1, prefix.size)[:] = prefix.ravel()
+    return table.T
+
+
+class _DenseTable:
+    """A dense view of a tuple of prefixes, built afresh with ``_dense`` on
+    each access: the (n, T) or (n, T+1) step-major table, or with
+    ``columns`` the list of its (n,) columns."""
+
+    def __init__(self, prefixes: str, columns: bool = False):
+        self.prefixes, self.columns = prefixes, columns
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        table = _dense(getattr(obj, self.prefixes), 3 ** obj.market.horizon)
+        return list(table.T) if self.columns else table
+
+
+@dataclass(frozen=True)
 class PricePaths:
-    """Exact price tables per configuration (columns t = 0..T), step-major."""
+    """Exact prices on the tree, kept on prefixes: S_t and S~_t = S_t / (1+r)^t
+    on the 3^t F_t atoms, dS~_t on its (3, 3^(t-1)) grid."""
 
     market: MarketParams
-    riskless: np.ndarray          # A_t, shape (T+1,)
-    price: np.ndarray             # S_t, shape (n, T+1)
-    discounted: np.ndarray        # S~_t = S_t / (1+r)^t
-    increments: np.ndarray        # dS~_t, shape (n, T)
+    riskless: np.ndarray                         # A_t, shape (T+1,)
+    price_prefixes: tuple[np.ndarray, ...]       # S_t, t = 0..T
+    discounted_prefixes: tuple[np.ndarray, ...]  # S~_t, t = 0..T
+    increment_prefixes: tuple[np.ndarray, ...]   # dS~_t, t = 1..T
+
+    price = _DenseTable("price_prefixes")            # (n, T+1)
+    discounted = _DenseTable("discounted_prefixes")  # (n, T+1)
+    increments = _DenseTable("increment_prefixes")   # (n, T)
 
 
 @lru_cache(maxsize=64)
 def price_paths(market: MarketParams) -> PricePaths:
-    """Cached per market; the returned tables are shared and read-only.
+    """Cached per market; the returned prefixes are shared and read-only.
 
-    S_t is built step by step on prefixes, S_t[d, c] = factor(d) S_{t-1}[c],
-    the same products in the same order as a cumulative product over the
-    digits."""
-    params = market.model_params()
-    sp = space(params)
+    S_t is built step by step, S_t[d, c] = factor(d) S_{t-1}[c], the same
+    products in the same order as a cumulative product over the digits."""
+    sp = space(market.model_params())
     smallest = float(sp.probabilities.min())
     if smallest < np.finfo(float).tiny:
         raise ValueError(
             f"smallest configuration probability {smallest:.3e} is below the smallest normal float"
         )
-    T = market.horizon
     factor_of_digit = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
-    disc = (1.0 + market.r) ** np.arange(T + 1)
-    price, discounted = np.empty((T + 1, sp.n)), np.empty((T + 1, sp.n))
-    increments = np.empty((T, sp.n))
-    price[0] = discounted[0] = 1.0
-    for t in range(1, T + 1):
-        atoms = 3 ** (t - 1)
-        s_t = np.multiply.outer(factor_of_digit, price[t - 1, :atoms])
+    disc = (1.0 + market.r) ** np.arange(market.horizon + 1)
+    prices, discounted, increments = [np.ones(1)], [np.ones(1)], []
+    for t in range(1, market.horizon + 1):
+        s_t = np.multiply.outer(factor_of_digit, prices[-1])
         d_t = s_t / disc[t]
-        for table, prefix in ((price[t], s_t), (discounted[t], d_t),
-                              (increments[t - 1], d_t - discounted[t - 1, :atoms])):
-            table.reshape(-1, 3 * atoms)[:] = prefix.ravel()
-    paths = PricePaths(
-        market=market,
-        riskless=market.a0 * disc,
-        price=price.T,
-        discounted=discounted.T,
-        increments=increments.T,
-    )
-    for arr in (paths.riskless, paths.price, paths.discounted, paths.increments):
+        increments.append(d_t - discounted[-1])
+        prices.append(s_t.ravel())
+        discounted.append(d_t.ravel())
+    riskless = market.a0 * disc
+    for arr in (riskless, *prices, *discounted, *increments):
         arr.flags.writeable = False
-    return paths
+    return PricePaths(market, riskless, tuple(prices), tuple(discounted), tuple(increments))
 
 
 def martingale_diagnostics(market: MarketParams) -> tuple[float, np.ndarray]:
@@ -172,21 +189,10 @@ def _step_mean(weights: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return weights @ grid / weights.sum()
 
 
-def _dense(prefixes: list[np.ndarray], n: int) -> np.ndarray:
-    """Dense (n, len(prefixes)) table whose column j repeats prefixes[j],
-    stored step-major as (len(prefixes), n); each row is one broadcast write."""
-    table = np.empty((len(prefixes), n))
-    for row, prefix in zip(table, prefixes):
-        row.reshape(-1, prefix.size)[:] = prefix.ravel()
-    return table.T
-
-
 @dataclass(frozen=True)
 class MinimalMartingaleMeasure:
-    """Exact minimal-martingale reweighting of the tree, kept on prefixes.
-
-    The cached measure is shared, so its arrays are read-only; ``theta``
-    and ``factors`` build fresh dense tables on each access."""
+    """Exact minimal-martingale reweighting of the tree, kept on prefixes;
+    the cached measure is shared, so its arrays are read-only."""
 
     market: MarketParams
     theta_prefixes: tuple[np.ndarray, ...]    # theta_t on the 3^(t-1) F_{t-1} atoms
@@ -194,15 +200,8 @@ class MinimalMartingaleMeasure:
     density: np.ndarray           # dP^ / dP, shape (n,)
     signed: bool                  # True if the density takes nonpositive values
 
-    @property
-    def theta(self) -> np.ndarray:
-        """theta_t as a step-major (n, T) predictable table."""
-        return _dense(self.theta_prefixes, self.density.size)
-
-    @property
-    def factors(self) -> np.ndarray:
-        """The per-step density factors rho_t as a step-major (n, T) table."""
-        return _dense(self.factor_prefixes, self.density.size)
+    theta = _DenseTable("theta_prefixes")     # (n, T), predictable
+    factors = _DenseTable("factor_prefixes")  # (n, T)
 
 
 @lru_cache(maxsize=64)
@@ -215,7 +214,7 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     thetas, factors = [], []
     density = np.ones(1)
     for t in range(1, market.horizon + 1):
-        inc = paths.increments[: 3**t, t - 1].reshape(3, -1)
+        inc = paths.increment_prefixes[t - 1]
         e1 = _step_mean(weights, inc)
         theta = e1 / _step_mean(weights, inc * inc)
         factor = (1.0 - theta * inc) / (1.0 - theta * e1)
@@ -250,102 +249,95 @@ def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure,
     return list(_dense(_value_prefixes(market, mmm, values), np.size(values)).T)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Strategy:
-    """Predictable risky quotas phi_t (one value per F_{t-1} atom, stored
-    as step-major dense tables) and the self-financed riskless quotas alpha_t."""
+    """Predictable risky quotas phi_t on the 3^(t-1) F_{t-1} atoms and the
+    self-financed riskless quotas alpha_t (alpha_0 one entry, alpha_t for
+    t >= 1 on the F_{t-1} atoms like phi_t)."""
 
     market: MarketParams
-    phi: np.ndarray               # shape (n, T)
-    alpha: np.ndarray             # shape (n, T+1); alpha[:, 0] constant
+    phi_prefixes: tuple[np.ndarray, ...]     # phi_t, t = 1..T
+    alpha_prefixes: tuple[np.ndarray, ...]   # alpha_t, t = 0..T
 
-    def phi_by_atom(self, t: int) -> np.ndarray:
-        """The 3^(t-1) distinct values of phi_t (atom order)."""
-        return self.phi[: 3 ** (t - 1), t - 1].copy()
+    phi = _DenseTable("phi_prefixes")        # (n, T)
+    alpha = _DenseTable("alpha_prefixes")    # (n, T+1); alpha[:, 0] constant
 
     def self_financing_residual(self) -> float:
         """Max violation of A_t (alpha_{t+1}-alpha_t) + S_t (phi_{t+1}-phi_t) = 0
-        over t = 0..T-1 and every configuration, with the convention
-        phi_0 = phi_1; NaN if any entry is NaN."""
+        over t = 0..T-1 and the 3^t F_t atoms, on which every term is fixed,
+        with the convention phi_0 = phi_1; NaN if any entry is NaN."""
         paths = price_paths(self.market)
+        phi, alpha = self.phi_prefixes, self.alpha_prefixes
         worst = []
         for t in range(0, self.market.horizon):
-            phi_next = self.phi[:, t]
-            phi_cur = self.phi[:, t - 1] if t >= 1 else self.phi[:, 0]
-            lhs = paths.riskless[t] * (self.alpha[:, t + 1] - self.alpha[:, t]) \
-                + paths.price[:, t] * (phi_next - phi_cur)
+            atoms = 3 ** max(t - 1, 0)  # entries of phi_t and alpha_t
+            price, phi_next = paths.price_prefixes[t].reshape(-1, atoms), phi[t].reshape(-1, atoms)
+            lhs = paths.riskless[t] * (alpha[t + 1].reshape(-1, atoms) - alpha[t]) \
+                + price * (phi_next - phi[max(t - 1, 0)])
             worst.append(np.max(np.abs(lhs)))
         return float(np.max(worst))  # np.max, unlike max(), propagates NaN
 
 
-def _self_financed_alpha(market: MarketParams, phi: np.ndarray, alpha0: float) -> np.ndarray:
+def _self_financed_alpha(market: MarketParams, phi: list[np.ndarray], alpha0: float) -> tuple[np.ndarray, ...]:
     """alpha_t = alpha_{t-1} - (phi_t - phi_{t-1}) S_{t-1} / A_{t-1}
     (phi_0 := phi_1), which makes the book-balance identity hold for any a0.
-    alpha_t is F_{t-1}-measurable, so step t computes the first 3^(t-1)
-    entries of its step-major column from those of the columns before."""
+    alpha_t is F_{t-1}-measurable, so step t maps the prefixes of step t-1
+    to the 3^(t-1) entries of alpha_t."""
     paths = price_paths(market)
-    T = market.horizon
-    alpha = np.empty((T + 1, phi.shape[0]))
-    alpha[0] = alpha0
-    for t in range(1, T + 1):
-        atoms = 3 ** (t - 1)
-        ratio = paths.price[:atoms, t - 1] / paths.riskless[t - 1]
-        step = (phi[:atoms, t - 1] - phi[:atoms, max(t - 2, 0)]) * ratio
-        alpha[t].reshape(-1, atoms)[:] = alpha[t - 1, :atoms] - step
-    return alpha.T
+    alpha = [np.full(1, alpha0)]
+    for t in range(1, market.horizon + 1):
+        atoms = 3 ** max(t - 2, 0)  # entries of phi_{t-1} and alpha_{t-1}
+        ratio = paths.price_prefixes[t - 1] / paths.riskless[t - 1]
+        step = (phi[t - 1].reshape(-1, atoms) - phi[max(t - 2, 0)]) * ratio.reshape(-1, atoms)
+        alpha.append((alpha[-1] - step).ravel())
+    return tuple(alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KWDecomposition:
     """F = F0 + sum_t xi_t dS~_t + L_T with L a martingale orthogonal to
-    the discounted price increments."""
+    the discounted price increments, kept on prefixes."""
 
     market: MarketParams
     f0: float
-    xi: np.ndarray                # shape (n, T), predictable
-    l_process: np.ndarray         # shape (n, T+1), L_0 = 0
-    value: list[np.ndarray]       # V_t = E^[F | F_t] for t = 0..T, each shape (n,)
+    value_prefixes: tuple[np.ndarray, ...]   # V_t = E^[F | F_t] on the 3^t F_t atoms, t = 0..T
+    xi_prefixes: tuple[np.ndarray, ...]      # xi_t on the 3^(t-1) F_{t-1} atoms, t = 1..T
+    l_prefixes: tuple[np.ndarray, ...]       # L_t on the 3^t F_t atoms, t = 0..T; L_0 = 0
 
-
-def _kw_prefixes(market: MarketParams, F: PathFunctional) -> tuple[list, list, list]:
-    """The prefixes of V_t (3^t entries), xi_t (3^(t-1)) and L_t (3^t)."""
-    paths = price_paths(market)
-    weights = space(market.model_params()).step_weights
-    value = _value_prefixes(market, minimal_martingale_measure(market), F.table())
-    xis, ls = [], [np.zeros(1)]
-    for t in range(1, market.horizon + 1):
-        inc = paths.increments[: 3**t, t - 1].reshape(3, -1)
-        dv = value[t].reshape(3, -1) - value[t - 1]
-        xi = _step_mean(weights, dv * inc) / _step_mean(weights, inc * inc)
-        ls.append((ls[-1] + dv - xi * inc).ravel())
-        xis.append(xi)
-    return value, xis, ls
+    xi = _DenseTable("xi_prefixes")                    # (n, T), predictable
+    l_process = _DenseTable("l_prefixes")              # (n, T+1)
+    value = _DenseTable("value_prefixes", columns=True)  # T+1 tables of shape (n,)
 
 
 def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
     """Projection construction through the minimal martingale measure:
     V_t = E^[F | F_t], xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}],
     L_t = V_t - V_0 - sum_{s<=t} xi_s dS~_s."""
-    n = space(market.model_params()).n
-    value, xis, ls = _kw_prefixes(market, F)
-    return KWDecomposition(market, float(value[0][0]), _dense(xis, n), _dense(ls, n),
-                           list(_dense(value, n).T))
-
-
-def _forward_gain(market: MarketParams, value: list[np.ndarray], xi: list[np.ndarray],
-                  x: float, lag: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Discounted gain G_T of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1})
-    from the prefixes of V and xi, and the prefixes of phi_t: 3^(t-1)
-    entries for lag 1, 3^t for lag 0."""
     paths = price_paths(market)
-    theta = minimal_martingale_measure(market).theta_prefixes
+    weights = space(market.model_params()).step_weights
+    value = _value_prefixes(market, minimal_martingale_measure(market), F.table())
+    xis, ls = [], [np.zeros(1)]
+    for t in range(1, market.horizon + 1):
+        inc = paths.increment_prefixes[t - 1]
+        dv = value[t].reshape(3, -1) - value[t - 1]
+        xi = _step_mean(weights, dv * inc) / _step_mean(weights, inc * inc)
+        ls.append((ls[-1] + dv - xi * inc).ravel())
+        xis.append(xi)
+    return KWDecomposition(market, float(value[0][0]), tuple(value), tuple(xis), tuple(ls))
+
+
+def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Discounted gain G_T of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1})
+    and the prefixes of phi_t: 3^(t-1) entries for lag 1, 3^t for lag 0."""
+    paths = price_paths(kw.market)
+    theta = minimal_martingale_measure(kw.market).theta_prefixes
     gain = np.zeros(1)
     phis = []
-    for t in range(1, market.horizon + 1):
-        atoms = 3 ** (t - 1)
-        phi_t = xi[t - 1] + theta[t - 1] * (value[t - lag].reshape(-1, atoms) - x - gain)
-        gain = (gain + phi_t * paths.increments[: 3**t, t - 1].reshape(3, -1)).ravel()
-        phis.append(phi_t)
+    for t in range(1, kw.market.horizon + 1):
+        value = kw.value_prefixes[t - lag].reshape(-1, 3 ** (t - 1))
+        phi_t = kw.xi_prefixes[t - 1] + theta[t - 1] * (value - x - gain)
+        gain = (gain + phi_t * paths.increment_prefixes[t - 1]).ravel()
+        phis.append(phi_t.ravel())
     return gain, phis
 
 
@@ -362,13 +354,11 @@ def optimal_strategy(market: MarketParams, F: PathFunctional,
     the normal-equations oracle (mean-variance tradeoff is deterministic).
     """
     x = market.initial_capital if x is None else float(x)
-    sp = space(market.model_params())
-    value, xi, _ = _kw_prefixes(market, F)
-    gain, phis = _forward_gain(market, value, xi, x, 1)
-    residual = float(sp.expectation((F.table() - x - gain) ** 2))
-    phi = _dense(phis, sp.n)
-    alpha0 = float(value[0][0]) / float(price_paths(market).price[0, 0])
-    return Strategy(market, phi, _self_financed_alpha(market, phi, alpha0)), residual
+    kw = kunita_watanabe(market, F)
+    gain, phi = _forward_gain(kw, x, 1)
+    residual = float(space(market.model_params()).expectation((F.table() - x - gain) ** 2))
+    alpha0 = kw.f0 / float(price_paths(market).price_prefixes[0][0])
+    return Strategy(market, tuple(phi), _self_financed_alpha(market, phi, alpha0)), residual
 
 
 def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
@@ -376,8 +366,7 @@ def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
     """Residual of the variant that conditions the correction term on F_t
     (not predictable; reported for comparison only)."""
     x = market.initial_capital if x is None else float(x)
-    value, xi, _ = _kw_prefixes(market, F)
-    gain, _ = _forward_gain(market, value, xi, x, 0)
+    gain, _ = _forward_gain(kunita_watanabe(market, F), x, 0)
     return float(space(market.model_params()).expectation((F.table() - x - gain) ** 2))
 
 
@@ -410,11 +399,16 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
             f"ls_oracle caps the horizon at {LS_ORACLE_MAX_HORIZON}, got {market.horizon}"
         )
     sp = space(market.model_params())
-    inc = price_paths(market).increments
+    increments = price_paths(market).increment_prefixes
     T, base = market.horizon, sp.base
     target = F.table() - x
     root = np.sqrt(sp.probabilities)
-    columns = np.multiply(inc.T, root, order="C")  # row s-1 holds X_s
+    columns = np.empty((T, sp.n))  # row s-1 holds X_s
+    diagonal = []                  # E[1_b dS~_s^2] on the F_{s-1} atoms b
+    for row, inc in zip(columns, increments):
+        row.reshape(-1, inc.size)[:] = inc.ravel()
+        diagonal.append((sp.probabilities * row**2).reshape(-1, inc.shape[1]).sum(axis=0))
+        row *= root
     residual_column = target * root
     floor = (T * np.finfo(float).eps) ** 2
     factor, rhs = [None] * T, [None] * T
@@ -422,13 +416,12 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
         atoms = base ** (s - 1)
         xs = columns[s - 1].reshape(-1, atoms)
         pivot = (xs * xs).sum(axis=0)
-        diagonal = (sp.probabilities * inc[:, s - 1] ** 2).reshape(-1, atoms).sum(axis=0)
-        bad = np.flatnonzero(~(pivot > floor * diagonal))
+        bad = np.flatnonzero(~(pivot > floor * diagonal[s - 1]))
         if bad.size:
             b = int(bad[0])
             raise ValueError(
                 f"singular normal matrix: pivot {pivot[b]:.3e} of step {s}, atom {b} "
-                f"is at the rounding level of its diagonal {diagonal[b]:.3e}"
+                f"is at the rounding level of its diagonal {diagonal[s - 1][b]:.3e}"
             )
         factor[s - 1] = np.empty((s - 1, atoms))
         for t in range(1, s):
@@ -439,24 +432,22 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
         rhs[s - 1] = coef = (ys * xs).sum(axis=0) / pivot
         ys -= coef * xs
     # back substitution from the root: phi_s = r_s - sum_{t<s} R_s[t-1] phi_t[ancestor]
-    phi = np.empty((T, sp.n))  # step-major: row s-1 repeats its first 3^(s-1) entries
+    phi, gain = [], np.zeros(1)
     for s in range(1, T + 1):
-        atoms = base ** (s - 1)
         acc = rhs[s - 1].copy()
         for t in range(1, s):
-            acc -= factor[s - 1][t - 1] * phi[t - 1, :atoms]
-        phi[s - 1].reshape(-1, atoms)[:] = acc
-    phi = phi.T
-    gain = (phi * inc).sum(axis=1)
+            ancestors = base ** (t - 1)
+            acc -= (factor[s - 1][t - 1].reshape(-1, ancestors) * phi[t - 1]).ravel()
+        phi.append(acc)
+        gain = (gain + acc * increments[s - 1]).ravel()
     residual = float(sp.expectation((target - gain) ** 2))
-    strategy = Strategy(market, phi, _self_financed_alpha(market, phi, 0.0))
-    return strategy, residual
+    return Strategy(market, tuple(phi), _self_financed_alpha(market, phi, 0.0)), residual
 
 
 def call_payoff(market: MarketParams, strike: float) -> PathFunctional:
     """European call (S_T - K)+ as an exact claim table."""
-    paths = price_paths(market)
-    return PathFunctional(market.model_params(), values=np.maximum(paths.price[:, -1] - strike, 0.0))
+    s_t = price_paths(market).price_prefixes[-1]
+    return PathFunctional(market.model_params(), values=np.maximum(s_t - strike, 0.0))
 
 
 def random_claim(market: MarketParams, rng: np.random.Generator) -> PathFunctional:

@@ -194,10 +194,11 @@ class SampleSpace:
         self.params = params
         self.base = params.n_marks + 1
         self.n = count
-        ranks = np.arange(count, dtype=np.int64)
-        powers = self.base ** np.arange(params.horizon, dtype=np.int64)
-        self.powers = powers
-        self.digits = ((ranks[:, None] // powers[None, :]) % self.base).astype(np.int8)
+        self.powers = self.base ** np.arange(params.horizon, dtype=np.int64)
+        self.digits = np.empty((count, params.horizon), dtype=np.int8)
+        rest = np.arange(count, dtype=np.int64)
+        for t in range(params.horizon):  # one int8 column at a time, no (n, T) int64 table
+            rest, self.digits[:, t] = np.divmod(rest, self.base)
         self.step_weights = np.concatenate(
             [[1.0 - params.jump_prob], params.jump_prob * np.asarray(params.mark_probs)]
         )
@@ -244,9 +245,10 @@ class SampleSpace:
         if not 0 <= t <= self.params.horizon:
             raise ValueError(f"time {t} out of range 0..{self.params.horizon}")
         bt = int(self.base**t)
-        probs = self.probabilities.reshape((-1, bt))
-        vals = np.asarray(values, dtype=float).reshape((-1, bt))
-        atom_mean = (vals * probs).sum(axis=0) / probs.sum(axis=0)
+        probs = self.probabilities.reshape((-1, bt)).T
+        vals = np.asarray(values, dtype=float).reshape((-1, bt)).T
+        # one contiguous row per atom, which numpy sums pairwise, not term by term
+        atom_mean = np.multiply(vals, probs, order="C").sum(axis=1) / np.ascontiguousarray(probs).sum(axis=1)
         return np.tile(atom_mean, self.n // bt)
 
     def atom_ids(self, t: int) -> np.ndarray:

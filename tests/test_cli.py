@@ -181,7 +181,7 @@ def test_hedge_file_matches_a_per_element_rendering_at_t9(tmp_path):
     assert len(payload["phi_star"]["9"]) == 3**8
     market = MarketParams(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5, horizon=9, initial_capital=1.0)
     strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
-    assert payload["phi_star"]["9"] == strategy.phi_by_atom(9).tolist()
+    assert payload["phi_star"]["9"] == strategy.phi_prefixes[8].tolist()
 
 
 DATA = Path(__file__).parent / "data"
@@ -326,15 +326,17 @@ def test_verify_reports_worst_offender_on_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(
         diagnostics, "CHECKS",
-        diagnostics.CHECKS + [("always_fails", 1e-12, lambda ctx: 1.0)],
+        diagnostics.CHECKS + [("always_fails", 1e-12, lambda ctx: 1.0), ("also_fails", 1e-12, lambda ctx: 0.5)],
     )
     code = main(["verify", *CTI_FLAGS, "--no-timestamp"])
     captured = capsys.readouterr()
     assert code == 1
     assert "worst offender: always_fails" in captured.err
+    assert "failing checks (2): always_fails, also_fails" in captured.err
     report = json.loads(captured.out)
     assert report["all_passed"] is False
     assert report["checks"]["always_fails"]["passed"] is False
+    assert report["checks"]["also_fails"]["passed"] is False
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ def test_price_paths_refuse_underflowing_probabilities():
 def test_self_financing_residual_propagates_nan(rng):
     market = mk()
     strategy, _ = optimal_strategy(market, random_claim(market, rng), 1.0)
-    strategy.phi[5, 2] = np.nan
+    strategy.phi_prefixes[2][5] = np.nan
     assert np.isnan(strategy.self_financing_residual())
 
 
@@ -228,6 +230,50 @@ def test_measure_is_kept_on_prefixes():
     assert sum(arr.nbytes for arr in prefixes) < 4e6
     for dense, parts in ((mmm.theta, mmm.theta_prefixes), (mmm.factors, mmm.factor_prefixes)):
         assert dense.shape == (n, 11)
+        np.testing.assert_array_equal(dense, _dense(parts, n))
+
+
+def _stored_arrays(result):
+    """Every array a hedging result holds, through its tuples of prefixes."""
+    for field in fields(result):
+        value = getattr(result, field.name)
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            yield from value
+
+
+def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
+    """At T=11 price_paths, the optimal strategy and the Kunita-Watanabe
+    decomposition hold no (n, T) table.  Prices and the strategy keep under
+    8 MB of prefixes against 49.6 + 32.6 MB of dense tables; every dense
+    view is built from the prefixes on access."""
+    market = MarketParams(horizon=11, **DRIFTED)
+    n = 3**11
+    F = call_payoff(market, 1.05)
+    paths = price_paths(market)
+    strategy, _ = optimal_strategy(market, F, 1.0)
+    kw = kunita_watanabe(market, F)
+    for t in range(12):
+        assert paths.price_prefixes[t].shape == paths.discounted_prefixes[t].shape == (3**t,)
+        assert kw.value_prefixes[t].shape == kw.l_prefixes[t].shape == (3**t,)
+        assert strategy.alpha_prefixes[t].shape == (3 ** max(t - 1, 0),)
+    for t in range(1, 12):
+        assert paths.increment_prefixes[t - 1].shape == (3, 3 ** (t - 1))
+        assert strategy.phi_prefixes[t - 1].shape == kw.xi_prefixes[t - 1].shape == (3 ** (t - 1),)
+    for result in (paths, strategy, kw):
+        assert all(arr.size <= n for arr in _stored_arrays(result))
+    assert sum(arr.nbytes for result in (paths, strategy) for arr in _stored_arrays(result)) < 8e6
+    assert sum(arr.nbytes for arr in _stored_arrays(kw)) < 8e6
+    for arr in _stored_arrays(paths):  # cached and shared by every later hedge
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    views = ((paths.price, paths.price_prefixes), (paths.discounted, paths.discounted_prefixes),
+             (paths.increments, paths.increment_prefixes), (strategy.phi, strategy.phi_prefixes),
+             (strategy.alpha, strategy.alpha_prefixes), (kw.xi, kw.xi_prefixes),
+             (kw.l_process, kw.l_prefixes), (np.stack(kw.value, axis=1), kw.value_prefixes))
+    for dense, parts in views:
+        assert dense.shape == (n, len(parts))
         np.testing.assert_array_equal(dense, _dense(parts, n))
 
 

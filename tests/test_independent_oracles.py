@@ -311,8 +311,7 @@ def test_ls_oracle_never_calls_the_recursion(monkeypatch, rng):
         raise AssertionError("the oracle must not use the recursion")
 
     for name in ("minimal_martingale_measure", "mmm_conditional", "kunita_watanabe",
-                 "_forward_gain", "optimal_strategy", "_step_mean", "_dense", "_value_prefixes",
-                 "_kw_prefixes"):
+                 "_forward_gain", "optimal_strategy", "_step_mean", "_dense", "_value_prefixes"):
         monkeypatch.setattr(hedging, name, refuse)
     assert ls_oracle(market, F, 0.5)[1] == expected
 
@@ -327,9 +326,9 @@ def test_ls_oracle_refuses_a_singular_normal_matrix(monkeypatch):
 
     def zeroed(market):
         paths = exact(market)
-        increments = paths.increments.copy()
-        increments[:, 1] = 0.0
-        return replace(paths, increments=increments)
+        increments = list(paths.increment_prefixes)
+        increments[1] = np.zeros_like(increments[1])
+        return replace(paths, increment_prefixes=tuple(increments))
 
     monkeypatch.setattr(hedging, "price_paths", zeroed)
     market = MarketParams(horizon=3, **MARKETS["drifted"])
@@ -463,5 +462,5 @@ def test_optimal_strategy_against_50_digit_arithmetic(market_name):
     market = MarketParams(horizon=7, **HEDGING_MARKETS[market_name])
     strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
     for t, want in enumerate(_phi_50_digits(market, 1.05, 1.0), start=1):
-        got = strategy.phi_by_atom(t)
+        got = strategy.phi_prefixes[t - 1]
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13

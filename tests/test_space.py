@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +37,15 @@ def test_enumeration_counts(cti, inst2):
 def test_enumeration_in_rank_order(cti):
     configs = enumerate_configurations(cti)
     assert [c.rank for c in configs] == list(range(27))
+
+
+@pytest.mark.parametrize("horizon, marks", [(9, (1.0, -1.0)), (5, (1.0, 2.0, 3.0))])
+def test_digit_table_is_the_mixed_radix_expansion(horizon, marks):
+    params = ModelParams(horizon, marks, 0.3, tuple([1.0 / len(marks)] * len(marks)))
+    sp = space(params)
+    ranks = np.arange(sp.n, dtype=np.int64)
+    assert sp.digits.dtype == np.int8 and not sp.digits.flags.writeable
+    np.testing.assert_array_equal(sp.digits, (ranks[:, None] // sp.powers) % sp.base)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -202,6 +213,26 @@ def test_conditional_expectation_of_future_increment(cti):
     dr = PathFunctional(cti, values=delta_r_table(basis, 3, 1.0))
     cond = conditional_expectation(dr, 2)
     assert np.max(np.abs(cond.table())) <= 1e-12
+
+
+@pytest.mark.parametrize("functional", ["uniform", "jump_count"])
+def test_conditional_expectation_is_accurate_on_every_atom_at_t11(functional, rng):
+    """E[F | F_t] at T=11 on all 3^t atoms, t = 0..11, within 2e-15 of the
+    exactly rounded atom sums (math.fsum) of the same products p F.  A sum
+    that adds the 3^(11-t) terms of an atom one by one is off by up to 1e-12."""
+    params = ModelParams(11, (-1.0, 1.0), 0.4, (0.5, 0.5))
+    sp = space(params)
+    values = rng.random(sp.n) if functional == "uniform" else sp.jump_count()
+    for t in range(12):
+        atoms = 3**t
+        terms = (values * sp.probabilities).reshape(-1, atoms).T.tolist()
+        weights = sp.probabilities.reshape(-1, atoms).T.tolist()
+        want = np.array([math.fsum(a) / math.fsum(w) for a, w in zip(terms, weights)])
+        got = sp.conditional_expectation(values, t)
+        assert got.shape == (sp.n,)
+        np.testing.assert_array_equal(got, np.tile(got[:atoms], sp.n // atoms))
+        error = np.max(np.abs(got[:atoms] - want) / np.maximum(1.0, np.abs(want)))
+        assert error <= 2e-15, f"t={t}: {error:.2e}"
 
 
 def test_tower_property_random(cti, rng):
