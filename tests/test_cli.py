@@ -208,6 +208,18 @@ def test_hedge_output_is_byte_identical_to_the_golden_file(market, claim, golden
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("model, golden", [
+    (["--T", "3", "--marks=1,-1", "--lambda", "0.5", "--Q", "0.5,0.5"], "verify_cti_T3.json"),
+    (["--T", "5", "--marks=1,2,3", "--lambda", "0.3", "--Q", "0.5,0.3,0.2"], "verify_inst2_T5.json"),
+    (["--T", "8", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5"], "verify_binary_T8.json"),
+])
+def test_verify_output_is_byte_identical_to_the_golden_file(model, golden, capsys):
+    """`verify --seed 1 --no-timestamp` reproduces every residual of the
+    committed file byte for byte."""
+    assert main(["verify", *model, "--seed", "1", "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
 def test_girsanov_payload():
     proc = run_cli(["girsanov", *CTI_FLAGS, "--lambda-target", "0.5",
                     "--Q-target", "0.75,0.25", "--no-timestamp"])
