@@ -130,19 +130,25 @@ def r_step_values(params: ModelParams) -> np.ndarray:
     return vals
 
 
-def delta_z_table(params: ModelParams, t: int, k: float) -> np.ndarray:
-    """dZ_(t,k) over all configurations, in rank order."""
+def _step_table(params: ModelParams, column: np.ndarray, t: int) -> np.ndarray:
+    """column[digit t] over all configurations, in rank order: each value
+    repeated over the base^(t-1) rank patterns before step t, then tiled
+    over the steps after it (no gather through the digit table)."""
     sp = space(params)
     sp.check_time(t)
-    return z_step_values(params)[sp.digits[:, t - 1], params.mark_index(k)]
+    low = sp.base ** (t - 1)
+    return np.tile(np.repeat(column, low), sp.n // (low * sp.base))
+
+
+def delta_z_table(params: ModelParams, t: int, k: float) -> np.ndarray:
+    """dZ_(t,k) over all configurations, in rank order."""
+    return _step_table(params, z_step_values(params)[:, params.mark_index(k)], t)
 
 
 def delta_r_table(basis: OrthogonalBasis, t: int, k: float) -> np.ndarray:
     """dR_(t,k) over all configurations, in rank order."""
     params = basis.params
-    sp = space(params)
-    sp.check_time(t)
-    return r_step_values(params)[sp.digits[:, t - 1], params.mark_index(k)]
+    return _step_table(params, r_step_values(params)[:, params.mark_index(k)], t)
 
 
 def delta_z(params: ModelParams, config: Configuration, point: Point) -> float:

@@ -208,11 +208,14 @@ def synthesize(params: ModelParams, coeffs: np.ndarray) -> PathFunctional:
     return PathFunctional(params, values=np.ascontiguousarray(table))
 
 
+@lru_cache(maxsize=64)
 def chaos_order_tensor(params: ModelParams) -> np.ndarray:
     """Chaos order (number of non-constant slots) of every coefficient."""
     sp = space(params)
     idx = np.indices((sp.base,) * params.horizon)
-    return (idx > 0).sum(axis=0)
+    order = (idx > 0).sum(axis=0)
+    order.flags.writeable = False
+    return order
 
 
 # -- multiple integrals -----------------------------------------------------------
@@ -262,6 +265,7 @@ def reconstruct(basis: OrthogonalBasis, coeffs: ChaosCoefficients) -> PathFuncti
 def kernel_inner(basis: OrthogonalBasis, f_n: Kernel, g_n: Kernel, n: int) -> float:
     """<f, g>_n = n! * sum over ordered supports of f * g * prod kappa."""
     params = basis.params
+    kappa = dict(zip(params.marks, basis.kappa.tolist()))
     acc = 0.0
     for support, fv in f_n.items():
         gv = g_n.get(support)
@@ -269,7 +273,10 @@ def kernel_inner(basis: OrthogonalBasis, f_n: Kernel, g_n: Kernel, n: int) -> fl
             continue
         w = 1.0
         for _, k in support:
-            w *= basis.kappa[params.mark_index(k)]
+            try:
+                w *= kappa[k]
+            except (KeyError, TypeError):  # not a mark key: mark_index converts or raises ValueError
+                w *= basis.kappa[params.mark_index(k)]
         acc += fv * gv * w
     return factorial(n) * acc
 

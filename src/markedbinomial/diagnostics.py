@@ -403,20 +403,29 @@ def _l_inverse_identity(ctx: _Context) -> float:
 
 
 def _lemma_iterated_gradient(ctx: _Context) -> float:
-    """E[D^(n) F] = E[F prod dR / kappa] over supports of order <= 3."""
+    """E[D^(n) F] = E[F prod dR / kappa] over supports of order <= 3.
+
+    The supports are walked as a tree in increasing time order: a child
+    support extends its parent's D^(n-1) F by one more gradient and its
+    parent's product by one more factor, so each support costs one
+    gradient, and both sides keep the operation order of the full chain."""
     params, sp = ctx.params, ctx.sp
     F = ctx.random_functional()
+    max_order = min(3, params.horizon)
     worst = 0.0
-    for n in range(1, min(3, params.horizon) + 1):
-        for tset in combinations(range(1, params.horizon + 1), n):
-            for ks in iproduct(params.marks, repeat=n):
-                support = tuple(zip(tset, ks))
-                lhs = sp.expectation(mal.iterated_gradient(F, support).table())
-                prod_tab = np.ones(sp.n)
-                for (t, k) in support:
-                    j = params.mark_index(k)
-                    prod_tab = prod_tab * basis_mod.delta_r_table(ctx.basis, t, k) / ctx.basis.kappa[j]
-                worst = max(worst, abs(lhs - sp.expectation(F.table() * prod_tab)))
+
+    def extend(DF: PathFunctional, prod_tab: np.ndarray, after: int, n: int) -> None:
+        nonlocal worst
+        for t in range(after + 1, params.horizon + 1):
+            for j, k in enumerate(params.marks):
+                child = mal.gradient(DF, (t, k))
+                child_prod = prod_tab * basis_mod.delta_r_table(ctx.basis, t, k) / ctx.basis.kappa[j]
+                lhs = sp.expectation(child.table())
+                worst = max(worst, abs(lhs - sp.expectation(F.table() * child_prod)))
+                if n < max_order:
+                    extend(child, child_prod, t, n + 1)
+
+    extend(F, np.ones(sp.n), 0, 1)
     return worst
 
 
@@ -428,9 +437,10 @@ def _stroock_covariance(ctx: _Context) -> float:
     cg = chaos_mod.stroock_decompose(G)
     total = 0.0
     for n in range(1, params.horizon + 1):
-        fk = {s: factorial(n) * v for s, v in cf.kernel(n).items()}
-        gk = {s: factorial(n) * v for s, v in cg.kernel(n).items()}
-        total += chaos_mod.kernel_inner(ctx.basis, fk, gk, n) / factorial(n)
+        n_fact = factorial(n)
+        fk = {s: n_fact * v for s, v in cf.kernel(n).items()}
+        gk = {s: n_fact * v for s, v in cg.kernel(n).items()}
+        total += chaos_mod.kernel_inner(ctx.basis, fk, gk, n) / n_fact
     lhs = sp.expectation(F.table() * G.table()) - sp.expectation(F.table()) * sp.expectation(G.table())
     return abs(lhs - total)
 
@@ -450,13 +460,14 @@ def _poincare(ctx: _Context) -> float:
 def _commutation(ctx: _Context) -> float:
     params = ctx.params
     F = ctx.random_functional()
+    semigroup = [(tau, mal.ou_spectral(F, tau)) for tau in (0.1, 0.5, 1.0)]
     worst = 0.0
-    for tau in (0.1, 0.5, 1.0):
-        P = mal.ou_spectral(F, tau)
-        for t in range(1, params.horizon + 1):
-            for k in params.marks:
+    for t in range(1, params.horizon + 1):
+        for k in params.marks:
+            DF = mal.gradient(F, (t, k))
+            for tau, P in semigroup:
                 lhs = mal.gradient(P, (t, k)).table()
-                rhs = math.exp(-tau) * mal.ou_spectral(mal.gradient(F, (t, k)), tau).table()
+                rhs = math.exp(-tau) * mal.ou_spectral(DF, tau).table()
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

@@ -178,8 +178,10 @@ def digits_of_rank(rank: int, horizon: int, n_marks: int) -> tuple[int, ...]:
 class SampleSpace:
     """Dense enumeration engine for one ModelParams instance.
 
-    All arrays are immutable after construction; the instance is shared
-    through :func:`space` and safe for concurrent reads.
+    All arrays are immutable after construction (the per-step atom masses
+    of :meth:`conditional_expectation` are summed on first use and then
+    kept read-only); the instance is shared through :func:`space` and safe
+    for concurrent reads.
     """
 
     def __init__(self, params: ModelParams):
@@ -206,6 +208,7 @@ class SampleSpace:
         self.probabilities = np.exp(self.log_step_weights[self.digits].sum(axis=1))
         for arr in (self.powers, self.digits, self.probabilities, self.step_weights):
             arr.flags.writeable = False
+        self._atom_mass: dict[int, np.ndarray] = {}
 
     # -- digit surgery ------------------------------------------------------
     def step_view(self, values: np.ndarray, t: int) -> np.ndarray:
@@ -248,7 +251,12 @@ class SampleSpace:
         probs = self.probabilities.reshape((-1, bt)).T
         vals = np.asarray(values, dtype=float).reshape((-1, bt)).T
         # one contiguous row per atom, which numpy sums pairwise, not term by term
-        atom_mean = np.multiply(vals, probs, order="C").sum(axis=1) / np.ascontiguousarray(probs).sum(axis=1)
+        mass = self._atom_mass.get(t)
+        if mass is None:  # P(atom) depends on t alone: sum it once per space
+            mass = np.ascontiguousarray(probs).sum(axis=1)
+            mass.flags.writeable = False
+            self._atom_mass[t] = mass
+        atom_mean = np.multiply(vals, probs, order="C").sum(axis=1) / mass
         return np.tile(atom_mean, self.n // bt)
 
     def atom_ids(self, t: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from markedbinomial import (
     stroock_decompose,
 )
 from markedbinomial.basis import delta_r_table
-from markedbinomial.chaos import covariance_from_coeffs, doleans_series, random_kernel
+from markedbinomial.chaos import chaos_order_tensor, covariance_from_coeffs, doleans_series, random_kernel
 from markedbinomial.space import space
 
 
@@ -120,6 +120,39 @@ def test_isometry_random_kernels(inst2, rng):
             lhs = sp.expectation(Jf * Jg)
             rhs = factorial(n) * kernel_inner(basis, f, g, n) if n == m else 0.0
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize("mark_type", [float, int, np.float64])
+def test_kernel_inner_matches_the_per_point_mark_index_reference(inst2, rng, mark_type):
+    """Marks written as ints (1 for 1.0) or numpy floats pair with the same
+    kappa as the model's float marks."""
+    basis = build_basis(inst2)
+    f, g = random_kernel(inst2, 2, rng), random_kernel(inst2, 2, rng)
+    acc = 0.0
+    for support, fv in f.items():
+        w = 1.0
+        for _, k in support:
+            w *= basis.kappa[inst2.mark_index(k)]
+        acc += fv * g[support] * w
+
+    def recast(kernel):
+        return {tuple((t, mark_type(k)) for t, k in s): v for s, v in kernel.items()}
+
+    assert kernel_inner(basis, recast(f), g, 2) == factorial(2) * acc
+    assert kernel_inner(basis, recast(f), recast(g), 2) == factorial(2) * acc
+
+
+def test_kernel_inner_rejects_a_mark_outside_the_model(inst2):
+    basis = build_basis(inst2)
+    kernel = {((1, 1.0), (2, 5.0)): 1.0}
+    with pytest.raises(ValueError, match="not a mark"):
+        kernel_inner(basis, kernel, kernel, 2)
+
+
+def test_chaos_order_tensor_is_cached_and_read_only(inst2):
+    orders = chaos_order_tensor(inst2)
+    assert orders is chaos_order_tensor(inst2) and not orders.flags.writeable
+    np.testing.assert_array_equal(orders.reshape(-1, order="F"), np.count_nonzero(space(inst2).digits, axis=1))
 
 
 def test_conditional_truncation(cti, rng):

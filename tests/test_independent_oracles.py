@@ -219,6 +219,63 @@ def test_dr_law_check_against_dict_groupby(request, instance, perturb, monkeypat
     assert (residual > 1e-3) == (perturb is not None)
 
 
+LEMMA_T6 = ModelParams(horizon=6, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5))
+
+
+def _lemma_check():
+    from markedbinomial import diagnostics
+
+    tolerance = {name: tol for name, tol, _ in diagnostics.CHECKS}["lemma_iterated_gradient"]
+    return diagnostics._lemma_iterated_gradient(diagnostics._Context(LEMMA_T6, 0)), tolerance
+
+
+def test_lemma_check_takes_one_gradient_per_support(monkeypatch):
+    """Supports of order <= 3 at T=6 with 2 marks: 6*2 + 15*4 + 20*8 = 232,
+    one gradient each (rebuilding every chain from F would take 612)."""
+    from markedbinomial import malliavin
+
+    calls = []
+    exact = malliavin.gradient
+
+    def counted(F, point):
+        calls.append(point)
+        return exact(F, point)
+
+    monkeypatch.setattr(malliavin, "gradient", counted)
+    residual, tolerance = _lemma_check()
+    assert len(calls) == 232
+    assert residual <= tolerance
+
+
+def test_lemma_check_never_reads_the_chaos_route(monkeypatch):
+    """Neither side of the lemma may go through the coefficient tensor: it
+    is the chaos route the lemma is checked against."""
+    from markedbinomial import chaos, malliavin
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lemma check must not use the chaos route")
+
+    for module, name in ((chaos, "coefficient_tensor"), (chaos, "stroock_decompose"),
+                         (malliavin, "coefficient_tensor")):
+        monkeypatch.setattr(module, name, refuse)
+    residual, tolerance = _lemma_check()
+    assert residual <= tolerance
+
+
+@pytest.mark.parametrize("side", ["gradient", "delta_r_table"])
+def test_lemma_check_fails_when_either_side_is_off_by_a_millionth(side, monkeypatch):
+    from markedbinomial import basis as basis_mod, malliavin
+
+    exact_gradient, exact_dr = malliavin.gradient, basis_mod.delta_r_table
+    if side == "gradient":
+        monkeypatch.setattr(malliavin, "gradient", lambda F, point: PathFunctional(
+            F.params, values=exact_gradient(F, point).table() * (1 + 1e-6)))
+    else:
+        monkeypatch.setattr(basis_mod, "delta_r_table", lambda basis, t, k: exact_dr(basis, t, k) * (1 + 1e-6))
+    residual, tolerance = _lemma_check()
+    assert residual > tolerance
+
+
 def test_probabilities_against_explicit_product(cti):
     sp = space(cti)
     lam = cti.jump_prob

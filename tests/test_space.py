@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -233,6 +235,20 @@ def test_conditional_expectation_is_accurate_on_every_atom_at_t11(functional, rn
         np.testing.assert_array_equal(got, np.tile(got[:atoms], sp.n // atoms))
         error = np.max(np.abs(got[:atoms] - want) / np.maximum(1.0, np.abs(want)))
         assert error <= 2e-15, f"t={t}: {error:.2e}"
+
+
+def test_atom_masses_are_kept_per_space_and_die_with_it(cti, rng):
+    """The per-step atom masses live on the instance: a second call reuses
+    them bit for bit, and they hold no space alive past its last reference."""
+    sp = space.__wrapped__(cti)  # a private instance, outside the shared cache
+    values = rng.normal(size=sp.n)
+    first = [sp.conditional_expectation(values, t) for t in range(4)]
+    for t in range(4):
+        np.testing.assert_array_equal(sp.conditional_expectation(values, t), first[t])
+    ref = weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert ref() is None
 
 
 def test_tower_property_random(cti, rng):
