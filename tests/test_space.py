@@ -245,6 +245,8 @@ def test_atom_masses_are_kept_per_space_and_die_with_it(cti, rng):
     first = [sp.conditional_expectation(values, t) for t in range(4)]
     for t in range(4):
         np.testing.assert_array_equal(sp.conditional_expectation(values, t), first[t])
+    assert sorted(sp._atom_mass) == [0, 1, 2, 3]
+    assert not any(mass.flags.writeable for mass in sp._atom_mass.values())
     ref = weakref.ref(sp)
     del sp
     gc.collect()
