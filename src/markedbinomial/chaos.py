@@ -139,9 +139,13 @@ class ChaosCoefficients:
     def kernel(self, n: int) -> Kernel:
         if not 1 <= n <= self.params.horizon:
             return {}
+        params = self.params
         times, kidx, values = self._points(n)
-        marks = np.asarray(self.params.marks)[kidx]
-        slots = [zip(times[:, i].tolist(), marks[:, i].tolist()) for i in range(times.shape[1])]
+        # supports share one (time, mark) tuple per point instead of building their own
+        points = np.empty((params.horizon, params.n_marks), dtype=object)
+        for t, j in np.ndindex(points.shape):
+            points[t, j] = (t + 1, params.marks[j])
+        slots = [points[times[:, i] - 1, kidx[:, i]].tolist() for i in range(n)]
         return dict(zip(zip(*slots), values.tolist()))
 
     @property
