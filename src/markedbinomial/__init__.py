@@ -6,6 +6,8 @@ total-variation oracles, and quadratic hedging in the ternary market.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .space import (
     Configuration,
     ModelParams,
@@ -19,78 +21,101 @@ from .space import (
     sample_path,
     space,
 )
-from .basis import (
-    OrthogonalBasis,
-    build_basis,
-    convert_coeffs_r_to_z,
-    convert_order1_z_to_r,
-    delta_r,
-    delta_r_table,
-    delta_z,
-    delta_z_table,
-)
-from .chaos import (
-    ChaosCoefficients,
-    doleans_exponential,
-    kernel_inner,
-    multiple_integral,
-    product_kernel,
-    reconstruct,
-    stroock_decompose,
-)
-from .malliavin import (
-    ProcessTable,
-    add_one_cost,
-    bar_grad,
-    clark_integrand,
-    clark_reconstruct,
-    divergence,
-    gamma_tilde,
-    gradient,
-    gradient_process,
-    iterated_difference,
-    iterated_gradient,
-    l_inverse,
-    mecke_check,
-    number_operator,
-    ou_mehler_mc,
-    ou_spectral,
-    remove_one_cost,
-    tilde_divergence,
-    tilde_grad,
-    tilde_number_operator,
-)
-from .girsanov import (
-    TargetMeasure,
-    girsanov_density,
-    girsanov_drift,
-    girsanov_varphi,
-    reweighted_expectation,
-)
-from .stein import (
-    CompoundTarget,
-    SteinSolution,
-    compound_poisson_bound,
-    compound_stein_solve,
-    dna_bound,
-    dna_functional,
-    exact_tv,
-    head_run_bound,
-    head_run_functional,
-    poisson_bound,
-    solve_stein_poisson,
-    stein_constants,
-)
-from .hedging import (
-    KWDecomposition,
-    MarketParams,
-    Strategy,
-    call_payoff,
-    kunita_watanabe,
-    ls_oracle,
-    martingale_diagnostics,
-    minimal_martingale_measure,
-    optimal_strategy,
-    price_paths,
-)
-from .diagnostics import run_identity_suite
+
+# Every other name, and each submodule, is imported on first access
+# (PEP 562), so an `mbp` command loads only the modules it runs.  `space`
+# stays eager: the function shares its submodule's name, and a lazy
+# lookup would let `import markedbinomial.space` rebind it to the module.
+_EXPORTS = {
+    "basis": (
+        "OrthogonalBasis",
+        "build_basis",
+        "convert_coeffs_r_to_z",
+        "convert_order1_z_to_r",
+        "delta_r",
+        "delta_r_table",
+        "delta_z",
+        "delta_z_table",
+    ),
+    "chaos": (
+        "ChaosCoefficients",
+        "doleans_exponential",
+        "kernel_inner",
+        "multiple_integral",
+        "product_kernel",
+        "reconstruct",
+        "stroock_decompose",
+    ),
+    "malliavin": (
+        "ProcessTable",
+        "add_one_cost",
+        "bar_grad",
+        "clark_integrand",
+        "clark_reconstruct",
+        "divergence",
+        "gamma_tilde",
+        "gradient",
+        "gradient_process",
+        "iterated_difference",
+        "iterated_gradient",
+        "l_inverse",
+        "mecke_check",
+        "number_operator",
+        "ou_mehler_mc",
+        "ou_spectral",
+        "remove_one_cost",
+        "tilde_divergence",
+        "tilde_grad",
+        "tilde_number_operator",
+    ),
+    "girsanov": (
+        "TargetMeasure",
+        "girsanov_density",
+        "girsanov_drift",
+        "girsanov_varphi",
+        "reweighted_expectation",
+    ),
+    "stein": (
+        "CompoundTarget",
+        "SteinSolution",
+        "compound_poisson_bound",
+        "compound_stein_solve",
+        "dna_bound",
+        "dna_functional",
+        "exact_tv",
+        "head_run_bound",
+        "head_run_functional",
+        "poisson_bound",
+        "solve_stein_poisson",
+        "stein_constants",
+    ),
+    "hedging": (
+        "KWDecomposition",
+        "MarketParams",
+        "Strategy",
+        "call_payoff",
+        "kunita_watanabe",
+        "ls_oracle",
+        "martingale_diagnostics",
+        "minimal_martingale_measure",
+        "optimal_strategy",
+        "price_paths",
+    ),
+    "diagnostics": ("run_identity_suite",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_EXPORTS, *_MODULE_OF})
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,28 +19,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .chaos import stroock_decompose
-from .diagnostics import run_identity_suite, worst_offender
-from .girsanov import TargetMeasure, girsanov_density, girsanov_drift, girsanov_varphi
-from .hedging import (
-    MarketParams,
-    call_payoff,
-    ls_oracle,
-    martingale_diagnostics,
-    minimal_martingale_measure,
-    optimal_strategy,
-    optimal_strategy_t_conditioning,
-    price_paths,
-)
-from .space import (
-    ModelParams,
-    PathFunctional,
-    _distinct,
-    expectation,
-    sample_digits,
-    space,
-)
-from . import stein as stein_mod
+from .space import ModelParams
 
 
 def _float17(v) -> str:
@@ -141,6 +120,8 @@ def _add_common_flags(sub) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .space import sample_digits
+
     params = _model_params(args)
     digs = sample_digits(params, args.paths, stream=args.stream)
     if args.format == "csv":
@@ -158,6 +139,8 @@ def cmd_simulate(args) -> int:
 
 
 def _named_functional(params: ModelParams, name: str) -> PathFunctional:
+    from .space import PathFunctional, space
+
     sp = space(params)
     if name == "count":
         return PathFunctional(params, values=sp.jump_count())
@@ -174,6 +157,8 @@ def _named_functional(params: ModelParams, name: str) -> PathFunctional:
 
 
 def cmd_decompose(args) -> int:
+    from .chaos import stroock_decompose
+
     params = _model_params(args)
     F = _named_functional(params, args.functional)
     coeffs = stroock_decompose(F)
@@ -189,6 +174,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_stein_headrun(args) -> int:
+    from . import stein as stein_mod
+    from .space import space
+
     n, m, p = args.n, args.m, args.p
     lam0 = stein_mod.head_run_lambda0(n, m, p)
     payload = {
@@ -217,6 +205,8 @@ def cmd_stein_headrun(args) -> int:
 
 
 def cmd_stein_dna(args) -> int:
+    from . import stein as stein_mod
+
     n, h, alpha, mu = args.n, args.h, args.alpha, args.mu
     lam0 = stein_mod.dna_lambda0(n, h, alpha, mu)
     target = stein_mod.dna_target(n, h, alpha, mu)
@@ -242,6 +232,9 @@ HEDGE_ORACLE_MAX_HORIZON = 8
 
 
 def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
+    from .hedging import call_payoff, price_paths
+    from .space import PathFunctional
+
     if spec.startswith("call:K="):
         return call_payoff(market, float(spec.split("=", 1)[1]))
     if spec == "discounted_price":
@@ -250,6 +243,16 @@ def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
 
 
 def cmd_hedge(args) -> int:
+    from .hedging import (
+        MarketParams,
+        ls_oracle,
+        martingale_diagnostics,
+        minimal_martingale_measure,
+        optimal_strategy,
+        optimal_strategy_t_conditioning,
+    )
+    from .space import _distinct
+
     market = MarketParams(a=args.a, b=args.b, r=args.r, jump_prob=args.lam, up_prob=args.p,
                           horizon=args.T, initial_capital=args.x)
     claim = _parse_claim(market, args.claim)
@@ -285,6 +288,9 @@ def cmd_hedge(args) -> int:
 
 
 def cmd_girsanov(args) -> int:
+    from .girsanov import TargetMeasure, girsanov_density, girsanov_drift, girsanov_varphi
+    from .space import expectation, space
+
     params = _model_params(args)
     target = TargetMeasure(args.lam_target,
                            tuple(float(x) for x in args.Q_target.split(",")))
@@ -306,10 +312,11 @@ def cmd_girsanov(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .basis import build_basis
+    from .diagnostics import run_identity_suite, worst_offender
+
     params = _model_params(args)
     if args.basis_csv:
-        from .basis import build_basis
-
         build_basis(params).export_csv(args.basis_csv)
     results = run_identity_suite(params, seed=args.seed or 0)
     payload = {

@@ -625,7 +625,8 @@ def run_identity_suite(params: ModelParams, seed: int = 0) -> list[CheckResult]:
 
 
 def worst_offender(results: list[CheckResult]) -> CheckResult | None:
+    """The failing check furthest over its tolerance; a NaN residual ranks worst."""
     failing = [r for r in results if not r.passed]
     if not failing:
         return None
-    return max(failing, key=lambda r: r.residual - r.tolerance)
+    return max(failing, key=lambda r: (math.isnan(r.residual), r.residual - r.tolerance))

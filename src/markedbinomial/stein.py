@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .malliavin import add_one_cost, gradient, l_inverse, tilde_grad
 from .space import ModelParams, PathFunctional, space
 
 
@@ -296,6 +295,8 @@ def poisson_bound(F: PathFunctional, lam0: float) -> float:
     sup|grad^2 phi| (see stein_constants), from the second-order Taylor
     remainder of phi along the add-one step.
     """
+    from .malliavin import gradient, l_inverse, tilde_grad
+
     params = F.params
     if params.n_marks != 1:
         raise ValueError(f"mark-space size must be 1, got {params.n_marks}")
@@ -344,6 +345,8 @@ def default_set_family(length: int, extra_diff: tuple[np.ndarray, np.ndarray]) -
 
 def _first_chaos_step_law(F: PathFunctional) -> ModelParams:
     """Validate F = sum_j V_j dN_j on its space and return the params."""
+    from .malliavin import add_one_cost
+
     params = F.params
     marks_rounded = [round(k) for k in params.marks]
     if any(abs(k - r) > 1e-12 or r < 1 for k, r in zip(params.marks, marks_rounded)):

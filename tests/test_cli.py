@@ -280,6 +280,88 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv, engine", [
+    (HEDGE_T3 + ["--x", "1.0"], {"space", "hedging"}),
+    (["simulate", *CTI_FLAGS], {"space"}),
+    (["--version"], {"space"}),
+    (["verify", "--bogus"], {"space"}),
+    (["decompose", *CTI_FLAGS], {"space", "basis", "chaos"}),
+    (["girsanov", *CTI_FLAGS, "--lambda-target", "0.5", "--Q-target", "0.75,0.25"],
+     {"space", "basis", "chaos", "girsanov"}),
+    (["verify", *CTI_FLAGS], {"space", "basis", "chaos", "malliavin", "girsanov", "diagnostics"}),
+    (["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5"], {"space", "stein"}),
+    (["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.7", "--mu", "0.02"], {"space", "stein"}),
+], ids=["hedge", "simulate", "version", "usage_error", "decompose", "girsanov", "verify", "stein_headrun",
+        "stein_dna"])
+def test_each_command_loads_only_the_engine_modules_it_runs(argv, engine):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from markedbinomial.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('markedbinomial.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {f"markedbinomial.{name}" for name in engine | {"cli"}}
+
+
+PUBLIC_NAMES = """
+    ChaosCoefficients CompoundTarget Configuration KWDecomposition MarketParams ModelParams OrthogonalBasis
+    PathFunctional ProcessTable SteinSolution Strategy TargetMeasure add_one_cost bar_grad basis build_basis
+    call_payoff chaos clark_integrand clark_reconstruct compound_poisson_bound compound_stein_solve compound_value
+    conditional_expectation config_probability convert_coeffs_r_to_z convert_order1_z_to_r delta_r delta_r_table
+    delta_z delta_z_table diagnostics divergence dna_bound dna_functional doleans_exponential
+    enumerate_configurations exact_tv expectation gamma_tilde girsanov girsanov_density girsanov_drift
+    girsanov_varphi gradient gradient_process head_run_bound head_run_functional hedging iterated_difference
+    iterated_gradient kernel_inner kunita_watanabe l_inverse ls_oracle malliavin martingale_diagnostics
+    mecke_check minimal_martingale_measure multiple_integral number_operator optimal_strategy ou_mehler_mc
+    ou_spectral poisson_bound price_paths product_kernel reconstruct remove_one_cost reweighted_expectation
+    rng_stream run_identity_suite sample_path solve_stein_poisson space stein stein_constants stroock_decompose
+    tilde_divergence tilde_grad tilde_number_operator
+""".split()
+
+
+def test_package_root_keeps_its_public_names():
+    """The root resolves names on first use; what it offers stays the same."""
+    code = (
+        "import json, sys, types\n"
+        "import markedbinomial as mb\n"
+        "import markedbinomial.chaos\n"
+        "facts = {'space_is_function': mb.space is sys.modules['markedbinomial.space'].space,\n"
+        "         'hedging_is_module': isinstance(mb.hedging, types.ModuleType),\n"
+        "         'public': [name for name in dir(mb) if not name.startswith('_')],\n"
+        "         'unknown_raises': False}\n"
+        "facts['unresolved'] = [name for name in facts['public'] if getattr(mb, name, None) is None]\n"
+        "try:\n"
+        "    mb.no_such_name\n"
+        "except AttributeError:\n"
+        "    facts['unknown_raises'] = True\n"
+        "star = {}\n"
+        "exec('from markedbinomial import *', star)\n"
+        "facts['star'] = sorted(name for name in star if name != '__builtins__')\n"
+        "print(json.dumps(facts))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts["public"] == PUBLIC_NAMES
+    assert facts["star"] == PUBLIC_NAMES
+    assert facts["unresolved"] == []
+    assert facts["space_is_function"] and facts["hedging_is_module"] and facts["unknown_raises"]
+
+
+@pytest.mark.parametrize("module", ["space", "basis", "chaos", "malliavin", "girsanov", "stein", "hedging",
+                                    "diagnostics", "cli"])
+def test_each_module_imports_on_its_own(module):
+    """A fresh interpreter imports any one module first: no import cycle."""
+    proc = subprocess.run([sys.executable, "-c", f"import markedbinomial.{module}"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_hedge_keeps_its_result_when_the_cross_check_refuses(capsys):
     """A market whose oracle pivots sink to rounding level still exits 0 with
     the recursion's result; the oracle fields are left out, with a warning."""
@@ -349,6 +431,19 @@ def test_verify_reports_worst_offender_on_failure(monkeypatch, capsys):
     assert report["all_passed"] is False
     assert report["checks"]["always_fails"]["passed"] is False
     assert report["checks"]["also_fails"]["passed"] is False
+
+
+def test_verify_names_a_nan_residual_as_the_worst_offender(monkeypatch, capsys):
+    from markedbinomial import diagnostics
+
+    monkeypatch.setattr(
+        diagnostics, "CHECKS",
+        diagnostics.CHECKS + [("a", 0.1, lambda ctx: 1.0), ("b", 0.1, lambda ctx: math.nan)],
+    )
+    assert main(["verify", *CTI_FLAGS, "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert "worst offender: b residual=nan tolerance=1.0e-01" in captured.err
+    assert json.loads(captured.out)["checks"]["b"]["residual"] is None
 
 
 @pytest.mark.parametrize("argv", [
