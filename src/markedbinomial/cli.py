@@ -10,11 +10,13 @@ unreadable or unwritable file, resource limit), reported as one
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import time
 import warnings
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -26,51 +28,83 @@ def _float17(v) -> str:
     return format(float(v), ".17g") if math.isfinite(v) else "null"
 
 
-def _floats17(values: np.ndarray, pad: str) -> str:
-    """A flat float array as a JSON list, in one format call; an array with
-    a non-finite entry (rendered null) is formatted element by element."""
+# Floats formatted per call when a float array is rendered: the output is
+# written piece by piece, so emitting a large payload never holds more than
+# one such piece (and its Python floats) besides the payload itself.
+FLOAT_CHUNK = 8192
+
+
+def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
+    """A flat float array as a JSON list, in one format call per chunk; an
+    array with a non-finite entry (rendered null) is formatted element by
+    element."""
     if not values.size:
-        return "[]"
-    items = values.tolist()
+        yield "[]"
+        return
     sep = f",\n{pad}  "
-    if np.isfinite(values).all():
-        body = sep.join(["%.17g"] * len(items)) % tuple(items)
+    finite = bool(np.isfinite(values).all())
+    yield f"[\n{pad}  "
+    for start in range(0, values.size, FLOAT_CHUNK):
+        items = values[start:start + FLOAT_CHUNK].tolist()
+        if start:
+            yield sep
+        if finite:
+            yield sep.join(["%.17g"] * len(items)) % tuple(items)
+        else:
+            yield sep.join(map(_float17, items))
+    yield f"\n{pad}]"
+
+
+def _json17(obj, indent: int = 0) -> Iterator[str]:
+    """The pieces of ``dumps17(obj, indent)``, in order."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        opener = "{\n"
+        for k, v in obj.items():
+            yield f"{opener}{pad}  {json.dumps(str(k))}: "
+            yield from _json17(v, indent + 1)
+            opener = ",\n"
+        yield f"\n{pad}}}"
+        return
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+            yield from _floats17(obj, pad)
+            return
+        seq = list(obj)
+        if all(isinstance(v, (float, np.floating)) for v in seq):
+            yield from _floats17(np.array(seq, dtype=float), pad)
+            return
+        opener = "[\n"
+        for v in seq:
+            yield f"{opener}{pad}  "
+            yield from _json17(v, indent + 1)
+            opener = ",\n"
+        yield f"\n{pad}]"
+        return
+    if isinstance(obj, bool) or obj is None:
+        yield json.dumps(obj)
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield _float17(obj)
     else:
-        body = sep.join(map(_float17, items))
-    return f"[\n{pad}  {body}\n{pad}]"
+        yield json.dumps(obj)
 
 
 def dumps17(obj, indent: int = 0) -> str:
     """JSON text with all floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{pad}  {json.dumps(str(k))}: {dumps17(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-            return _floats17(obj, pad)
-        seq = list(obj)
-        if all(isinstance(v, (float, np.floating)) for v in seq):
-            return _floats17(np.array(seq, dtype=float), pad)
-        rows = [f"{pad}  {dumps17(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float17(obj)
-    return json.dumps(obj)
+    return "".join(_json17(obj, indent))
 
 
-def _write(args, text: str) -> None:
+def _write(args, pieces: Iterable[str]) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(args, payload: dict) -> None:
@@ -78,7 +112,7 @@ def _emit(args, payload: dict) -> None:
     payload["seed"] = args.seed
     if not args.no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    _write(args, dumps17(payload) + "\n")
+    _write(args, itertools.chain(_json17(payload), ["\n"]))
 
 
 def _model_params(args) -> ModelParams:
@@ -127,7 +161,7 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         lines = ["path,digits"]
         lines += [f"{i},{''.join(str(d) for d in row)}" for i, row in enumerate(digs.tolist())]
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, ["\n".join(lines) + "\n"])
         return 0
     _emit(args, {
         "params": {"T": params.horizon, "marks": list(params.marks),
@@ -163,7 +197,7 @@ def cmd_decompose(args) -> int:
     F = _named_functional(params, args.functional)
     coeffs = stroock_decompose(F)
     if args.format == "csv":
-        _write(args, coeffs.csv_text())
+        _write(args, [coeffs.csv_text()])
         return 0
     _emit(args, {
         "functional": args.functional,

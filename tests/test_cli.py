@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from markedbinomial import MarketParams, call_payoff, optimal_strategy
+from markedbinomial import MarketParams, call_payoff, optimal_strategy, cli
 from markedbinomial.cli import dumps17, main
 
 CTI_FLAGS = ["--T", "3", "--marks", "1,-1", "--lambda", "0.5", "--Q", "0.5,0.5"]
@@ -182,6 +182,21 @@ def test_hedge_file_matches_a_per_element_rendering_at_t9(tmp_path):
     market = MarketParams(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5, horizon=9, initial_capital=1.0)
     strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
     assert payload["phi_star"]["9"] == strategy.phi_prefixes[8].tolist()
+
+
+def test_json_pieces_hold_at_most_one_float_chunk():
+    """A payload is emitted piece by piece: float arrays longer than one
+    chunk, finite or not, render byte-identically to the per-element layout,
+    and no piece grows with the payload, so neither does the emit's memory."""
+    values = np.linspace(-1.0, 1.0, 3 * cli.FLOAT_CHUNK + 5)
+    holes = values.copy()
+    holes[cli.FLOAT_CHUNK + 7] = np.nan
+    payload = {"a": {"1": values, "2": holes[::-1]}, "b": [values.tolist(), 1], "c": []}
+    pieces = list(cli._json17(payload))
+    reference = {"a": {"1": values.tolist(), "2": holes[::-1].tolist()}, "b": [values.tolist(), 1], "c": []}
+    assert "".join(pieces) == _reference_json(reference) == dumps17(payload)
+    longest_float = max(len(format(v, ".17g")) for v in values)
+    assert max(map(len, pieces)) <= cli.FLOAT_CHUNK * (longest_float + len(",\n        "))
 
 
 DATA = Path(__file__).parent / "data"
