@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial
@@ -49,7 +50,7 @@ from .basis import (
     r_step_values,
     z_step_values,
 )
-from .space import ModelParams, PathFunctional, _distinct, space
+from .space import ModelParams, PathFunctional, _distinct, _text17, space
 
 # Coefficients at or below this fraction of the largest one are rounding
 # dust from the transform; kernels read out of the tensor leave them out.
@@ -117,16 +118,27 @@ class ChaosCoefficients:
         tol = REL_TOL * max(1e-300, float(np.max(np.abs(flat))))
         ranks = np.flatnonzero(np.abs(flat) > tol)
         ranks = ranks[ranks > 0]
-        digits = sp.digits[ranks]
-        order = np.count_nonzero(digits, axis=1)
         # Two supports of one order first differ at the earliest step where
         # their digits differ; there a jump comes before no jump, and a lower
         # mark value before a higher one.  Step codes in that order, read as
-        # base-(1+m) numbers with step 1 leading, sort the supports.
+        # base-(1+m) numbers with step 1 leading and the order above them,
+        # sort the supports.  Each k-length temporary is dropped once used, so
+        # no (k, T) int64 table is built.
         step_code = np.concatenate([[params.n_marks], np.argsort(np.argsort(params.marks))])
-        perm = np.lexsort((step_code[digits] @ sp.powers[::-1], order))
+        order = np.zeros(ranks.shape, dtype=np.int64)
+        key = np.zeros(ranks.shape, dtype=np.int64)
+        rest = ranks
+        for t in range(params.horizon):
+            rest, digit = np.divmod(rest, sp.base)
+            order += digit != 0
+            key += (step_code * sp.powers[params.horizon - 1 - t])[digit]
+        del rest, digit
+        key += order * (sp.base * sp.powers[-1])
+        perm = np.argsort(key)
+        del key
+        ranks, order = ranks[perm], order[perm]
         fact = np.array([float(factorial(n)) for n in range(params.horizon + 1)])
-        return order[perm], digits[perm], (flat[ranks] / fact[order])[perm]
+        return order, sp.digits[ranks], flat[ranks] / fact[order]
 
     def _points(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Times (1-based), mark indices and values of the order-n entries."""
@@ -152,22 +164,34 @@ class ChaosCoefficients:
     def orders(self) -> dict[int, Kernel]:
         return {n: self.kernel(n) for n in _distinct(self._entries[0]).tolist()}
 
-    def rows(self) -> list[tuple[int, str, float]]:
-        """(order, support label, kernel value), the constant first; a label
-        joins 't:k' points with ';', marks rendered with format 'g'."""
+    def _row_blocks(self) -> Iterator[tuple[int, list[str], np.ndarray]]:
+        """(order, support labels, kernel values) per non-constant order; a
+        label joins 't:k' points with ';', marks rendered with format 'g'."""
         names = np.array([[f"{t}:{k:g}" for k in self.params.marks]
                           for t in range(1, self.params.horizon + 1)], dtype=object)
-        out = [(0, "", self.f0)]
         for n in _distinct(self._entries[0]).tolist():
             times, kidx, values = self._points(n)
-            labels = names[times - 1, kidx].tolist()
-            out += [(n, ";".join(label), v) for label, v in zip(labels, values.tolist())]
+            yield n, list(map(";".join, names[times - 1, kidx].tolist())), values
+
+    def rows(self) -> list[tuple[int, str, float]]:
+        """(order, support label, kernel value), the constant first."""
+        out = [(0, "", self.f0)]
+        for n, labels, values in self._row_blocks():
+            out += [(n, label, v) for label, v in zip(labels, values.tolist())]
         return out
 
     def csv_text(self) -> str:
         """CSV rows (order, support, value), values at 17 significant digits."""
-        lines = ["order,support,value", *(f"{n},{label},{v:.17g}" for n, label, v in self.rows())]
-        return "\n".join(lines) + "\n"
+        texts = _text17(np.concatenate([[self.f0], self._entries[2]]))
+        pieces = ["order,support,value", f"0,,{texts[0]}"]
+        start = 1
+        for n, labels, _ in self._row_blocks():
+            cells = [""] * (2 * len(labels))
+            cells[::2] = labels
+            cells[1::2] = texts[start:start + len(labels)]
+            start += len(labels)
+            pieces.append("\n".join([f"{n},%s,%s"] * len(labels)) % tuple(cells))
+        return "\n".join(pieces) + "\n"
 
     def export_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:

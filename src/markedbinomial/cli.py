@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .space import ModelParams
+from .space import ModelParams, _text17
 
 
 def _float17(v) -> str:
@@ -35,23 +35,21 @@ FLOAT_CHUNK = 8192
 
 
 def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
-    """A flat float array as a JSON list, in one format call per chunk; an
-    array with a non-finite entry (rendered null) is formatted element by
-    element."""
+    """A flat float array as a JSON list, chunk by chunk, each distinct
+    float of a chunk formatted once; non-finite entries render null."""
     if not values.size:
         yield "[]"
         return
     sep = f",\n{pad}  "
-    finite = bool(np.isfinite(values).all())
     yield f"[\n{pad}  "
     for start in range(0, values.size, FLOAT_CHUNK):
-        items = values[start:start + FLOAT_CHUNK].tolist()
+        chunk = values[start:start + FLOAT_CHUNK]
+        texts = _text17(chunk)
+        for i in np.flatnonzero(~np.isfinite(chunk)).tolist():
+            texts[i] = "null"
         if start:
             yield sep
-        if finite:
-            yield sep.join(["%.17g"] * len(items)) % tuple(items)
-        else:
-            yield sep.join(map(_float17, items))
+        yield sep.join(texts)
     yield f"\n{pad}]"
 
 

@@ -371,16 +371,22 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
     keep_p = exp(-tau)
     edges = keep_p + (1.0 - keep_p) * np.concatenate([[0.0], np.cumsum(sp.step_weights[:-1])])
     block = max(1, MEHLER_BLOCK_DRAWS // (n_samples * params.horizon))
+    B = sp.base
+    # entry p * B + d is the new digit for pick p and old digit d: d if p = 0, else p - 1
+    new_digit = np.concatenate([np.arange(B), np.repeat(np.arange(B), B)]).astype(np.int8)
+    pick_type = np.int8 if new_digit.size <= 128 else np.int64
     means = np.empty(sp.n)
     errs = np.empty(sp.n)
     for b, start in enumerate(range(0, sp.n, block)):
         stop = min(start + block, sp.n)
         rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(int(stream), b)))
         u = rng.random((stop - start, n_samples, params.horizon))
-        pick = np.zeros(u.shape, dtype=np.int8)  # 0: keep the digit, d + 1: draw digit d
+        pick = np.zeros(u.shape, dtype=pick_type)  # 0: keep the digit, d + 1: draw digit d
         for edge in edges:
             pick += u >= edge
-        digs = np.where(pick == 0, sp.digits[start:stop, None, :], pick - 1)
+        pick *= B
+        pick += sp.digits[start:stop, None, :]
+        digs = new_digit[pick]
         sample = vals[digs @ sp.powers]
         means[start:stop] = sample.mean(axis=1)
         errs[start:stop] = sample.std(axis=1, ddof=1) / sqrt(n_samples)

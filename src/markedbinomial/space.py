@@ -32,6 +32,10 @@ import numpy as np
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "MBP_ENUM_CAP"
 
+# Rows per block when the configuration probabilities are summed from the
+# log step weights, so the float gather never spans the whole (n, T) table.
+PROBABILITY_BLOCK = 1 << 15
+
 
 def enumeration_cap() -> int:
     """Active cap on exact-table sizes (env MBP_ENUM_CAP overrides)."""
@@ -158,6 +162,24 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def _text17(values: np.ndarray) -> list[str]:
+    """``%.17g`` text of every entry of a 1-D float array, each distinct
+    64-bit pattern formatted once.  Patterns, not float values, are compared,
+    since -0.0 == 0.0 prints differently; NaN and infinities print as
+    ``%.17g`` prints them.  The sort replaces np.unique for the reason
+    given at :func:`_distinct`."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    perm = np.argsort(bits)
+    ordered = bits[perm]
+    new = np.ones(ordered.shape, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(perm.shape, dtype=np.intp)
+    inverse[perm] = np.cumsum(new) - 1
+    firsts = ordered[new].view(np.float64).tolist()
+    texts = np.array(("\n".join(["%.17g"] * len(firsts)) % tuple(firsts)).split("\n"), dtype=object)
+    return texts[inverse].tolist()
+
+
 def rank_of_digits(digits: Sequence[int], n_marks: int) -> int:
     base = 1 + n_marks
     rank = 0
@@ -196,16 +218,19 @@ class SampleSpace:
         self.params = params
         self.base = params.n_marks + 1
         self.n = count
-        self.powers = self.base ** np.arange(params.horizon, dtype=np.int64)
-        self.digits = np.empty((count, params.horizon), dtype=np.int8)
-        rest = np.arange(count, dtype=np.int64)
-        for t in range(params.horizon):  # one int8 column at a time, no (n, T) int64 table
-            rest, self.digits[:, t] = np.divmod(rest, self.base)
+        T, B = params.horizon, self.base
+        self.powers = B ** np.arange(T, dtype=np.int64)
+        self.digits = np.empty((count, T), dtype=np.int8)
+        for t in range(T):  # digit t + 1 of rank (a * B + d) * B^t + c is d
+            self.digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
         self.step_weights = np.concatenate(
             [[1.0 - params.jump_prob], params.jump_prob * np.asarray(params.mark_probs)]
         )
         self.log_step_weights = np.log(self.step_weights)
-        self.probabilities = np.exp(self.log_step_weights[self.digits].sum(axis=1))
+        self.probabilities = np.empty(count)
+        for s in range(0, count, PROBABILITY_BLOCK):
+            block = self.log_step_weights[self.digits[s:s + PROBABILITY_BLOCK]].sum(axis=1)
+            np.exp(block, out=self.probabilities[s:s + PROBABILITY_BLOCK])
         for arr in (self.powers, self.digits, self.probabilities, self.step_weights):
             arr.flags.writeable = False
         self._atom_mass: dict[int, np.ndarray] = {}

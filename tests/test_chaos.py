@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from markedbinomial import (
     ChaosCoefficients,
+    ModelParams,
     PathFunctional,
     build_basis,
     doleans_exponential,
@@ -229,3 +231,64 @@ def test_multiple_integral_rejects_unknown_family(cti):
     basis = build_basis(cti)
     with pytest.raises(ValueError, match="family"):
         multiple_integral(basis, {((1, 1.0),): 1.0}, 1, family="Q")
+
+
+def test_rows_sort_by_order_then_time_mark_pairs(rng):
+    """Rows come by order and then by the (time, mark value) pairs of the
+    support, compared as Python tuples, also when the marks are given
+    unsorted and some are negative."""
+    params = ModelParams(4, (2.0, -0.5, 1.0, -3.0), 0.35, (0.1, 0.2, 0.3, 0.4))
+    coeffs = stroock_decompose(PathFunctional(params, values=rng.normal(size=params.n_configurations)))
+    rows = coeffs.rows()[1:]
+    marks = {f"{k:g}": k for k in params.marks}
+
+    def key(row):
+        n, label, _ = row
+        points = [point.split(":") for point in label.split(";")]
+        return n, tuple((int(t), marks[k]) for t, k in points)
+
+    assert len(rows) == params.n_configurations - 1
+    assert rows == sorted(rows, key=key)
+
+
+def test_entries_allocate_no_n_by_t_int64_table():
+    """At T=11 the sort key is built from the kept ranks one step at a
+    time: the traced peak stays below one (n, T) int64 table."""
+    params = ModelParams(11, (1.0, -1.0), 0.4, (0.5, 0.5))
+    sp = space(params)
+    coeffs = stroock_decompose(PathFunctional(params, values=np.random.default_rng(3).normal(size=sp.n)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        order, _, _ = coeffs._entries
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert order.size == sp.n - 1
+    assert peak < sp.n * params.horizon * np.dtype(np.int64).itemsize
+
+
+def _reference_csv(coeffs) -> str:
+    """Every value formatted on its own, as a row-per-row f-string."""
+    return "order,support,value\n" + "".join(f"{n},{label},{v:.17g}\n" for n, label, v in coeffs.rows())
+
+
+@pytest.mark.parametrize("f0, fill", [
+    (-0.0, lambda n: np.where(np.arange(n) % 2, 0.5, -0.5)),
+    (0.0, lambda n: np.full(n, 0.25)),
+    (5e-324, lambda n: np.linspace(-3.0, 7.0, n)),
+    (float("nan"), lambda n: np.ones(n)),
+    (float("inf"), lambda n: np.ones(n)),
+    (-float("inf"), lambda n: np.ones(n)),
+    (1.7976931348623157e308, lambda n: np.full(n, -1.7976931348623157e308)),
+])
+def test_csv_text_matches_the_per_element_rendering(f0, fill):
+    """The CSV formats each distinct value once and still writes the bytes
+    of formatting every value on its own: signed zeros, non-finite
+    constants, the smallest and largest doubles, all-equal and
+    all-distinct values."""
+    params = ModelParams(4, (2.0, -0.5, 1.0), 0.3, (0.2, 0.5, 0.3))
+    flat = fill(params.n_configurations)
+    flat[0] = f0
+    coeffs = ChaosCoefficients.from_tensor(params, flat.reshape((4,) * 4, order="F"))
+    assert coeffs.csv_text() == _reference_csv(coeffs)

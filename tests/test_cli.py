@@ -199,6 +199,37 @@ def test_json_pieces_hold_at_most_one_float_chunk():
     assert max(map(len, pieces)) <= cli.FLOAT_CHUNK * (longest_float + len(",\n        "))
 
 
+def _special_floats(n: int) -> np.ndarray:
+    """Signed zeros side by side, NaN, both infinities, the smallest and
+    largest doubles and repeats, cycled to length n."""
+    base = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.1, -0.0, 0.1, 1 / 3])
+    return np.resize(base, n)
+
+
+RENDER_CASES = {
+    "special": _special_floats,
+    "all equal": lambda n: np.full(n, 1 / 3),
+    "all distinct": lambda n: np.random.default_rng(n).normal(size=n),
+    "float32": lambda n: np.linspace(-1, 1, n, dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+def test_float_rendering_matches_the_per_element_reference(case, offset):
+    """Each distinct bit pattern is formatted once, yet JSON and CSV text
+    equal formatting every value on its own (null in JSON and nan/inf in
+    CSV for non-finite values), around one chunk's length."""
+    from markedbinomial.space import _text17
+
+    values = RENDER_CASES[case](cli.FLOAT_CHUNK + offset)
+    items = values.tolist()
+    assert _text17(values) == [format(v, ".17g") for v in items]
+    assert dumps17({"v": values}) == _reference_json({"v": items})
+    assert dumps17(values[:3]) == _reference_json(items[:3])
+
+
 DATA = Path(__file__).parent / "data"
 MARKET_FLAGS = {
     "M1": ["--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5"],
@@ -233,6 +264,38 @@ def test_verify_output_is_byte_identical_to_the_golden_file(model, golden, capsy
     committed file byte for byte."""
     assert main(["verify", *model, "--seed", "1", "--no-timestamp"]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("model, functional, golden", [
+    (["--T", "4", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5"], "indicator=50",
+     "decompose_indicator50_T4.csv"),
+    (["--T", "4", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5"], "count", "decompose_count_T4.csv"),
+    (["--T", "3", "--marks=2,-0.5,1", "--lambda", "0.3", "--Q", "0.2,0.5,0.3"], "indicator=45",
+     "decompose_3marks_indicator45_T3.csv"),
+])
+def test_decompose_csv_is_byte_identical_to_the_golden_file(model, functional, golden, capsys):
+    """`decompose --format csv` reproduces the committed table byte for byte."""
+    assert main(["decompose", *model, "--functional", functional, "--format", "csv", "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+def test_decompose_csv_at_t11_matches_a_per_element_rendering(tmp_path):
+    """The T=11 indicator table, about 3 MB, equals formatting every value
+    of `rows()` on its own."""
+    from markedbinomial import ModelParams, PathFunctional, stroock_decompose
+
+    out = tmp_path / "decompose.csv"
+    rank = 12345
+    argv = ["decompose", "--T", "11", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5",
+            "--functional", f"indicator={rank}", "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    params = ModelParams(11, (1.0, -1.0), 0.4, (0.5, 0.5))
+    indicator = np.zeros(params.n_configurations)
+    indicator[rank] = 1.0
+    rows = stroock_decompose(PathFunctional(params, values=indicator)).rows()
+    reference = "order,support,value\n" + "".join(f"{n},{label},{v:.17g}\n" for n, label, v in rows)
+    assert out.read_text(encoding="utf-8") == reference
+    assert len(rows) > 50_000
 
 
 def test_girsanov_payload():

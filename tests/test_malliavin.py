@@ -523,3 +523,48 @@ def test_operators_agree_bitwise_on_both_layouts(name, request, rng, monkeypatch
     monkeypatch.setattr(malliavin, "_step_major", _c_order)
     assert clark_integrand(F).values.flags.c_contiguous
     assert np.array_equal(clark_reconstruct(F).table(), step_major_clark)
+
+
+def _mehler_reference(F, tau, n_samples, stream):
+    """The Mehler estimator with the new digit chosen by np.where over the
+    whole (block, samples, T) draw, as it was written before the table lookup."""
+    from markedbinomial import malliavin
+
+    params = F.params
+    sp = space(params)
+    keep_p = math.exp(-tau)
+    edges = keep_p + (1.0 - keep_p) * np.concatenate([[0.0], np.cumsum(sp.step_weights[:-1])])
+    block = max(1, malliavin.MEHLER_BLOCK_DRAWS // (n_samples * params.horizon))
+    means, errs = np.empty(sp.n), np.empty(sp.n)
+    for b, start in enumerate(range(0, sp.n, block)):
+        stop = min(start + block, sp.n)
+        rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(int(stream), b)))
+        u = rng.random((stop - start, n_samples, params.horizon))
+        pick = np.zeros(u.shape, dtype=np.int8)
+        for edge in edges:
+            pick += u >= edge
+        sample = F.table()[np.where(pick == 0, sp.digits[start:stop, None, :], pick - 1) @ sp.powers]
+        means[start:stop] = sample.mean(axis=1)
+        errs[start:stop] = sample.std(axis=1, ddof=1) / math.sqrt(n_samples)
+    return means, errs
+
+
+@pytest.mark.parametrize("marks, probs", [
+    ((1.5,), (1.0,)),
+    ((2.0, -0.5, 1.0), (0.2, 0.5, 0.3)),
+    (tuple(range(-5, 6)), (1.0 / 11,) * 11),  # (B + 1) * B = 156 picks do not fit int8
+])
+@pytest.mark.parametrize("tau", [0.0, 3.0])
+@pytest.mark.parametrize("block_draws", [7 * 12 * 4, 2**18])
+def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, block_draws, rng, monkeypatch):
+    """The digit lookup table reproduces every bit of the np.where choice,
+    with one block or several, on a nonzero stream."""
+    from markedbinomial import malliavin
+
+    monkeypatch.setattr(malliavin, "MEHLER_BLOCK_DRAWS", block_draws)
+    params = ModelParams(4 if len(marks) < 4 else 2, marks, 0.45, probs, rng_seed=11)
+    F = _rand(params, rng)
+    got = ou_mehler_mc(F, tau, 12, stream=5)
+    want = _mehler_reference(F, tau, 12, stream=5)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()

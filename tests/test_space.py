@@ -20,6 +20,7 @@ from markedbinomial import (
 )
 from markedbinomial.basis import build_basis, delta_r_table
 from markedbinomial.space import (
+    PROBABILITY_BLOCK,
     _distinct,
     digits_of_rank,
     export_table_csv,
@@ -48,6 +49,21 @@ def test_digit_table_is_the_mixed_radix_expansion(horizon, marks):
     ranks = np.arange(sp.n, dtype=np.int64)
     assert sp.digits.dtype == np.int8 and not sp.digits.flags.writeable
     np.testing.assert_array_equal(sp.digits, (ranks[:, None] // sp.powers) % sp.base)
+
+
+@pytest.mark.parametrize("horizon, marks, probs", [
+    (10, (1.0, -1.0), (0.5, 0.5)),
+    (17, (2.5,), (1.0,)),
+    (8, (3.0, -1.0, 0.5), (0.2, 0.5, 0.3)),
+])
+def test_probabilities_are_summed_block_by_block_without_changing_a_bit(horizon, marks, probs):
+    """Row blocks of the log-weight sum give the bits of the one-pass sum
+    over the whole (n, T) gather, also on the rows past the first block."""
+    sp = space(ModelParams(horizon, marks, 0.37, probs))
+    assert not sp.probabilities.flags.writeable
+    whole = np.exp(sp.log_step_weights[sp.digits].sum(axis=1))
+    assert sp.probabilities.tobytes() == whole.tobytes()
+    assert sp.n > PROBABILITY_BLOCK
 
 
 def test_enumeration_cap(monkeypatch):
