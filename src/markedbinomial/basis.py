@@ -131,13 +131,15 @@ def r_step_values(params: ModelParams) -> np.ndarray:
 
 
 def _step_table(params: ModelParams, column: np.ndarray, t: int) -> np.ndarray:
-    """column[digit t] over all configurations, in rank order: each value
-    repeated over the base^(t-1) rank patterns before step t, then tiled
-    over the steps after it (no gather through the digit table)."""
+    """column[digit t] over all configurations, in rank order: written
+    through the step-t view (rank (a * base + d) * base^(t-1) + c has digit
+    t = d), with no gather through the digit table."""
     sp = space(params)
     sp.check_time(t)
     low = sp.base ** (t - 1)
-    return np.tile(np.repeat(column, low), sp.n // (low * sp.base))
+    out = np.empty(sp.n)
+    out.reshape(sp.n // (sp.base * low), sp.base, low)[:] = column[:, None]
+    return out
 
 
 def delta_z_table(params: ModelParams, t: int, k: float) -> np.ndarray:

@@ -216,11 +216,14 @@ def _transform_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_per_step(params: ModelParams, table: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    sp = space(params)
-    G = np.asarray(table, dtype=float).reshape((sp.base,) * params.horizon, order="F")
-    for ax in range(params.horizon):
-        G = np.moveaxis(np.tensordot(matrix, G, axes=([1], [ax])), 0, ax)
-    return G
+    """``matrix`` applied to every step axis of a rank-ordered table, the
+    Kronecker product of T copies acting on it.  Each pass contracts the
+    fastest axis (step 1 first) in one gemm and moves it to the slowest place
+    by one transposing copy, so after T passes the table is in rank order."""
+    X = np.asarray(table, dtype=float).reshape(-1, order="F")
+    for _ in range(params.horizon):
+        X = (X.reshape(-1, matrix.shape[1]) @ matrix.T).T.reshape(-1)
+    return X.reshape((space(params).base,) * params.horizon, order="F")
 
 
 def coefficient_tensor(F: PathFunctional) -> np.ndarray:
@@ -238,10 +241,11 @@ def synthesize(params: ModelParams, coeffs: np.ndarray) -> PathFunctional:
 
 @lru_cache(maxsize=64)
 def chaos_order_tensor(params: ModelParams) -> np.ndarray:
-    """Chaos order (number of non-constant slots) of every coefficient."""
+    """Chaos order (number of non-constant slots) of every coefficient, laid
+    out in rank order like the tensors the transform returns, so products
+    with them keep that layout and synthesize reads them without a copy."""
     sp = space(params)
-    idx = np.indices((sp.base,) * params.horizon)
-    order = (idx > 0).sum(axis=0)
+    order = (sp.digits > 0).sum(axis=1).reshape((sp.base,) * params.horizon, order="F")
     order.flags.writeable = False
     return order
 

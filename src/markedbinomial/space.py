@@ -243,10 +243,13 @@ class SampleSpace:
         through.  The result is always a view, writable when ``values`` is;
         an input that could only be reshaped by a copy (where writes would
         be lost) raises ValueError."""
-        self.check_time(t)
+        if not 1 <= t <= self.params.horizon:
+            self.check_time(t)
         low = self.base ** (t - 1)
         view = np.reshape(values, (self.n // (low * self.base), self.base, low) + np.shape(values)[1:])
-        if not np.shares_memory(view, values):
+        # a reshape either returns a view or a fresh copy, and a copy never
+        # overlaps its source: the bounds test is exact here
+        if not np.may_share_memory(view, values):
             raise ValueError("step view needs a table it can reshape without a copy")
         return view
 

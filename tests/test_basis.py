@@ -119,3 +119,23 @@ def test_convert_preserves_integral_pointwise(cti, rng, order):
     jr = multiple_integral(basis, f, order, family="R").table()
     jz = multiple_integral(basis, g, order, family="Z").table()
     assert np.max(np.abs(jr - jz)) <= 1e-12
+
+
+@pytest.mark.parametrize("marks, Q", [
+    ((1.5,), (1.0,)),
+    ((1.0, -1.0), (0.5, 0.5)),
+    ((-2.0, 1.0, 3.0), (0.3, 0.3, 0.4)),
+    ((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4)),
+])
+def test_step_tables_equal_the_digit_gather(marks, Q):
+    """dR and dZ tables written through the step view equal the one-step
+    column gathered through the digit table, bit for bit, at every step."""
+    from markedbinomial.basis import r_step_values, z_step_values
+
+    params = ModelParams(5, marks, 0.35, Q)
+    sp, basis = space(params), build_basis(params)
+    for t in range(1, params.horizon + 1):
+        digit = sp.digits[:, t - 1]
+        for j, k in enumerate(marks):
+            assert np.array_equal(delta_r_table(basis, t, k), r_step_values(params)[:, j][digit])
+            assert np.array_equal(delta_z_table(params, t, k), z_step_values(params)[:, j][digit])

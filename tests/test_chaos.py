@@ -155,6 +155,9 @@ def test_chaos_order_tensor_is_cached_and_read_only(inst2):
     orders = chaos_order_tensor(inst2)
     assert orders is chaos_order_tensor(inst2) and not orders.flags.writeable
     np.testing.assert_array_equal(orders.reshape(-1, order="F"), np.count_nonzero(space(inst2).digits, axis=1))
+    # laid out like the transform's tensors, with the dtype of the np.indices count
+    assert orders.flags.f_contiguous
+    assert orders.dtype == (np.indices((4,) * 5) > 0).sum(axis=0).dtype
 
 
 def test_conditional_truncation(cti, rng):
@@ -292,3 +295,48 @@ def test_csv_text_matches_the_per_element_rendering(f0, fill):
     flat[0] = f0
     coeffs = ChaosCoefficients.from_tensor(params, flat.reshape((4,) * 4, order="F"))
     assert coeffs.csv_text() == _reference_csv(coeffs)
+
+
+def _tensordot_per_step(params, table, matrix):
+    """Axis-by-axis reference transform: contract step axis t of the
+    (base,)*T tensor with ``matrix`` by tensordot and move the new axis back."""
+    G = np.asarray(table, dtype=float).reshape((space(params).base,) * params.horizon, order="F")
+    for ax in range(params.horizon):
+        G = np.moveaxis(np.tensordot(matrix, G, axes=([1], [ax])), 0, ax)
+    return G
+
+
+_TRANSFORM_LAWS = {
+    1: ((1.5,), (1.0,), 0.3),
+    2: ((1.0, -1.0), (0.5, 0.5), 0.4),
+    3: ((-2.0, 1.0, 3.0), (0.3, 0.3, 0.4), 0.45),
+    4: ((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4), 0.5),
+}
+
+
+@pytest.mark.parametrize("n_marks, horizon",
+                         [(m, T) for m in (1, 2, 3, 4) for T in range(1, 8)] + [(2, 11)])
+def test_per_step_transform_is_bitwise_the_tensordot_loop(n_marks, horizon):
+    """The Kronecker-shuffle transform contracts step 1 first, as the
+    axis-by-axis tensordot loop does, and gives the same bits: analysis,
+    synthesis and multiple integrals against both increment families."""
+    from markedbinomial.basis import r_step_values, z_step_values
+    from markedbinomial.chaos import _kernel_tensor, _transform_matrices, coefficient_tensor, synthesize
+
+    marks, Q, lam = _TRANSFORM_LAWS[n_marks]
+    params = ModelParams(horizon, marks, lam, Q)
+    rng = np.random.default_rng(100 * n_marks + horizon)
+    W, V = _transform_matrices(params)
+    F = PathFunctional(params, values=rng.normal(size=params.n_configurations))
+    C = coefficient_tensor(F)
+    assert np.array_equal(C, _tensordot_per_step(params, F.table(), W))
+    assert np.array_equal(synthesize(params, C).table(),
+                          _tensordot_per_step(params, C, V).reshape(-1, order="F"))
+    basis = build_basis(params)
+    for n in sorted({1, min(3, horizon)}):
+        kernel = random_kernel(params, n, rng)
+        for family, step in (("R", r_step_values(params)), ("Z", z_step_values(params))):
+            expected = _tensordot_per_step(params, _kernel_tensor(params, kernel, n),
+                                           np.hstack([np.ones((params.n_marks + 1, 1)), step]))
+            assert np.array_equal(multiple_integral(basis, kernel, n, family).table(),
+                                  expected.reshape(-1, order="F"))

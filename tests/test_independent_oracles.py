@@ -521,3 +521,86 @@ def test_optimal_strategy_against_50_digit_arithmetic(market_name):
     for t, want in enumerate(_phi_50_digits(market, 1.05, 1.0), start=1):
         got = strategy.phi_prefixes[t - 1]
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+
+POINCARE_LAWS = {
+    1: ((1.5,), (1.0,), 0.3),
+    2: ((1.0, -1.0), (0.5, 0.5), 0.4),
+    3: ((-2.0, 1.0, 3.0), (0.3, 0.3, 0.4), 0.45),
+    4: ((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4), 0.5),
+}
+
+
+def test_poincare_check_draws_the_stream_of_100_single_functionals(monkeypatch):
+    """The chunked draws are the 100 single normal(size=n) draws, column by
+    column, and leave the generator where those draws leave it, so every
+    later check sees the same inputs."""
+    from markedbinomial import diagnostics, malliavin
+
+    params = ModelParams(horizon=4, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5))
+    tables = []
+    planes = malliavin._gradient_planes
+
+    def recording(p, table):
+        tables.append(np.array(table))
+        return planes(p, table)
+
+    monkeypatch.setattr(malliavin, "_gradient_planes", recording)
+    ctx = diagnostics._Context(params, 3)
+    diagnostics._poincare(ctx)
+    single = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
+    draws = [single.normal(size=params.n_configurations) for _ in range(100)]
+    assert np.array_equal(np.hstack(tables), np.column_stack(draws))
+    assert ctx.rng.bit_generator.state == single.bit_generator.state
+
+
+def test_poincare_check_fails_on_a_halved_gradient(monkeypatch):
+    """Var F <= E sum kappa |DF|^2 has room to spare, but at T=3 the energy
+    is at most 3 Var F, so a quarter of it falls below the variance."""
+    from markedbinomial import diagnostics, malliavin
+
+    params = ModelParams(horizon=3, marks=(1.0, -1.0), jump_prob=0.5, mark_probs=(0.5, 0.5))
+    tolerance = {name: tol for name, tol, _ in diagnostics.CHECKS}["poincare"]
+    assert diagnostics._poincare(diagnostics._Context(params, 0)) <= tolerance
+    exact = malliavin._projection
+    monkeypatch.setattr(malliavin, "_projection", lambda p: 0.5 * exact(p))
+    assert diagnostics._poincare(diagnostics._Context(params, 0)) > tolerance
+
+
+@pytest.mark.parametrize("n_marks", [1, 2, 3, 4])
+def test_batched_gradient_planes_match_gradient_process(n_marks):
+    """A batch of functionals through the step-plane contraction gives each
+    functional's gradient_process within 4 eps * max|DF| (the batch changes
+    the matmul's operand shapes, and BLAS may round differently)."""
+    from markedbinomial import gradient_process
+    from markedbinomial.malliavin import _gradient_planes
+
+    marks, Q, lam = POINCARE_LAWS[n_marks]
+    params = ModelParams(horizon=5, marks=marks, jump_prob=lam, mark_probs=Q)
+    sp = space(params)
+    X = np.random.default_rng(n_marks).normal(size=(6, sp.n)).T
+    DFs = [gradient_process(PathFunctional(params, values=X[:, f].copy())).values for f in range(6)]
+    for t, planes in _gradient_planes(params, X):
+        for f, DF in enumerate(DFs):
+            want = sp.step_view(DF, t)[:, 0, :, t - 1, :]
+            scale = 4 * np.finfo(float).eps * np.max(np.abs(DF))
+            assert np.max(np.abs(planes[:, :, f, :] - want)) <= scale
+
+
+def test_poincare_check_peak_memory_stays_below_two_process_tables():
+    """At T=8 with 2 marks the check's traced peak stays below two (n, T, m)
+    float tables (1.68 MB): it never spreads a gradient over the whole space."""
+    import tracemalloc
+
+    from markedbinomial import diagnostics
+
+    params = ModelParams(horizon=8, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5))
+    ctx = diagnostics._Context(params, 1)
+    diagnostics._poincare(diagnostics._Context(params, 1))  # warm the caches
+    tracemalloc.start()
+    try:
+        diagnostics._poincare(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * params.n_configurations * params.horizon * params.n_marks

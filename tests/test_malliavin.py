@@ -568,3 +568,24 @@ def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, bloc
     want = _mehler_reference(F, tau, 12, stream=5)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("marks, Q, lam", [
+    ((1.5,), (1.0,), 0.3),
+    ((-1.0,), (1.0,), 0.5),
+    ((1.0, -1.0), (0.5, 0.5), 0.35),
+    ((1.0, 2.0), (0.3, 0.7), 0.4),
+    ((-2.0, 1.0, 3.0), (0.3, 0.3, 0.4), 0.45),
+    ((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4), 0.5),
+])
+def test_gradient_and_gradient_process_agree_to_the_last_bit_or_nearly(marks, Q, lam):
+    """One mark: the matrix-vector gradient and the all-marks gradient_process
+    agree bit for bit.  With more marks BLAS may pick a different kernel for
+    the two operand shapes, and they differ by at most 4 eps * max|DF|."""
+    params = ModelParams(horizon=5, marks=marks, jump_prob=lam, mark_probs=Q)
+    F = PathFunctional(params, values=np.random.default_rng(7).normal(size=params.n_configurations))
+    DF = gradient_process(F).values
+    bound = 0.0 if len(marks) == 1 else 4 * np.finfo(float).eps * np.max(np.abs(DF))
+    for t in range(1, params.horizon + 1):
+        for j, k in enumerate(marks):
+            assert np.max(np.abs(gradient(F, (t, k)).table() - DF[:, t - 1, j])) <= bound
