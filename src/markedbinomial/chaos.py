@@ -32,6 +32,7 @@ under which E[J_n(f) J_m(g)] = 1{n=m} n! <f, g>_n.
 """
 from __future__ import annotations
 
+import operator
 import os
 import warnings
 from collections.abc import Iterator
@@ -50,7 +51,7 @@ from .basis import (
     r_step_values,
     z_step_values,
 )
-from .space import ModelParams, PathFunctional, _distinct, _text17, space
+from .space import ModelParams, PathFunctional, _text17, space
 
 # Coefficients at or below this fraction of the largest one are rounding
 # dust from the transform; kernels read out of the tensor leave them out.
@@ -87,8 +88,15 @@ def _kernel_tensor(params: ModelParams, kernel: Kernel, n: int) -> np.ndarray:
 
 class ChaosCoefficients:
     """Chaotic decomposition held as its coefficient tensor, built from a constant
-    and per-order kernels on time-ordered supports.  Kernels read back out
-    leave out entries at or below ``REL_TOL`` times the largest coefficient."""
+    and per-order kernels on time-ordered supports.
+
+    Kernels read back out leave out entries at or below ``REL_TOL`` times
+    the largest coefficient.  Each order is read out on its own: the first
+    read of order n selects that order's retained ranks through
+    :func:`chaos_order_tensor`, sorts only them and keeps the sorted block,
+    so ``kernel(1)`` never touches the other orders.  ``kernel(n)``,
+    ``orders``, ``rows()`` and the CSV all read these blocks.
+    """
 
     def __init__(self, params: ModelParams, f0: float, orders: dict[int, Kernel] | None = None):
         flat = np.zeros(params.n_configurations)
@@ -97,11 +105,12 @@ class ChaosCoefficients:
         flat[0] = f0
         self.params = params
         self.tensor = flat.reshape((space(params).base,) * params.horizon, order="F")
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_tensor(cls, params: ModelParams, tensor: np.ndarray) -> "ChaosCoefficients":
         coeffs = cls.__new__(cls)
-        coeffs.params, coeffs.tensor = params, tensor
+        coeffs.params, coeffs.tensor, coeffs._blocks = params, tensor, {}
         return coeffs
 
     @property
@@ -109,93 +118,117 @@ class ChaosCoefficients:
         return float(self.tensor.flat[0])
 
     @cached_property
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Output edge: (order, digits, kernel value) of every retained
-        non-constant coefficient, sorted by order and then lexicographically
-        by the (time, mark value) pairs of its support."""
-        params, sp = self.params, space(self.params)
+    def _kept_order(self) -> np.ndarray:
+        """Chaos order of every retained coefficient in rank order, 0 for
+        the constant and for every coefficient left out."""
         flat = self.tensor.reshape(-1, order="F")
         tol = REL_TOL * max(1e-300, float(np.max(np.abs(flat))))
-        ranks = np.flatnonzero(np.abs(flat) > tol)
-        ranks = ranks[ranks > 0]
+        kept = chaos_order_tensor(self.params).reshape(-1, order="F").astype(np.int8)
+        kept[~(np.abs(flat) > tol)] = 0
+        return kept
+
+    def _present(self) -> list[int]:
+        """Orders n >= 1 with at least one retained coefficient, ascending."""
+        return (np.flatnonzero(np.bincount(self._kept_order)[1:]) + 1).tolist()
+
+    def _block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Output edge: (ranks, kernel values) of the retained order-n
+        coefficients, sorted lexicographically by the (time, mark value)
+        pairs of their supports."""
+        block = self._blocks.get(n)
+        if block is not None:
+            return block
+        params, sp = self.params, space(self.params)
+        ranks = np.flatnonzero(self._kept_order == n)
         # Two supports of one order first differ at the earliest step where
         # their digits differ; there a jump comes before no jump, and a lower
         # mark value before a higher one.  Step codes in that order, read as
-        # base-(1+m) numbers with step 1 leading and the order above them,
-        # sort the supports.  Each k-length temporary is dropped once used, so
-        # no (k, T) int64 table is built.
+        # base-(1+m) numbers with step 1 leading, sort the supports.  The key
+        # is summed one step at a time, so no (k, T) int64 table is built.
         step_code = np.concatenate([[params.n_marks], np.argsort(np.argsort(params.marks))])
-        order = np.zeros(ranks.shape, dtype=np.int64)
         key = np.zeros(ranks.shape, dtype=np.int64)
         rest = ranks
         for t in range(params.horizon):
             rest, digit = np.divmod(rest, sp.base)
-            order += digit != 0
             key += (step_code * sp.powers[params.horizon - 1 - t])[digit]
-        del rest, digit
-        key += order * (sp.base * sp.powers[-1])
-        perm = np.argsort(key)
-        del key
-        ranks, order = ranks[perm], order[perm]
-        fact = np.array([float(factorial(n)) for n in range(params.horizon + 1)])
-        return order, sp.digits[ranks], flat[ranks] / fact[order]
-
-    def _points(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Times (1-based), mark indices and values of the order-n entries."""
-        order, digits, values = self._entries
-        lo, hi = np.searchsorted(order, [n, n + 1])
-        block = digits[lo:hi]
-        rows, steps = np.nonzero(block)
-        return (steps + 1).reshape(hi - lo, n), block[rows, steps].reshape(hi - lo, n) - 1, values[lo:hi]
+        ranks = ranks[np.argsort(key)]
+        block = self._blocks[n] = (ranks, self.tensor.reshape(-1, order="F")[ranks] / float(factorial(n)))
+        return block
 
     def kernel(self, n: int) -> Kernel:
         if not 1 <= n <= self.params.horizon:
             return {}
         params = self.params
-        times, kidx, values = self._points(n)
+        ranks, values = self._block(n)
+        digits = space(params).digits[ranks]
+        rows, steps = np.nonzero(digits)
+        times = steps.reshape(-1, n)
+        kidx = digits[rows, steps].reshape(-1, n) - 1
         # supports share one (time, mark) tuple per point instead of building their own
         points = np.empty((params.horizon, params.n_marks), dtype=object)
         for t, j in np.ndindex(points.shape):
             points[t, j] = (t + 1, params.marks[j])
-        slots = [points[times[:, i] - 1, kidx[:, i]].tolist() for i in range(n)]
+        slots = [points[times[:, i], kidx[:, i]].tolist() for i in range(n)]
         return dict(zip(zip(*slots), values.tolist()))
 
     @property
     def orders(self) -> dict[int, Kernel]:
-        return {n: self.kernel(n) for n in _distinct(self._entries[0]).tolist()}
+        return {n: self.kernel(n) for n in self._present()}
 
-    def _row_blocks(self) -> Iterator[tuple[int, list[str], np.ndarray]]:
-        """(order, support labels, kernel values) per non-constant order; a
-        label joins 't:k' points with ';', marks rendered with format 'g'."""
-        names = np.array([[f"{t}:{k:g}" for k in self.params.marks]
-                          for t in range(1, self.params.horizon + 1)], dtype=object)
-        for n in _distinct(self._entries[0]).tolist():
-            times, kidx, values = self._points(n)
-            yield n, list(map(";".join, names[times - 1, kidx].tolist())), values
+    @cached_property
+    def _label_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(B^s, low, high) with s = T // 2, which label the support of rank
+        r in two parts: ``low[r % B^s]`` its points on steps 1..s and
+        ``high[j, r // B^s]`` those on steps s+1..T, led by the ';' that
+        joins them to a non-empty low part when j = 1.  A label joins 't:k'
+        points with ';', marks rendered with format 'g'."""
+        params = self.params
+        split = params.horizon // 2
+
+        def labels(steps: range) -> list[str]:
+            # index sum_i d_i B^i over the steps, the first one least significant
+            out = [""]
+            for t in steps:
+                points = [f"{t}:{k:g}" for k in params.marks]
+                out = out + [f"{prev};{point}" if prev else point for point in points for prev in out]
+            return out
+
+        high = labels(range(split + 1, params.horizon + 1))
+        return (space(params).base ** split, np.array(labels(range(1, split + 1)), dtype=object),
+                np.array([high, [f";{label}" if label else "" for label in high]], dtype=object))
+
+    def _label_cells(self, n: int) -> tuple[list[str], list[str], np.ndarray]:
+        """(low parts, high parts, kernel values) of the order-n rows: a
+        row's support label is its low part followed by its high part."""
+        ranks, values = self._block(n)
+        size, low_table, high_table = self._label_tables
+        high, low = np.divmod(ranks, size)
+        return low_table[low].tolist(), high_table[(low > 0).astype(np.intp), high].tolist(), values
 
     def rows(self) -> list[tuple[int, str, float]]:
         """(order, support label, kernel value), the constant first."""
         out = [(0, "", self.f0)]
-        for n, labels, values in self._row_blocks():
-            out += [(n, label, v) for label, v in zip(labels, values.tolist())]
+        for n in self._present():
+            lows, highs, values = self._label_cells(n)
+            out += [(n, label, v) for label, v in zip(map(operator.add, lows, highs), values.tolist())]
         return out
 
+    def csv_pieces(self) -> Iterator[str]:
+        """The CSV text (order, support, value), values at 17 significant
+        digits, as a header piece and then one piece per order."""
+        yield f"order,support,value\n0,,{_text17(np.array([self.f0]))[0]}\n"
+        for n in self._present():
+            lows, highs, values = self._label_cells(n)
+            cells = [""] * (3 * len(lows))
+            cells[::3], cells[1::3], cells[2::3] = lows, highs, _text17(values)
+            yield "".join([f"{n},%s%s,%s\n"] * len(lows)) % tuple(cells)
+
     def csv_text(self) -> str:
-        """CSV rows (order, support, value), values at 17 significant digits."""
-        texts = _text17(np.concatenate([[self.f0], self._entries[2]]))
-        pieces = ["order,support,value", f"0,,{texts[0]}"]
-        start = 1
-        for n, labels, _ in self._row_blocks():
-            cells = [""] * (2 * len(labels))
-            cells[::2] = labels
-            cells[1::2] = texts[start:start + len(labels)]
-            start += len(labels)
-            pieces.append("\n".join([f"{n},%s,%s"] * len(labels)) % tuple(cells))
-        return "\n".join(pieces) + "\n"
+        return "".join(self.csv_pieces())
 
     def export_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.csv_text())
+            fh.writelines(self.csv_pieces())
 
 
 # -- tensor transform ------------------------------------------------------------

@@ -195,7 +195,7 @@ def cmd_decompose(args) -> int:
     F = _named_functional(params, args.functional)
     coeffs = stroock_decompose(F)
     if args.format == "csv":
-        _write(args, [coeffs.csv_text()])
+        _write(args, coeffs.csv_pieces())
         return 0
     _emit(args, {
         "functional": args.functional,

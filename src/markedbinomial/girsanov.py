@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import Kernel, build_basis, convert_order1_z_to_r
 from .chaos import doleans_exponential
-from .space import ModelParams, PathFunctional, space
+from .space import ModelParams, PathFunctional, space, step_weights
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,14 @@ def girsanov_drift(params: ModelParams, target: TargetMeasure) -> Kernel:
 
 
 def girsanov_density(params: ModelParams, target: TargetMeasure, t: int | None = None) -> PathFunctional:
-    """dP~/dP restricted to F_t as an exact table (log-space product)."""
+    """dP~/dP restricted to F_t, t in 0..T, as an exact table (log-space
+    product); L_0 = 1 on the trivial F_0.  Only the target's one-step
+    weights are read, so no sample space of the target law is built."""
     t = params.horizon if t is None else t
+    if not 0 <= t <= params.horizon:
+        raise ValueError(f"time {t} out of range 0..{params.horizon}")
     sp = space(params)
-    sp.check_time(t)
-    tgt = target.as_params(params)
-    log_ratio = np.log(space(tgt).step_weights) - sp.log_step_weights
+    log_ratio = np.log(step_weights(target.as_params(params))) - sp.log_step_weights
     vals = np.exp(log_ratio[sp.digits[:, :t]].sum(axis=1))
     return PathFunctional(params, values=vals)
 

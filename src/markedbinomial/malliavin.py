@@ -56,7 +56,10 @@ class ProcessTable:
     """Exact process u(omega, (t,k)): array of shape (n_configs, T, m).
 
     Tables this module allocates are step-major in memory (see
-    ``_step_major``); a table handed to the constructor is kept as is.
+    ``_step_major``); a table handed to the constructor is kept as is,
+    never converted, since a copy of a whole table costs T * m tables of
+    memory.  The one-step operators read any layout: :func:`divergence`
+    stages one step of a table that is not step-major at a time.
     """
 
     params: ModelParams
@@ -246,14 +249,26 @@ def divergence(u: ProcessTable) -> PathFunctional:
 
     For predictable u it reduces to sum u(.,(t,k)) dR_(t,k) (checked by
     enumeration in the tests).
+
+    Reads u one step at a time.  On a table that is not step-major (the
+    rows of ``values[:, t-1, :]`` are not adjacent floats, as in a C-order
+    (n, T, m) array) each step is first copied into one reused step-major
+    (n, m) buffer, so the sums run on the same layout, and give the same
+    bits, as on a step-major table; the whole table is never copied.
     """
     params = u.params
     sp = space(params)
     # configuration omega sends p(omega) u(omega, (t,k^j)) w_d r_j(d) to omega with digit t := d
     spread = (sp.step_weights[:, None] * r_step_values(params)).T
     scatter = np.zeros(sp.n)
+    values = u.values
+    stage = None if values.strides[0] == values.itemsize else np.empty((params.n_marks, sp.n)).T
     for t in range(1, params.horizon + 1):
-        step_u = sp.step_view(u.values, t)[..., t - 1, :]
+        step = values[:, t - 1, :]
+        if stage is not None:
+            np.copyto(stage, step)
+            step = stage
+        step_u = sp.step_view(step, t)
         step_p = sp.step_view(sp.probabilities, t)[..., None]
         # sum over digit t in digit order: the same rounding on every memory layout of u
         mass = step_p[:, 0] * step_u[:, 0]

@@ -180,6 +180,13 @@ def _text17(values: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
+def step_weights(params: ModelParams) -> np.ndarray:
+    """One-step law (1 - lambda, lambda Q_1, ..., lambda Q_m) of digits 0..m.
+    The one expression every table of step weights comes from, so a law's
+    weights have the same bits whether or not its sample space is built."""
+    return np.concatenate([[1.0 - params.jump_prob], params.jump_prob * np.asarray(params.mark_probs)])
+
+
 def rank_of_digits(digits: Sequence[int], n_marks: int) -> int:
     base = 1 + n_marks
     rank = 0
@@ -223,9 +230,7 @@ class SampleSpace:
         self.digits = np.empty((count, T), dtype=np.int8)
         for t in range(T):  # digit t + 1 of rank (a * B + d) * B^t + c is d
             self.digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
-        self.step_weights = np.concatenate(
-            [[1.0 - params.jump_prob], params.jump_prob * np.asarray(params.mark_probs)]
-        )
+        self.step_weights = step_weights(params)
         self.log_step_weights = np.log(self.step_weights)
         self.probabilities = np.empty(count)
         for s in range(0, count, PROBABILITY_BLOCK):
@@ -406,10 +411,7 @@ def rng_stream(params: ModelParams, stream_index: int = 0) -> np.random.Generato
 def sample_digits(params: ModelParams, n_paths: int, stream: int | np.random.Generator = 0) -> np.ndarray:
     """Draw n_paths digit vectors (shape (n_paths, T)) from the model."""
     rng = stream if isinstance(stream, np.random.Generator) else rng_stream(params, stream)
-    weights = np.concatenate(
-        [[1.0 - params.jump_prob], params.jump_prob * np.asarray(params.mark_probs)]
-    )
-    return rng.choice(params.n_marks + 1, size=(n_paths, params.horizon), p=weights).astype(np.int8)
+    return rng.choice(params.n_marks + 1, size=(n_paths, params.horizon), p=step_weights(params)).astype(np.int8)
 
 
 def sample_path(params: ModelParams, stream: int | np.random.Generator = 0) -> Configuration:

@@ -254,20 +254,20 @@ def test_rows_sort_by_order_then_time_mark_pairs(rng):
     assert rows == sorted(rows, key=key)
 
 
-def test_entries_allocate_no_n_by_t_int64_table():
-    """At T=11 the sort key is built from the kept ranks one step at a
-    time: the traced peak stays below one (n, T) int64 table."""
+def test_order_blocks_allocate_no_n_by_t_int64_table():
+    """At T=11 each order's sort key is built from its kept ranks one step
+    at a time: reading out every order stays below one (n, T) int64 table."""
     params = ModelParams(11, (1.0, -1.0), 0.4, (0.5, 0.5))
     sp = space(params)
     coeffs = stroock_decompose(PathFunctional(params, values=np.random.default_rng(3).normal(size=sp.n)))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        order, _, _ = coeffs._entries
+        sizes = [coeffs._block(n)[0].size for n in range(1, params.horizon + 1)]
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert order.size == sp.n - 1
+    assert sum(sizes) == sp.n - 1
     assert peak < sp.n * params.horizon * np.dtype(np.int64).itemsize
 
 
@@ -295,6 +295,86 @@ def test_csv_text_matches_the_per_element_rendering(f0, fill):
     flat[0] = f0
     coeffs = ChaosCoefficients.from_tensor(params, flat.reshape((4,) * 4, order="F"))
     assert coeffs.csv_text() == _reference_csv(coeffs)
+
+
+
+def _sorted_rows(params, tensor):
+    """Sort-everything reference read-out: (order, support, kernel value)
+    of every retained non-constant coefficient, supports built point by
+    point from the digits and every row sorted by (order, support)."""
+    sp = space(params)
+    flat = tensor.reshape(-1, order="F")
+    tol = 1e-13 * max(1e-300, float(np.max(np.abs(flat))))
+    rows = []
+    for rank in range(1, sp.n):
+        if abs(flat[rank]) > tol:
+            support = tuple((t + 1, params.marks[d - 1]) for t, d in enumerate(sp.digits[rank].tolist()) if d)
+            rows.append((len(support), support, float(flat[rank]) / factorial(len(support))))
+    return sorted(rows, key=lambda row: row[:2])
+
+
+def _label(support) -> str:
+    return ";".join(f"{t}:{k:g}" for t, k in support)
+
+
+_READOUT_LAWS = [
+    ((-2.5, 0.5, 1e-7), (0.2, 0.5, 0.3), 0.35),
+    ((1e-7, -2.5, 3.0, 0.5), (0.1, 0.2, 0.3, 0.4), 0.45),
+]
+
+
+def _dense_tensor(params, seed):
+    """Random coefficients, some of them dust below the read-out threshold."""
+    flat = np.random.default_rng(seed).normal(size=params.n_configurations)
+    flat[3::7] *= 1e-15
+    return flat.reshape((params.n_marks + 1,) * params.horizon, order="F")
+
+
+@pytest.mark.parametrize("law", range(len(_READOUT_LAWS)))
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5])
+def test_kernel_of_fresh_coefficients_matches_a_sort_everything_reference(law, horizon):
+    """Each order read first on fresh coefficients (so no other order's
+    block exists yet) gives the reference's items in the reference's order."""
+    marks, Q, lam = _READOUT_LAWS[law]
+    params = ModelParams(horizon, marks, lam, Q)
+    tensor = _dense_tensor(params, 10 * law + horizon)
+    reference = _sorted_rows(params, tensor)
+    for n in range(1, horizon + 1):
+        kernel = ChaosCoefficients.from_tensor(params, tensor).kernel(n)
+        assert list(kernel.items()) == [(support, v) for order, support, v in reference if order == n]
+    orders = ChaosCoefficients.from_tensor(params, tensor).orders
+    assert list(orders) == sorted({order for order, _, _ in reference})
+
+
+@pytest.mark.parametrize("law", range(len(_READOUT_LAWS)))
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_and_decompose_match_the_per_element_rendering(law, horizon, fmt, monkeypatch, capsys):
+    """`rows()` and `mbp decompose` on a dense random functional equal the
+    reference rows with each label joined and each value formatted on its
+    own, for negative, non-integer and tiny marks; at T=1 the low label
+    table holds only the empty label."""
+    from markedbinomial import cli
+    from markedbinomial.cli import dumps17, main
+
+    marks, Q, lam = _READOUT_LAWS[law]
+    params = ModelParams(horizon, marks, lam, Q)
+    F = PathFunctional(params, values=np.random.default_rng(10 * law + horizon).normal(size=params.n_configurations))
+    coeffs = stroock_decompose(F)
+    rows = [(0, "", coeffs.f0)] + [(n, _label(support), v) for n, support, v in _sorted_rows(params, coeffs.tensor)]
+    assert coeffs.rows() == rows
+    monkeypatch.setattr(cli, "_named_functional", lambda p, name: F)
+    argv = ["decompose", "--T", str(horizon), "--marks=" + ",".join(map(repr, marks)), "--lambda", repr(lam),
+            "--Q", ",".join(map(repr, Q)), "--functional", "dense", "--format", fmt, "--no-timestamp"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out == "order,support,value\n" + "".join(f"{n},{label},{v:.17g}\n" for n, label, v in rows)
+    else:
+        payload = {"functional": "dense", "mean": coeffs.f0,
+                   "coefficients": [{"order": n, "support": label, "value": v} for n, label, v in rows[1:]],
+                   "seed": 0}
+        assert out == dumps17(payload) + "\n"
 
 
 def _tensordot_per_step(params, table, matrix):

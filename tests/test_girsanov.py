@@ -120,3 +120,46 @@ def test_log_space_long_horizon():
     target_probs = space(target.as_params(params)).probabilities
     rel = np.abs(dens * sp.probabilities - target_probs) / target_probs
     assert np.max(rel) <= 1e-12
+
+
+def test_density_at_time_zero_is_one_and_other_times_are_checked(cti, tilted):
+    """L_0 = 1 on the trivial F_0; times outside 0..T are refused."""
+    assert np.array_equal(girsanov_density(cti, tilted, 0).table(), np.ones(cti.n_configurations))
+    for t in (-1, cti.horizon + 1):
+        with pytest.raises(ValueError, match=r"out of range 0\.\.3"):
+            girsanov_density(cti, tilted, t)
+
+
+_TARGETS = [
+    TargetMeasure(0.5, (0.75, 0.25)),
+    TargetMeasure(0.4, (0.5, 0.5)),
+    TargetMeasure(0.05, (0.01, 0.99)),
+    TargetMeasure(0.95, (0.6, 0.4)),
+    TargetMeasure(1.0 / 3.0, (2.0 / 3.0, 1.0 / 3.0)),
+]
+
+
+def test_density_builds_no_target_space_and_keeps_its_bits(monkeypatch):
+    """The density reads the target's one-step weights without building its
+    sample space, and equals, bit for bit, the formula read off that space."""
+    from markedbinomial.space import SampleSpace
+
+    # a seed no other test uses, so no target space of this model is cached
+    params = ModelParams(horizon=6, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5), rng_seed=916)
+    sp = space(params)
+    built = []
+    init = SampleSpace.__init__
+
+    def spy(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(SampleSpace, "__init__", spy)
+    for target in _TARGETS:
+        densities = [girsanov_density(params, target, t).table() for t in range(params.horizon + 1)]
+        assert built == []
+        tgt = space(target.as_params(params))
+        log_ratio = np.log(tgt.step_weights) - sp.log_step_weights
+        for t, dens in enumerate(densities):
+            assert np.array_equal(dens, np.exp(log_ratio[sp.digits[:, :t]].sum(axis=1)))
+        built.clear()

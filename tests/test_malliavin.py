@@ -525,6 +525,62 @@ def test_operators_agree_bitwise_on_both_layouts(name, request, rng, monkeypatch
     assert np.array_equal(clark_reconstruct(F).table(), step_major_clark)
 
 
+
+_LAYOUT_LAWS = {
+    1: ((1.5,), (1.0,), 0.3),
+    2: ((1.0, -1.0), (0.5, 0.5), 0.4),
+    3: ((-2.5, 0.5, 3.0), (0.3, 0.3, 0.4), 0.45),
+    4: ((1.0, -2.0, 3.0, 0.5), (0.1, 0.2, 0.3, 0.4), 0.5),
+}
+
+
+@pytest.mark.parametrize("n_marks, horizon",
+                         [(m, T) for m in (1, 2, 3, 4) for T in range(1, 8)] + [(2, 11)])
+def test_divergence_is_bitwise_the_same_on_every_layout(n_marks, horizon):
+    """A C-order table is staged one step at a time into a step-major
+    buffer, and a Fortran-order table is read in place: both give the bits
+    of the step-major table."""
+    from markedbinomial.malliavin import _step_major
+
+    marks, Q, lam = _LAYOUT_LAWS[n_marks]
+    params = ModelParams(horizon, marks, lam, Q)
+    c_order = _c_order(params)
+    c_order[:] = np.random.default_rng(10 * n_marks + horizon).normal(size=c_order.shape)
+    step_major = _step_major(params)
+    step_major[:] = c_order
+    expected = divergence(ProcessTable(params, step_major)).table()
+    for values in (c_order, np.asfortranarray(c_order)):
+        assert np.array_equal(divergence(ProcessTable(params, values)).table(), expected)
+
+
+def test_divergence_stages_at_most_one_step_of_a_c_order_table():
+    """On a C-order table the traced peak of `divergence` exceeds the one on
+    a step-major table by at most one (n, m) buffer: the whole table is
+    never copied."""
+    import tracemalloc
+
+    from markedbinomial.malliavin import _step_major
+
+    params = ModelParams(9, (1.0, -1.0), 0.4, (0.5, 0.5))
+    c_order = _c_order(params)
+    c_order[:] = np.random.default_rng(9).normal(size=c_order.shape)
+    step_major = _step_major(params)
+    step_major[:] = c_order
+    divergence(ProcessTable(params, step_major))  # builds the cached space and step values
+    peaks = []
+    for values in (step_major, c_order):
+        u = ProcessTable(params, values)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            divergence(u)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    buffer = params.n_configurations * params.n_marks * np.dtype(float).itemsize
+    assert peaks[1] <= peaks[0] + buffer + 1024
+
+
 def _mehler_reference(F, tau, n_samples, stream):
     """The Mehler estimator with the new digit chosen by np.where over the
     whole (block, samples, T) draw, as it was written before the table lookup."""
