@@ -264,13 +264,14 @@ HEDGE_ORACLE_MAX_HORIZON = 8
 
 
 def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
-    from .hedging import call_payoff, price_paths
+    from .hedging import _discount, call_payoff, price_paths
     from .space import PathFunctional
 
     if spec.startswith("call:K="):
         return call_payoff(market, float(spec.split("=", 1)[1]))
-    if spec == "discounted_price":
-        return PathFunctional(market.model_params(), values=price_paths(market).discounted_prefixes[-1])
+    if spec == "discounted_price":  # S~_T = S_T / (1+r)^T
+        s_t = price_paths(market).price_prefixes[-1]
+        return PathFunctional(market.model_params(), values=s_t / _discount(market)[-1])
     raise ValueError(f"unknown claim {spec!r} (use call:K=<strike> or discounted_price)")
 
 

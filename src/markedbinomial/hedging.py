@@ -24,14 +24,15 @@ prefix, because the F_t atom of rank omega is omega mod 3^t.  Step t
 reads a prefix as the (3, 3^(t-1)) grid ``prefix.reshape(3, -1)``, whose
 entry [d, c] is digit t = d on the F_{t-1} atom c: a backward step maps
 3^t entries to 3^(t-1), a forward step 3^(t-1) to 3^t.  Results store
-only prefixes; their dense (n, T) tables are built on each access,
-step-major (a (T, n) array seen through ``.T``).
+only the prefixes the recursions read (S, dS~, theta, rho, V, xi, phi,
+alpha); S~, L, dP^/dP and every dense (n, T) table are derived from them
+on each access, the tables step-major (a (T, n) array seen via ``.T``).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -122,19 +123,23 @@ class _DenseTable:
         return list(table.T) if self.columns else table
 
 
+def _discount(market: MarketParams) -> np.ndarray:
+    """(1+r)^t, t = 0..T: the divisors of S~_t = S_t / (1+r)^t."""
+    return (1.0 + market.r) ** np.arange(market.horizon + 1)
+
+
 @dataclass(frozen=True)
 class PricePaths:
-    """Exact prices on the tree, kept on prefixes: S_t and S~_t = S_t / (1+r)^t
-    on the 3^t F_t atoms, dS~_t on its (3, 3^(t-1)) grid."""
+    """Exact prices on the tree, kept on prefixes: S_t on the 3^t F_t atoms,
+    dS~_t on its (3, 3^(t-1)) grid."""
 
     market: MarketParams
     riskless: np.ndarray                         # A_t, shape (T+1,)
     price_prefixes: tuple[np.ndarray, ...]       # S_t, t = 0..T
-    discounted_prefixes: tuple[np.ndarray, ...]  # S~_t, t = 0..T
     increment_prefixes: tuple[np.ndarray, ...]   # dS~_t, t = 1..T
 
     price = _DenseTable("price_prefixes")            # (n, T+1)
-    discounted = _DenseTable("discounted_prefixes")  # (n, T+1)
+    discounted = property(lambda self: self.price / _discount(self.market))  # S~, (n, T+1)
     increments = _DenseTable("increment_prefixes")   # (n, T)
 
 
@@ -151,18 +156,16 @@ def price_paths(market: MarketParams) -> PricePaths:
             f"smallest configuration probability {smallest:.3e} is below the smallest normal float"
         )
     factor_of_digit = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
-    disc = (1.0 + market.r) ** np.arange(market.horizon + 1)
-    prices, discounted, increments = [np.ones(1)], [np.ones(1)], []
+    disc = _discount(market)
+    prices, increments = [np.ones(1)], []
     for t in range(1, market.horizon + 1):
         s_t = np.multiply.outer(factor_of_digit, prices[-1])
-        d_t = s_t / disc[t]
-        increments.append(d_t - discounted[-1])
+        increments.append(s_t / disc[t] - prices[-1] / disc[t - 1])  # S~_t - S~_{t-1}
         prices.append(s_t.ravel())
-        discounted.append(d_t.ravel())
     riskless = market.a0 * disc
-    for arr in (riskless, *prices, *discounted, *increments):
+    for arr in (riskless, *prices, *increments):
         arr.flags.writeable = False
-    return PricePaths(market, riskless, tuple(prices), tuple(discounted), tuple(increments))
+    return PricePaths(market, riskless, tuple(prices), tuple(increments))
 
 
 def martingale_diagnostics(market: MarketParams) -> tuple[float, np.ndarray]:
@@ -197,11 +200,11 @@ class MinimalMartingaleMeasure:
     market: MarketParams
     theta_prefixes: tuple[np.ndarray, ...]    # theta_t on the 3^(t-1) F_{t-1} atoms
     factor_prefixes: tuple[np.ndarray, ...]   # rho_t on its (3, 3^(t-1)) grid
-    density: np.ndarray           # dP^ / dP, shape (n,)
     signed: bool                  # True if the density takes nonpositive values
 
     theta = _DenseTable("theta_prefixes")     # (n, T), predictable
     factors = _DenseTable("factor_prefixes")  # (n, T)
+    density = property(lambda self: np.prod(self.factors, axis=1))  # dP^ / dP, (n,)
 
 
 @lru_cache(maxsize=64)
@@ -210,23 +213,21 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     density prod (1 - theta dS~) / (1 - theta E[dS~ | F_{t-1}]); under it
     discounted prices are a martingale tablewise."""
     weights = space(market.model_params()).step_weights
-    paths = price_paths(market)
     thetas, factors = [], []
-    density = np.ones(1)
-    for t in range(1, market.horizon + 1):
-        inc = paths.increment_prefixes[t - 1]
+    density = np.ones(1)  # formed only to tell whether the measure is signed
+    for inc in price_paths(market).increment_prefixes:
         e1 = _step_mean(weights, inc)
         theta = e1 / _step_mean(weights, inc * inc)
         factor = (1.0 - theta * inc) / (1.0 - theta * e1)
         density = (density * factor).ravel()
         thetas.append(theta)
         factors.append(factor)
-    for arr in (*thetas, *factors, density):
+    for arr in (*thetas, *factors):
         arr.flags.writeable = False
     signed = bool(np.any(density <= 0.0))
     if signed:
         warnings.warn("minimal martingale measure is signed for these parameters")
-    return MinimalMartingaleMeasure(market, tuple(thetas), tuple(factors), density, signed)
+    return MinimalMartingaleMeasure(market, tuple(thetas), tuple(factors), signed)
 
 
 def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
@@ -302,43 +303,47 @@ class KWDecomposition:
     f0: float
     value_prefixes: tuple[np.ndarray, ...]   # V_t = E^[F | F_t] on the 3^t F_t atoms, t = 0..T
     xi_prefixes: tuple[np.ndarray, ...]      # xi_t on the 3^(t-1) F_{t-1} atoms, t = 1..T
-    l_prefixes: tuple[np.ndarray, ...]       # L_t on the 3^t F_t atoms, t = 0..T; L_0 = 0
 
     xi = _DenseTable("xi_prefixes")                    # (n, T), predictable
-    l_process = _DenseTable("l_prefixes")              # (n, T+1)
     value = _DenseTable("value_prefixes", columns=True)  # T+1 tables of shape (n,)
+
+    @property
+    def l_process(self) -> np.ndarray:
+        """(n, T+1): L_t = L_{t-1} + (V_t - V_{t-1}) - xi_t dS~_t on the 3^t F_t atoms, L_0 = 0."""
+        ls, value = [np.zeros(1)], self.value_prefixes
+        increments = price_paths(self.market).increment_prefixes
+        for t, (xi, inc) in enumerate(zip(self.xi_prefixes, increments), start=1):
+            ls.append((ls[-1] + (value[t].reshape(3, -1) - value[t - 1]) - xi * inc).ravel())
+        return _dense(ls, 3 ** self.market.horizon)
 
 
 def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
     """Projection construction through the minimal martingale measure:
     V_t = E^[F | F_t], xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}],
     L_t = V_t - V_0 - sum_{s<=t} xi_s dS~_s."""
-    paths = price_paths(market)
     weights = space(market.model_params()).step_weights
     value = _value_prefixes(market, minimal_martingale_measure(market), F.table())
-    xis, ls = [], [np.zeros(1)]
-    for t in range(1, market.horizon + 1):
-        inc = paths.increment_prefixes[t - 1]
+    xis = []
+    for t, inc in enumerate(price_paths(market).increment_prefixes, start=1):
         dv = value[t].reshape(3, -1) - value[t - 1]
-        xi = _step_mean(weights, dv * inc) / _step_mean(weights, inc * inc)
-        ls.append((ls[-1] + dv - xi * inc).ravel())
-        xis.append(xi)
-    return KWDecomposition(market, float(value[0][0]), tuple(value), tuple(xis), tuple(ls))
+        xis.append(_step_mean(weights, dv * inc) / _step_mean(weights, inc * inc))
+    return KWDecomposition(market, float(value[0][0]), tuple(value), tuple(xis))
 
 
-def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Discounted gain G_T of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1})
-    and the prefixes of phi_t: 3^(t-1) entries for lag 1, 3^t for lag 0."""
-    paths = price_paths(kw.market)
+def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[float, list[np.ndarray]]:
+    """Residual E[(V_T - x - G_T)^2] of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1}),
+    G the discounted gain, and for lag 1 the 3^(t-1)-entry prefixes of phi_t."""
     theta = minimal_martingale_measure(kw.market).theta_prefixes
     gain = np.zeros(1)
     phis = []
-    for t in range(1, kw.market.horizon + 1):
+    for t, inc in enumerate(price_paths(kw.market).increment_prefixes, start=1):
         value = kw.value_prefixes[t - lag].reshape(-1, 3 ** (t - 1))
         phi_t = kw.xi_prefixes[t - 1] + theta[t - 1] * (value - x - gain)
-        gain = (gain + phi_t * paths.increment_prefixes[t - 1]).ravel()
-        phis.append(phi_t.ravel())
-    return gain, phis
+        gain = (gain + phi_t * inc).ravel()
+        if lag:  # the lag-0 variant reports its residual only
+            phis.append(phi_t.ravel())
+    residual = np.subtract(kw.value_prefixes[-1] - x, gain, out=gain)  # V_T is the claim's own table
+    return space(kw.market.model_params()).expectation(residual ** 2), phis
 
 
 def optimal_strategy(market: MarketParams, F: PathFunctional,
@@ -355,10 +360,8 @@ def optimal_strategy(market: MarketParams, F: PathFunctional,
     """
     x = market.initial_capital if x is None else float(x)
     kw = kunita_watanabe(market, F)
-    gain, phi = _forward_gain(kw, x, 1)
-    residual = float(space(market.model_params()).expectation((F.table() - x - gain) ** 2))
-    alpha0 = kw.f0 / float(price_paths(market).price_prefixes[0][0])
-    return Strategy(market, tuple(phi), _self_financed_alpha(market, phi, alpha0)), residual
+    residual, phi = _forward_gain(kw, x, 1)
+    return Strategy(market, tuple(phi), _self_financed_alpha(market, phi, kw.f0)), residual
 
 
 def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
@@ -366,8 +369,7 @@ def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
     """Residual of the variant that conditions the correction term on F_t
     (not predictable; reported for comparison only)."""
     x = market.initial_capital if x is None else float(x)
-    gain, _ = _forward_gain(kunita_watanabe(market, F), x, 0)
-    return float(space(market.model_params()).expectation((F.table() - x - gain) ** 2))
+    return _forward_gain(kunita_watanabe(market, F), x, 0)[0]
 
 
 LS_ORACLE_MAX_HORIZON = 11
@@ -458,9 +460,7 @@ def random_claim(market: MarketParams, rng: np.random.Generator) -> PathFunction
 
 def pgf_ratio_enumerated(market: MarketParams, s: float) -> float:
     """E[s^(S_t / S_{t-1})] by enumeration of one step."""
-    lam, p, q = market.jump_prob, market.up_prob, market.down_prob
-    params = ModelParams(horizon=1, marks=(1.0, -1.0), jump_prob=lam, mark_probs=(p, q))
-    sp = space(params)
+    sp = space(replace(market, horizon=1).model_params())
     ratios = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
     return float(np.dot(sp.probabilities, s ** ratios[sp.digits[:, 0]]))
 

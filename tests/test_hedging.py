@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -196,29 +197,88 @@ def test_minimal_martingale_measure_signed_warns():
 
 def test_cached_measure_cannot_be_corrupted():
     """The cached measure is shared by every later hedge in the process: its
-    prefixes and density refuse writes, and writing into a dense table it
-    returns leaves the next strategy bit-identical."""
+    prefixes refuse writes, and writing into a dense table it returns,
+    the density included, leaves the next strategy bit-identical."""
     market = MarketParams(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7, horizon=4)
     F = call_payoff(market, 1.05)
     before, residual_before = optimal_strategy(market, F, 1.0)
     mmm = minimal_martingale_measure(market)
-    for arr in (*mmm.theta_prefixes, *mmm.factor_prefixes, mmm.density):
+    for arr in (*mmm.theta_prefixes, *mmm.factor_prefixes):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    theta, factors = mmm.theta, mmm.factors
+    theta, factors, density = mmm.theta, mmm.factors, mmm.density
     theta[:] *= 2
     factors[:] *= 1.5
+    density[:] *= 3
     after, residual_after = optimal_strategy(market, F, 1.0)
     assert residual_after == residual_before
     np.testing.assert_array_equal(after.phi, before.phi)
     np.testing.assert_array_equal(after.alpha, before.alpha)
     assert not np.array_equal(mmm.theta, theta)
+    assert not np.array_equal(mmm.density, density)
+
+
+def _assert_derived_views_are_bitwise(market, F):
+    """The views derived on access equal, bit for bit, the recursions that
+    once stored them: dP^/dP is the step-order product of the factor
+    prefixes, S~_t is S_t / (1+r)^t, and L follows its prefix recursion."""
+    n = 3**market.horizon
+    paths, mmm, kw = price_paths(market), minimal_martingale_measure(market), kunita_watanabe(market, F)
+    density = np.ones(1)
+    for factor in mmm.factor_prefixes:
+        density = (density * factor).ravel()
+    np.testing.assert_array_equal(mmm.density, density)
+    assert mmm.signed == bool(np.any(density <= 0.0))
+    disc = (1.0 + market.r) ** np.arange(market.horizon + 1)
+    price, discounted = paths.price, paths.discounted
+    for t in range(market.horizon + 1):
+        np.testing.assert_array_equal(discounted[:, t], price[:, t] / disc[t])
+    ls = [np.zeros(1)]
+    for t in range(1, market.horizon + 1):
+        inc = paths.increment_prefixes[t - 1]
+        dv = kw.value_prefixes[t].reshape(3, -1) - kw.value_prefixes[t - 1]
+        ls.append((ls[-1] + dv - kw.xi_prefixes[t - 1] * inc).ravel())
+    np.testing.assert_array_equal(kw.l_process, _dense(ls, n))
+
+
+@pytest.mark.filterwarnings("ignore:minimal martingale measure is signed")
+@pytest.mark.parametrize("kw", [MARTINGALE, dict(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7),
+                                dict(a=-0.9, b=0.05, r=0.04, jump_prob=0.999, up_prob=0.001)],
+                         ids=["M1", "M3", "signed"])
+@pytest.mark.parametrize("horizon", range(1, 7))
+def test_derived_views_match_the_stored_recursions(kw, horizon, rng):
+    market = mk(horizon=horizon, **kw)
+    _assert_derived_views_are_bitwise(market, call_payoff(market, 1.05))
+    _assert_derived_views_are_bitwise(market, random_claim(market, rng))
+
+
+def test_hedge_peak_memory_stays_below_thirteen_tables():
+    """At T=11 a hedge (claim, both forward recursions and the book-balance
+    check, from cold price and measure caches) peaks below 13 tables of 3^11
+    floats in traced memory; storing S~, L, dP^/dP and the lag-0 phi once
+    took it to about 15.8."""
+    market = MarketParams(horizon=11, **MARTINGALE)
+    n = 3**11
+    space(market.model_params())
+    price_paths.cache_clear()
+    minimal_martingale_measure.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        F = call_payoff(market, 1.05)
+        strategy, _ = optimal_strategy(market, F, 1.0)
+        optimal_strategy_t_conditioning(market, F, 1.0)
+        strategy.self_financing_residual()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * n * np.dtype(float).itemsize
 
 
 def test_measure_is_kept_on_prefixes():
     """At T=11 the cached measure holds no (n, T) table: its prefixes take
     under 4 MB against 31 MB for dense theta and factors, which are built
-    from them on access."""
+    from them on access, as is the density, bit for bit."""
     market = MarketParams(horizon=11, **DRIFTED)
     n = 3**11
     mmm = minimal_martingale_measure(market)
@@ -231,6 +291,8 @@ def test_measure_is_kept_on_prefixes():
     for dense, parts in ((mmm.theta, mmm.theta_prefixes), (mmm.factors, mmm.factor_prefixes)):
         assert dense.shape == (n, 11)
         np.testing.assert_array_equal(dense, _dense(parts, n))
+    assert not any(isinstance(getattr(mmm, f.name), np.ndarray) for f in fields(mmm))
+    _assert_derived_views_are_bitwise(market, call_payoff(market, 1.05))
 
 
 def _stored_arrays(result):
@@ -245,9 +307,10 @@ def _stored_arrays(result):
 
 def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
     """At T=11 price_paths, the optimal strategy and the Kunita-Watanabe
-    decomposition hold no (n, T) table.  Prices and the strategy keep under
-    8 MB of prefixes against 49.6 + 32.6 MB of dense tables; every dense
-    view is built from the prefixes on access."""
+    decomposition hold no (n, T) table and no derived quantity.  Prices and
+    the strategy keep under 6 MB of prefixes against 49.6 + 32.6 MB of
+    dense tables, the decomposition under 3 MB (its V_T is the claim's own
+    table); every dense view is built from the prefixes on access."""
     market = MarketParams(horizon=11, **DRIFTED)
     n = 3**11
     F = call_payoff(market, 1.05)
@@ -255,26 +318,26 @@ def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
     strategy, _ = optimal_strategy(market, F, 1.0)
     kw = kunita_watanabe(market, F)
     for t in range(12):
-        assert paths.price_prefixes[t].shape == paths.discounted_prefixes[t].shape == (3**t,)
-        assert kw.value_prefixes[t].shape == kw.l_prefixes[t].shape == (3**t,)
+        assert paths.price_prefixes[t].shape == kw.value_prefixes[t].shape == (3**t,)
         assert strategy.alpha_prefixes[t].shape == (3 ** max(t - 1, 0),)
     for t in range(1, 12):
         assert paths.increment_prefixes[t - 1].shape == (3, 3 ** (t - 1))
         assert strategy.phi_prefixes[t - 1].shape == kw.xi_prefixes[t - 1].shape == (3 ** (t - 1),)
     for result in (paths, strategy, kw):
         assert all(arr.size <= n for arr in _stored_arrays(result))
-    assert sum(arr.nbytes for result in (paths, strategy) for arr in _stored_arrays(result)) < 8e6
-    assert sum(arr.nbytes for arr in _stored_arrays(kw)) < 8e6
+    assert sum(arr.nbytes for result in (paths, strategy) for arr in _stored_arrays(result)) < 6e6
+    assert sum(arr.nbytes for arr in _stored_arrays(kw)) < 3e6
     for arr in _stored_arrays(paths):  # cached and shared by every later hedge
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    views = ((paths.price, paths.price_prefixes), (paths.discounted, paths.discounted_prefixes),
-             (paths.increments, paths.increment_prefixes), (strategy.phi, strategy.phi_prefixes),
-             (strategy.alpha, strategy.alpha_prefixes), (kw.xi, kw.xi_prefixes),
-             (kw.l_process, kw.l_prefixes), (np.stack(kw.value, axis=1), kw.value_prefixes))
+    views = ((paths.price, paths.price_prefixes), (paths.increments, paths.increment_prefixes),
+             (strategy.phi, strategy.phi_prefixes), (strategy.alpha, strategy.alpha_prefixes),
+             (kw.xi, kw.xi_prefixes), (np.stack(kw.value, axis=1), kw.value_prefixes))
     for dense, parts in views:
         assert dense.shape == (n, len(parts))
         np.testing.assert_array_equal(dense, _dense(parts, n))
+    assert paths.discounted.shape == kw.l_process.shape == (n, 12)
+    _assert_derived_views_are_bitwise(market, F)
 
 
 def test_kunita_watanabe_attainable_claim():
