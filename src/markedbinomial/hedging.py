@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -108,19 +108,13 @@ def _dense(prefixes: tuple[np.ndarray, ...], n: int) -> np.ndarray:
     return table.T
 
 
-class _DenseTable:
-    """A dense view of a tuple of prefixes, built afresh with ``_dense`` on
-    each access: the (n, T) or (n, T+1) step-major table, or with
-    ``columns`` the list of its (n,) columns."""
-
-    def __init__(self, prefixes: str, columns: bool = False):
-        self.prefixes, self.columns = prefixes, columns
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        table = _dense(getattr(obj, self.prefixes), 3 ** obj.market.horizon)
-        return list(table.T) if self.columns else table
+def _dense_view(prefixes: str, columns: bool = False) -> property:
+    """A property that builds, with ``_dense`` on each access, the step-major table
+    of the named prefixes, (n, T) or (n, T+1), or with ``columns`` its (n,) columns."""
+    def view(self):
+        table = _dense(getattr(self, prefixes), 3 ** self.market.horizon)
+        return list(table.T) if columns else table
+    return property(view)
 
 
 def _discount(market: MarketParams) -> np.ndarray:
@@ -138,9 +132,13 @@ class PricePaths:
     price_prefixes: tuple[np.ndarray, ...]       # S_t, t = 0..T
     increment_prefixes: tuple[np.ndarray, ...]   # dS~_t, t = 1..T
 
-    price = _DenseTable("price_prefixes")            # (n, T+1)
-    discounted = property(lambda self: self.price / _discount(self.market))  # S~, (n, T+1)
-    increments = _DenseTable("increment_prefixes")   # (n, T)
+    price = _dense_view("price_prefixes")            # (n, T+1)
+    increments = _dense_view("increment_prefixes")   # (n, T)
+
+    @property
+    def discounted(self) -> np.ndarray:  # S~, (n, T+1): a fresh price table divided in place
+        table = self.price
+        return np.divide(table, _discount(self.market), out=table)
 
 
 @lru_cache(maxsize=64)
@@ -200,11 +198,14 @@ class MinimalMartingaleMeasure:
     market: MarketParams
     theta_prefixes: tuple[np.ndarray, ...]    # theta_t on the 3^(t-1) F_{t-1} atoms
     factor_prefixes: tuple[np.ndarray, ...]   # rho_t on its (3, 3^(t-1)) grid
-    signed: bool                  # True if the density takes nonpositive values
 
-    theta = _DenseTable("theta_prefixes")     # (n, T), predictable
-    factors = _DenseTable("factor_prefixes")  # (n, T)
-    density = property(lambda self: np.prod(self.factors, axis=1))  # dP^ / dP, (n,)
+    theta = _dense_view("theta_prefixes")     # (n, T), predictable
+    factors = _dense_view("factor_prefixes")  # (n, T)
+    signed = property(lambda self: bool(np.any(self.density <= 0.0)))  # True for a signed measure
+
+    @property
+    def density(self) -> np.ndarray:  # dP^ / dP, (n,): the factors multiplied in step order
+        return reduce(lambda d, f: (d * f).ravel(), self.factor_prefixes, np.ones(1))
 
 
 @lru_cache(maxsize=64)
@@ -214,20 +215,17 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     discounted prices are a martingale tablewise."""
     weights = space(market.model_params()).step_weights
     thetas, factors = [], []
-    density = np.ones(1)  # formed only to tell whether the measure is signed
     for inc in price_paths(market).increment_prefixes:
         e1 = _step_mean(weights, inc)
         theta = e1 / _step_mean(weights, inc * inc)
-        factor = (1.0 - theta * inc) / (1.0 - theta * e1)
-        density = (density * factor).ravel()
         thetas.append(theta)
-        factors.append(factor)
+        factors.append((1.0 - theta * inc) / (1.0 - theta * e1))
     for arr in (*thetas, *factors):
         arr.flags.writeable = False
-    signed = bool(np.any(density <= 0.0))
-    if signed:
+    mmm = MinimalMartingaleMeasure(market, tuple(thetas), tuple(factors))
+    if mmm.signed:
         warnings.warn("minimal martingale measure is signed for these parameters")
-    return MinimalMartingaleMeasure(market, tuple(thetas), tuple(factors), signed)
+    return mmm
 
 
 def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
@@ -260,8 +258,8 @@ class Strategy:
     phi_prefixes: tuple[np.ndarray, ...]     # phi_t, t = 1..T
     alpha_prefixes: tuple[np.ndarray, ...]   # alpha_t, t = 0..T
 
-    phi = _DenseTable("phi_prefixes")        # (n, T)
-    alpha = _DenseTable("alpha_prefixes")    # (n, T+1); alpha[:, 0] constant
+    phi = _dense_view("phi_prefixes")        # (n, T)
+    alpha = _dense_view("alpha_prefixes")    # (n, T+1); alpha[:, 0] constant
 
     def self_financing_residual(self) -> float:
         """Max violation of A_t (alpha_{t+1}-alpha_t) + S_t (phi_{t+1}-phi_t) = 0
@@ -304,8 +302,8 @@ class KWDecomposition:
     value_prefixes: tuple[np.ndarray, ...]   # V_t = E^[F | F_t] on the 3^t F_t atoms, t = 0..T
     xi_prefixes: tuple[np.ndarray, ...]      # xi_t on the 3^(t-1) F_{t-1} atoms, t = 1..T
 
-    xi = _DenseTable("xi_prefixes")                    # (n, T), predictable
-    value = _DenseTable("value_prefixes", columns=True)  # T+1 tables of shape (n,)
+    xi = _dense_view("xi_prefixes")                    # (n, T), predictable
+    value = _dense_view("value_prefixes", columns=True)  # T+1 tables of shape (n,)
 
     @property
     def l_process(self) -> np.ndarray:
@@ -460,7 +458,9 @@ def random_claim(market: MarketParams, rng: np.random.Generator) -> PathFunction
 
 def pgf_ratio_enumerated(market: MarketParams, s: float) -> float:
     """E[s^(S_t / S_{t-1})] by enumeration of one step."""
-    sp = space(replace(market, horizon=1).model_params())
+    lam, p, q = market.jump_prob, market.up_prob, market.down_prob
+    params = ModelParams(horizon=1, marks=(1.0, -1.0), jump_prob=lam, mark_probs=(p, q))
+    sp = space(params)
     ratios = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
     return float(np.dot(sp.probabilities, s ** ratios[sp.digits[:, 0]]))
 

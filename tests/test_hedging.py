@@ -275,6 +275,25 @@ def test_hedge_peak_memory_stays_below_thirteen_tables():
     assert peak < 13 * n * np.dtype(float).itemsize
 
 
+def test_derived_views_cost_about_their_result():
+    """At T=11 reading dP^/dP peaks below 3 tables of 3^11 floats and S~
+    below 13 (its own 12 columns): the density is a prefix product, not a
+    reduction of the dense (n, T) factors (12 tables), and S~ is divided
+    into a fresh price table, not into a second one (24 tables)."""
+    market = MarketParams(horizon=11, **DRIFTED)
+    table = 3**11 * np.dtype(float).itemsize
+    paths, mmm = price_paths(market), minimal_martingale_measure(market)
+    for view, bound in ((lambda: mmm.density, 3), (lambda: paths.discounted, 13)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            view()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * table
+
+
 def test_measure_is_kept_on_prefixes():
     """At T=11 the cached measure holds no (n, T) table: its prefixes take
     under 4 MB against 31 MB for dense theta and factors, which are built
