@@ -37,7 +37,7 @@ class TargetMeasure:
         object.__setattr__(self, "mark_probs", tuple(float(q) for q in self.mark_probs))
         if not 0.0 < self.jump_prob < 1.0:
             raise ValueError(f"target jump_prob must lie in (0, 1), got {self.jump_prob}")
-        if any(q <= 0.0 for q in self.mark_probs):
+        if not all(q > 0.0 for q in self.mark_probs):  # also refuses NaN, for which q <= 0.0 is False
             raise ValueError(f"target mark probabilities must be positive, got {self.mark_probs}")
         if abs(sum(self.mark_probs) - 1.0) > 1e-12:
             raise ValueError(f"target mark probabilities must sum to 1, got {sum(self.mark_probs)!r}")

@@ -24,15 +24,15 @@ prefix, because the F_t atom of rank omega is omega mod 3^t.  Step t
 reads a prefix as the (3, 3^(t-1)) grid ``prefix.reshape(3, -1)``, whose
 entry [d, c] is digit t = d on the F_{t-1} atom c: a backward step maps
 3^t entries to 3^(t-1), a forward step 3^(t-1) to 3^t.  Results store
-only the prefixes the recursions read (S, dS~, theta, rho, V, xi, phi,
-alpha); S~, L, dP^/dP and every dense (n, T) table are derived from them
-on each access, the tables step-major (a (T, n) array seen via ``.T``).
+only what the recursions solve for (the prefixes of S, dS~, theta, rho,
+V and phi, and alpha_0); xi, alpha, S~, L, dP^/dP and every dense (n, T)
+table are derived on each access, step-major (a (T, n) array seen via ``.T``).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -147,8 +147,7 @@ def price_paths(market: MarketParams) -> PricePaths:
 
     S_t is built step by step, S_t[d, c] = factor(d) S_{t-1}[c], the same
     products in the same order as a cumulative product over the digits."""
-    sp = space(market.model_params())
-    smallest = float(sp.probabilities.min())
+    smallest = float(space(market.model_params()).probabilities.min())
     if smallest < np.finfo(float).tiny:
         raise ValueError(
             f"smallest configuration probability {smallest:.3e} is below the smallest normal float"
@@ -250,16 +249,16 @@ def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure,
 
 @dataclass(frozen=True)
 class Strategy:
-    """Predictable risky quotas phi_t on the 3^(t-1) F_{t-1} atoms and the
-    self-financed riskless quotas alpha_t (alpha_0 one entry, alpha_t for
-    t >= 1 on the F_{t-1} atoms like phi_t)."""
+    """Predictable risky quotas phi_t on the 3^(t-1) F_{t-1} atoms; the
+    self-financed riskless quotas alpha_t are derived from phi and alpha_0."""
 
     market: MarketParams
     phi_prefixes: tuple[np.ndarray, ...]     # phi_t, t = 1..T
-    alpha_prefixes: tuple[np.ndarray, ...]   # alpha_t, t = 0..T
+    alpha0: float                            # the riskless quota held at t = 0
 
     phi = _dense_view("phi_prefixes")        # (n, T)
     alpha = _dense_view("alpha_prefixes")    # (n, T+1); alpha[:, 0] constant
+    alpha_prefixes = property(lambda self: _self_financed_alpha(self.market, self.phi_prefixes, self.alpha0))
 
     def self_financing_residual(self) -> float:
         """Max violation of A_t (alpha_{t+1}-alpha_t) + S_t (phi_{t+1}-phi_t) = 0
@@ -277,7 +276,7 @@ class Strategy:
         return float(np.max(worst))  # np.max, unlike max(), propagates NaN
 
 
-def _self_financed_alpha(market: MarketParams, phi: list[np.ndarray], alpha0: float) -> tuple[np.ndarray, ...]:
+def _self_financed_alpha(market: MarketParams, phi: tuple[np.ndarray, ...], alpha0: float) -> tuple[np.ndarray, ...]:
     """alpha_t = alpha_{t-1} - (phi_t - phi_{t-1}) S_{t-1} / A_{t-1}
     (phi_0 := phi_1), which makes the book-balance identity hold for any a0.
     alpha_t is F_{t-1}-measurable, so step t maps the prefixes of step t-1
@@ -295,37 +294,38 @@ def _self_financed_alpha(market: MarketParams, phi: list[np.ndarray], alpha0: fl
 @dataclass(frozen=True)
 class KWDecomposition:
     """F = F0 + sum_t xi_t dS~_t + L_T with L a martingale orthogonal to
-    the discounted price increments, kept on prefixes."""
+    the discounted price increments, kept on the value prefixes."""
 
     market: MarketParams
     f0: float
     value_prefixes: tuple[np.ndarray, ...]   # V_t = E^[F | F_t] on the 3^t F_t atoms, t = 0..T
-    xi_prefixes: tuple[np.ndarray, ...]      # xi_t on the 3^(t-1) F_{t-1} atoms, t = 1..T
 
     xi = _dense_view("xi_prefixes")                    # (n, T), predictable
     value = _dense_view("value_prefixes", columns=True)  # T+1 tables of shape (n,)
+    xi_prefixes = property(lambda self: tuple(map(self._xi, range(1, self.market.horizon + 1))))
+
+    def _xi(self, t: int) -> np.ndarray:
+        """xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] on the 3^(t-1) F_{t-1} atoms."""
+        weights = space(self.market.model_params()).step_weights
+        inc = price_paths(self.market).increment_prefixes[t - 1]
+        dv = self.value_prefixes[t].reshape(3, -1) - self.value_prefixes[t - 1]
+        return _step_mean(weights, dv * inc) / _step_mean(weights, inc * inc)
 
     @property
     def l_process(self) -> np.ndarray:
         """(n, T+1): L_t = L_{t-1} + (V_t - V_{t-1}) - xi_t dS~_t on the 3^t F_t atoms, L_0 = 0."""
         ls, value = [np.zeros(1)], self.value_prefixes
-        increments = price_paths(self.market).increment_prefixes
-        for t, (xi, inc) in enumerate(zip(self.xi_prefixes, increments), start=1):
-            ls.append((ls[-1] + (value[t].reshape(3, -1) - value[t - 1]) - xi * inc).ravel())
+        for t, inc in enumerate(price_paths(self.market).increment_prefixes, start=1):
+            ls.append((ls[-1] + (value[t].reshape(3, -1) - value[t - 1]) - self._xi(t) * inc).ravel())
         return _dense(ls, 3 ** self.market.horizon)
 
 
 def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
     """Projection construction through the minimal martingale measure:
     V_t = E^[F | F_t], xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}],
-    L_t = V_t - V_0 - sum_{s<=t} xi_s dS~_s."""
-    weights = space(market.model_params()).step_weights
+    L_t = V_t - V_0 - sum_{s<=t} xi_s dS~_s; only V is stored, xi and L are read from it."""
     value = _value_prefixes(market, minimal_martingale_measure(market), F.table())
-    xis = []
-    for t, inc in enumerate(price_paths(market).increment_prefixes, start=1):
-        dv = value[t].reshape(3, -1) - value[t - 1]
-        xis.append(_step_mean(weights, dv * inc) / _step_mean(weights, inc * inc))
-    return KWDecomposition(market, float(value[0][0]), tuple(value), tuple(xis))
+    return KWDecomposition(market, float(value[0][0]), tuple(value))
 
 
 def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[float, list[np.ndarray]]:
@@ -336,7 +336,7 @@ def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[float, list[
     phis = []
     for t, inc in enumerate(price_paths(kw.market).increment_prefixes, start=1):
         value = kw.value_prefixes[t - lag].reshape(-1, 3 ** (t - 1))
-        phi_t = kw.xi_prefixes[t - 1] + theta[t - 1] * (value - x - gain)
+        phi_t = kw._xi(t) + theta[t - 1] * (value - x - gain)  # xi_t lives only in this sum
         gain = (gain + phi_t * inc).ravel()
         if lag:  # the lag-0 variant reports its residual only
             phis.append(phi_t.ravel())
@@ -359,7 +359,7 @@ def optimal_strategy(market: MarketParams, F: PathFunctional,
     x = market.initial_capital if x is None else float(x)
     kw = kunita_watanabe(market, F)
     residual, phi = _forward_gain(kw, x, 1)
-    return Strategy(market, tuple(phi), _self_financed_alpha(market, phi, kw.f0)), residual
+    return Strategy(market, tuple(phi), kw.f0), residual
 
 
 def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
@@ -441,11 +441,13 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
         phi.append(acc)
         gain = (gain + acc * increments[s - 1]).ravel()
     residual = float(sp.expectation((target - gain) ** 2))
-    return Strategy(market, tuple(phi), _self_financed_alpha(market, phi, 0.0)), residual
+    return Strategy(market, tuple(phi), 0.0), residual
 
 
 def call_payoff(market: MarketParams, strike: float) -> PathFunctional:
     """European call (S_T - K)+ as an exact claim table."""
+    if not math.isfinite(strike):
+        raise ValueError(f"strike must be finite, got {strike}")
     s_t = price_paths(market).price_prefixes[-1]
     return PathFunctional(market.model_params(), values=np.maximum(s_t - strike, 0.0))
 
@@ -458,9 +460,7 @@ def random_claim(market: MarketParams, rng: np.random.Generator) -> PathFunction
 
 def pgf_ratio_enumerated(market: MarketParams, s: float) -> float:
     """E[s^(S_t / S_{t-1})] by enumeration of one step."""
-    lam, p, q = market.jump_prob, market.up_prob, market.down_prob
-    params = ModelParams(horizon=1, marks=(1.0, -1.0), jump_prob=lam, mark_probs=(p, q))
-    sp = space(params)
+    sp = space(replace(market, horizon=1).model_params())
     ratios = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
     return float(np.dot(sp.probabilities, s ** ratios[sp.digits[:, 0]]))
 

@@ -22,6 +22,7 @@ Monte Carlo sampling is available.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,11 +71,13 @@ class ModelParams:
             raise ValueError(f"jump_prob must lie in (0, 1), got {self.jump_prob}")
         if len(self.marks) == 0:
             raise ValueError("at least one mark is required")
+        if not all(math.isfinite(k) for k in self.marks):
+            raise ValueError(f"marks must be finite, got {self.marks}")
         if len(set(self.marks)) != len(self.marks):
             raise ValueError(f"marks must be pairwise distinct, got {self.marks}")
         if len(self.mark_probs) != len(self.marks):
             raise ValueError("mark_probs must have one entry per mark")
-        if any(q <= 0.0 for q in self.mark_probs):
+        if not all(q > 0.0 for q in self.mark_probs):  # also refuses NaN, for which q <= 0.0 is False
             raise ValueError(f"every mark probability must be positive, got {self.mark_probs}")
         if abs(sum(self.mark_probs) - 1.0) > 1e-12:
             raise ValueError(f"mark probabilities must sum to 1, got sum {sum(self.mark_probs)!r}")

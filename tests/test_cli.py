@@ -534,12 +534,20 @@ def test_verify_names_a_nan_residual_as_the_worst_offender(monkeypatch, capsys):
     [*HEDGE_T3, "--x", "inf"],
     ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "1e-200", "--p", "0.5", "--T", "3",
      "--claim", "call:K=1.05", "--x", "1.0"],
+    ["decompose", "--T", "3", "--marks", "nan,1", "--lambda", "0.5", "--Q", "0.5,0.5"],
+    ["verify", "--T", "3", "--marks", "1,-1", "--lambda", "0.5", "--Q", "nan,0.5"],
+    ["verify", "--T", "3", "--marks", "inf,1", "--lambda", "0.5", "--Q", "0.5,0.5"],
+    ["girsanov", *CTI_FLAGS, "--lambda-target", "0.4", "--Q-target", "nan,0.5"],
+    [*HEDGE_T3[:-1], "call:K=nan", "--x", "1"],
+    [*HEDGE_T3[:-1], "call:K=-inf", "--x", "1"],
 ], ids=["simulate-out", "headrun-out", "config", "dna-alpha-limit", "dna-target-underflow",
-        "hedge-x-nan", "hedge-x-inf", "hedge-probability-underflow"])
+        "hedge-x-nan", "hedge-x-inf", "hedge-probability-underflow", "decompose-mark-nan", "verify-Q-nan",
+        "verify-mark-inf", "girsanov-Q-target-nan", "hedge-strike-nan", "hedge-strike-minus-inf"])
 def test_failures_exit_2_with_one_error_line(argv, tmp_path, capsys):
-    """Unwritable outputs, unreadable configs, a mark law past the limit and
-    a target whose e^-lam0 underflows are input errors (exit 2), never a
-    traceback or the verify-only exit 1."""
+    """Unwritable outputs, unreadable configs, a mark law past the limit, a
+    target whose e^-lam0 underflows and non-finite marks, mark probabilities
+    or strikes are input errors (exit 2), never a traceback, a silent NaN
+    answer or the verify-only exit 1."""
     code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
     captured = capsys.readouterr()
     assert code == 2

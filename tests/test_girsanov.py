@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,9 @@ def test_target_validation(cti):
         TargetMeasure(0.0, (0.5, 0.5))
     with pytest.raises(ValueError, match="positive"):
         TargetMeasure(0.5, (1.0, 0.0))
+    for mark_probs in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            TargetMeasure(0.5, mark_probs)
     with pytest.raises(ValueError, match="one probability per mark"):
         girsanov_drift(cti, TargetMeasure(0.5, (1.0,)))
 

@@ -17,6 +17,7 @@ from markedbinomial import (
 )
 from markedbinomial.hedging import (
     _dense,
+    _self_financed_alpha,
     mmm_conditional,
     optimal_strategy_t_conditioning,
     pgf_ratio_enumerated,
@@ -55,6 +56,12 @@ def test_params_refuse_non_finite_fields(field, value):
     base[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         MarketParams(**base)
+
+
+@pytest.mark.parametrize("strike", [float("nan"), float("inf"), -float("inf")])
+def test_call_payoff_refuses_a_non_finite_strike(strike):
+    with pytest.raises(ValueError, match="strike must be finite"):
+        call_payoff(mk(), strike)
 
 
 def test_price_paths_refuse_underflowing_probabilities():
@@ -221,9 +228,23 @@ def test_cached_measure_cannot_be_corrupted():
 def _assert_derived_views_are_bitwise(market, F):
     """The views derived on access equal, bit for bit, the recursions that
     once stored them: dP^/dP is the step-order product of the factor
-    prefixes, S~_t is S_t / (1+r)^t, and L follows its prefix recursion."""
+    prefixes, S~_t is S_t / (1+r)^t, xi_t is E[dV dS~ | F_{t-1}] /
+    E[dS~^2 | F_{t-1}] step by step, L follows its prefix recursion, and
+    alpha is the self-financing recursion from alpha_0 = F0."""
     n = 3**market.horizon
     paths, mmm, kw = price_paths(market), minimal_martingale_measure(market), kunita_watanabe(market, F)
+    weights = space(market.model_params()).step_weights
+    xis = []
+    for t, inc in enumerate(paths.increment_prefixes, start=1):
+        dv = kw.value_prefixes[t].reshape(3, -1) - kw.value_prefixes[t - 1]
+        xis.append((weights @ (dv * inc) / weights.sum()) / (weights @ (inc * inc) / weights.sum()))
+    for got, want in zip(kw.xi_prefixes, xis, strict=True):
+        np.testing.assert_array_equal(got, want)
+    strategy, _ = optimal_strategy(market, F, 1.0)
+    assert strategy.alpha0 == kw.f0
+    for got, want in zip(strategy.alpha_prefixes, _self_financed_alpha(market, strategy.phi_prefixes, kw.f0),
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
     density = np.ones(1)
     for factor in mmm.factor_prefixes:
         density = (density * factor).ravel()
@@ -250,13 +271,17 @@ def test_derived_views_match_the_stored_recursions(kw, horizon, rng):
     market = mk(horizon=horizon, **kw)
     _assert_derived_views_are_bitwise(market, call_payoff(market, 1.05))
     _assert_derived_views_are_bitwise(market, random_claim(market, rng))
+    oracle, _ = ls_oracle(market, call_payoff(market, 1.05), 1.0)
+    assert oracle.alpha0 == 0.0
+    for got, want in zip(oracle.alpha_prefixes, _self_financed_alpha(market, oracle.phi_prefixes, 0.0), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
-def test_hedge_peak_memory_stays_below_thirteen_tables():
+def test_hedge_peak_memory_stays_below_eleven_tables():
     """At T=11 a hedge (claim, both forward recursions and the book-balance
-    check, from cold price and measure caches) peaks below 13 tables of 3^11
+    check, from cold price and measure caches) peaks below 11 tables of 3^11
     floats in traced memory; storing S~, L, dP^/dP and the lag-0 phi once
-    took it to about 15.8."""
+    took it to about 15.8, and storing xi and alpha to about 11.35."""
     market = MarketParams(horizon=11, **MARTINGALE)
     n = 3**11
     space(market.model_params())
@@ -272,7 +297,7 @@ def test_hedge_peak_memory_stays_below_thirteen_tables():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 13 * n * np.dtype(float).itemsize
+    assert peak < 11 * n * np.dtype(float).itemsize
 
 
 def test_derived_views_cost_about_their_result():
@@ -326,7 +351,8 @@ def _stored_arrays(result):
 
 def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
     """At T=11 price_paths, the optimal strategy and the Kunita-Watanabe
-    decomposition hold no (n, T) table and no derived quantity.  Prices and
+    decomposition hold no (n, T) table and no derived quantity: the strategy
+    keeps phi and alpha_0, not alpha, the decomposition V, not xi.  Prices and
     the strategy keep under 6 MB of prefixes against 49.6 + 32.6 MB of
     dense tables, the decomposition under 3 MB (its V_T is the claim's own
     table); every dense view is built from the prefixes on access."""
@@ -336,6 +362,8 @@ def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
     paths = price_paths(market)
     strategy, _ = optimal_strategy(market, F, 1.0)
     kw = kunita_watanabe(market, F)
+    assert [f.name for f in fields(strategy)] == ["market", "phi_prefixes", "alpha0"]
+    assert [f.name for f in fields(kw)] == ["market", "f0", "value_prefixes"]
     for t in range(12):
         assert paths.price_prefixes[t].shape == kw.value_prefixes[t].shape == (3**t,)
         assert strategy.alpha_prefixes[t].shape == (3 ** max(t - 1, 0),)

@@ -86,6 +86,19 @@ def test_params_validation():
         ModelParams(3, (1.0, -1.0), 0.5, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("marks", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])
+def test_params_refuse_non_finite_marks(marks):
+    with pytest.raises(ValueError, match="marks must be finite"):
+        ModelParams(3, marks, 0.5, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("mark_probs", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+def test_params_refuse_nan_mark_probabilities(mark_probs):
+    """NaN <= 0 and |NaN - 1| > tol are both False: only a check written as q > 0 refuses NaN."""
+    with pytest.raises(ValueError, match="positive"):
+        ModelParams(3, (1.0, -1.0), 0.5, mark_probs)
+
+
 def test_params_from_file(tmp_path, cti):
     path = tmp_path / "model.cfg"
     path.write_text("# canonical instance\nT = 3\nmarks = 1,-1\nlambda = 0.5\nQ = 0.5,0.5\nseed = 7\n")
