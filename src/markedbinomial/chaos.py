@@ -37,7 +37,7 @@ import os
 import warnings
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import factorial
 
 import numpy as np
@@ -205,13 +205,16 @@ class ChaosCoefficients:
         high, low = np.divmod(ranks, size)
         return low_table[low].tolist(), high_table[(low > 0).astype(np.intp), high].tolist(), values
 
-    def rows(self) -> list[tuple[int, str, float]]:
-        """(order, support label, kernel value), the constant first."""
-        out = [(0, "", self.f0)]
+    def iter_rows(self) -> Iterator[tuple[int, str, float]]:
+        """The rows of :meth:`rows` one at a time, labelled one order at a time."""
+        yield 0, "", self.f0
         for n in self._present():
             lows, highs, values = self._label_cells(n)
-            out += [(n, label, v) for label, v in zip(map(operator.add, lows, highs), values.tolist())]
-        return out
+            yield from zip(repeat(n), map(operator.add, lows, highs), values.tolist())
+
+    def rows(self) -> list[tuple[int, str, float]]:
+        """(order, support label, kernel value), the constant first."""
+        return list(self.iter_rows())
 
     def csv_pieces(self) -> Iterator[str]:
         """The CSV text (order, support, value), values at 17 significant

@@ -71,16 +71,17 @@ def _json17(obj, indent: int = 0) -> Iterator[str]:
         if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
             yield from _floats17(obj, pad)
             return
-        seq = list(obj)
-        if all(isinstance(v, (float, np.floating)) for v in seq):
-            yield from _floats17(np.array(seq, dtype=float), pad)
+        if all(isinstance(v, (float, np.floating)) for v in obj):
+            yield from _floats17(np.array(obj, dtype=float), pad)
             return
+        obj = iter(obj)
+    if isinstance(obj, Iterator):  # a list rendered element by element, so a generator is never held whole
         opener = "[\n"
-        for v in seq:
+        for v in obj:
             yield f"{opener}{pad}  "
             yield from _json17(v, indent + 1)
             opener = ",\n"
-        yield f"\n{pad}]"
+        yield "[]" if opener == "[\n" else f"\n{pad}]"
         return
     if isinstance(obj, bool) or obj is None:
         yield json.dumps(obj)
@@ -200,7 +201,8 @@ def cmd_decompose(args) -> int:
     _emit(args, {
         "functional": args.functional,
         "mean": coeffs.f0,
-        "coefficients": [{"order": n, "support": label, "value": v} for n, label, v in coeffs.rows()[1:]],
+        "coefficients": ({"order": n, "support": label, "value": v}
+                         for n, label, v in itertools.islice(coeffs.iter_rows(), 1, None)),
     })
     return 0
 

@@ -37,7 +37,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .space import ModelParams, PathFunctional, space
+from .space import ModelParams, PathFunctional, probability_table, space, step_weights
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def price_paths(market: MarketParams) -> PricePaths:
 
     S_t is built step by step, S_t[d, c] = factor(d) S_{t-1}[c], the same
     products in the same order as a cumulative product over the digits."""
-    smallest = float(space(market.model_params()).probabilities.min())
+    smallest = float(probability_table(market.model_params()).min())
     if smallest < np.finfo(float).tiny:
         raise ValueError(
             f"smallest configuration probability {smallest:.3e} is below the smallest normal float"
@@ -212,7 +212,7 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     """theta_t = E[dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] and the product
     density prod (1 - theta dS~) / (1 - theta E[dS~ | F_{t-1}]); under it
     discounted prices are a martingale tablewise."""
-    weights = space(market.model_params()).step_weights
+    weights = step_weights(market.model_params())
     thetas, factors = [], []
     for inc in price_paths(market).increment_prefixes:
         e1 = _step_mean(weights, inc)
@@ -231,7 +231,7 @@ def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
                     values: np.ndarray) -> list[np.ndarray]:
     """The prefixes of E^[values | F_t], t = 0..T (3^t entries each), by
     backward induction on the density factors."""
-    weights = space(market.model_params()).step_weights
+    weights = step_weights(market.model_params())
     T = market.horizon
     prefixes = [None] * T + [np.asarray(values, dtype=float)]
     for t in range(T, 0, -1):
@@ -306,7 +306,7 @@ class KWDecomposition:
 
     def _xi(self, t: int) -> np.ndarray:
         """xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] on the 3^(t-1) F_{t-1} atoms."""
-        weights = space(self.market.model_params()).step_weights
+        weights = step_weights(self.market.model_params())
         inc = price_paths(self.market).increment_prefixes[t - 1]
         dv = self.value_prefixes[t].reshape(3, -1) - self.value_prefixes[t - 1]
         return _step_mean(weights, dv * inc) / _step_mean(weights, inc * inc)
@@ -341,7 +341,7 @@ def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[float, list[
         if lag:  # the lag-0 variant reports its residual only
             phis.append(phi_t.ravel())
     residual = np.subtract(kw.value_prefixes[-1] - x, gain, out=gain)  # V_T is the claim's own table
-    return space(kw.market.model_params()).expectation(residual ** 2), phis
+    return float(np.dot(probability_table(kw.market.model_params()), residual ** 2)), phis
 
 
 def optimal_strategy(market: MarketParams, F: PathFunctional,
@@ -398,16 +398,16 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
         raise ValueError(
             f"ls_oracle caps the horizon at {LS_ORACLE_MAX_HORIZON}, got {market.horizon}"
         )
-    sp = space(market.model_params())
+    p = probability_table(market.model_params())
     increments = price_paths(market).increment_prefixes
-    T, base = market.horizon, sp.base
+    T, base = market.horizon, 3
     target = F.table() - x
-    root = np.sqrt(sp.probabilities)
-    columns = np.empty((T, sp.n))  # row s-1 holds X_s
-    diagonal = []                  # E[1_b dS~_s^2] on the F_{s-1} atoms b
+    root = np.sqrt(p)
+    columns = np.empty((T, p.size))  # row s-1 holds X_s
+    diagonal = []                    # E[1_b dS~_s^2] on the F_{s-1} atoms b
     for row, inc in zip(columns, increments):
         row.reshape(-1, inc.size)[:] = inc.ravel()
-        diagonal.append((sp.probabilities * row**2).reshape(-1, inc.shape[1]).sum(axis=0))
+        diagonal.append((p * row**2).reshape(-1, inc.shape[1]).sum(axis=0))
         row *= root
     residual_column = target * root
     floor = (T * np.finfo(float).eps) ** 2
@@ -440,7 +440,7 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
             acc -= (factor[s - 1][t - 1].reshape(-1, ancestors) * phi[t - 1]).ravel()
         phi.append(acc)
         gain = (gain + acc * increments[s - 1]).ravel()
-    residual = float(sp.expectation((target - gain) ** 2))
+    residual = float(np.dot(p, (target - gain) ** 2))
     return Strategy(market, tuple(phi), 0.0), residual
 
 

@@ -33,8 +33,8 @@ import numpy as np
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "MBP_ENUM_CAP"
 
-# Rows per block when the configuration probabilities are summed from the
-# log step weights, so the float gather never spans the whole (n, T) table.
+# Most rows per block when the configuration probabilities are summed from
+# the log step weights, so no float table spans all n rows of the (n, T) table.
 PROBABILITY_BLOCK = 1 << 15
 
 
@@ -64,7 +64,8 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple(float(k) for k in self.marks))
         object.__setattr__(self, "mark_probs", tuple(float(q) for q in self.mark_probs))
-        if int(self.horizon) != self.horizon or self.horizon < 1:
+        # the comparisons first: int() raises its own errors on inf and NaN
+        if not (1 <= self.horizon < math.inf and int(self.horizon) == self.horizon):
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
         object.__setattr__(self, "horizon", int(self.horizon))
         if not 0.0 < self.jump_prob < 1.0:
@@ -190,6 +191,46 @@ def step_weights(params: ModelParams) -> np.ndarray:
     return np.concatenate([[1.0 - params.jump_prob], params.jump_prob * np.asarray(params.mark_probs)])
 
 
+def _refuse_oversized(params: ModelParams) -> None:
+    """Refuse a model past the enumeration cap before any table is allocated."""
+    count, cap = params.n_configurations, enumeration_cap()
+    if count > cap:
+        raise ValueError(
+            f"enumeration too large: {count} configurations exceeds cap {cap} "
+            f"(T={params.horizon}, {params.n_marks} marks); "
+            "only Monte Carlo mode is available"
+        )
+
+
+@lru_cache(maxsize=64)
+def probability_table(params: ModelParams) -> np.ndarray:
+    """Probabilities of all configurations in rank order, shared and read-only.
+
+    Rows are summed in blocks of B^k <= PROBABILITY_BLOCK ranks (B = 1+m):
+    one (B^k, T) table of log step weights serves every block, its first k
+    columns, the low digits, written once, and its other columns, the
+    digits of the block index, set to one constant each per block.  Each
+    row equals the row of the gather ``log(step_weights)[digits]``, so its
+    sum and exp have the same bits, and no digit table is built.
+    """
+    _refuse_oversized(params)
+    T, B, count = params.horizon, params.n_marks + 1, params.n_configurations
+    log_weights = np.log(step_weights(params))
+    k = T
+    while B**k > PROBABILITY_BLOCK:
+        k -= 1
+    rows = B**k
+    logs = np.empty((rows, T))
+    for t in range(k):  # column t holds the log weight of digit t + 1, as the digit table does
+        logs.reshape(rows // B ** (t + 1), B, B**t, T)[..., t] = log_weights[:, None]
+    probabilities = np.empty(count)
+    for block, start in enumerate(range(0, count, rows)):
+        logs[:, k:] = log_weights[list(digits_of_rank(block, T - k, params.n_marks))]
+        np.exp(logs.sum(axis=1), out=probabilities[start:start + rows])
+    probabilities.flags.writeable = False
+    return probabilities
+
+
 def rank_of_digits(digits: Sequence[int], n_marks: int) -> int:
     base = 1 + n_marks
     rank = 0
@@ -217,17 +258,10 @@ class SampleSpace:
     """
 
     def __init__(self, params: ModelParams):
-        count = params.n_configurations
-        cap = enumeration_cap()
-        if count > cap:
-            raise ValueError(
-                f"enumeration too large: {count} configurations exceeds cap {cap} "
-                f"(T={params.horizon}, {params.n_marks} marks); "
-                "only Monte Carlo mode is available"
-            )
+        _refuse_oversized(params)  # a cached probability table skips the builder's own check
         self.params = params
         self.base = params.n_marks + 1
-        self.n = count
+        self.n = count = params.n_configurations
         T, B = params.horizon, self.base
         self.powers = B ** np.arange(T, dtype=np.int64)
         self.digits = np.empty((count, T), dtype=np.int8)
@@ -235,11 +269,8 @@ class SampleSpace:
             self.digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
         self.step_weights = step_weights(params)
         self.log_step_weights = np.log(self.step_weights)
-        self.probabilities = np.empty(count)
-        for s in range(0, count, PROBABILITY_BLOCK):
-            block = self.log_step_weights[self.digits[s:s + PROBABILITY_BLOCK]].sum(axis=1)
-            np.exp(block, out=self.probabilities[s:s + PROBABILITY_BLOCK])
-        for arr in (self.powers, self.digits, self.probabilities, self.step_weights):
+        self.probabilities = probability_table(params)
+        for arr in (self.powers, self.digits, self.step_weights):
             arr.flags.writeable = False
         self._atom_mass: dict[int, np.ndarray] = {}
 

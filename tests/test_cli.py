@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -484,6 +485,77 @@ def test_enumeration_cap_env(tmp_path):
     proc = run_cli(["verify", *CTI_FLAGS, "--no-timestamp"], env=env)
     assert proc.returncode == 2
     assert "enumeration too large" in proc.stderr
+
+
+# Runs a command and reports its peak RSS in KiB as a last stderr line.  A
+# fresh interpreter starts the command, because a child forked from the test
+# process counts that process's pages in its own peak.
+PEAK_RUNNER = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.call(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_with_peak(args, cap=None):
+    """(exit code, peak RSS in MB, stdout, stderr) of one `mbp` process, with
+    the enumeration cap ``cap`` or the default one."""
+    env = {k: v for k, v in os.environ.items() if k != "MBP_ENUM_CAP"} | ({"MBP_ENUM_CAP": cap} if cap else {})
+    proc = subprocess.run([sys.executable, "-c", PEAK_RUNNER, sys.executable, "-m", "markedbinomial.cli", *args],
+                          capture_output=True, text=True, env=env)
+    *err, peak_kib = proc.stderr.splitlines(keepends=True)
+    return proc.returncode, int(peak_kib) / 1024, proc.stdout, "".join(err)
+
+
+@pytest.mark.parametrize("horizon, cap, line", [
+    ("15", None, "error: enumeration too large: 14348907 configurations exceeds cap 10000000 (T=15, 2 marks); "
+                 "only Monte Carlo mode is available\n"),
+    ("3", "10", "error: enumeration too large: 27 configurations exceeds cap 10 (T=3, 2 marks); "
+                "only Monte Carlo mode is available\n"),
+], ids=["default_cap", "env_cap"])
+def test_hedge_refuses_an_oversized_tree_before_building_a_table(horizon, cap, line):
+    """The cap guards the probability table that hedging reads, so the refusal
+    comes before any (n,) table is allocated: a fresh process stays small."""
+    argv = [*HEDGE_T3[:12], horizon, *HEDGE_T3[13:], "--x", "1.0", "--no-timestamp"]
+    code, peak_mb, out, err = _run_with_peak(argv, cap)
+    assert (code, out, err) == (2, "", line)
+    assert peak_mb < 100
+
+
+@pytest.mark.parametrize("horizon", ["3", "9"])
+def test_hedge_builds_no_sample_space(horizon):
+    """Hedging reads the one-step law and the probability table only: a
+    hedge with and without the least-squares cross-check leaves the cache of
+    sample spaces (digit tables and all) empty."""
+    argv = [*HEDGE_T3[:12], horizon, *HEDGE_T3[13:], "--x", "1.0", "--no-timestamp"]
+    code = (
+        "import contextlib, io\n"
+        "from markedbinomial.cli import main\n"
+        "from markedbinomial.space import space\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(space.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_decompose_json_streams_its_rows(tmp_path):
+    """At T=11 (78,731 rows) the JSON payload is emitted row by row, never
+    held as a list of rows and dicts: it peaks within 5 MB of the CSV table
+    (27 MB above it while every row was listed first)."""
+    model = ["decompose", "--T", "11", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5",
+             "--functional", "indicator=76", "--no-timestamp"]  # two jumps of each mark
+    peaks = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"decompose.{fmt}"
+        code, peaks[fmt], _, err = _run_with_peak([*model, "--format", fmt, "--out", str(out)])
+        assert code == 0, err
+    rows = json.loads((tmp_path / "decompose.json").read_text(encoding="utf-8"))["coefficients"]
+    assert len(rows) == len((tmp_path / "decompose.csv").read_text(encoding="utf-8").splitlines()) - 2 == 78_731
+    assert peaks["json"] < peaks["csv"] + 5
 
 
 def test_main_callable_directly(capsys):

@@ -25,8 +25,10 @@ from markedbinomial.space import (
     digits_of_rank,
     export_table_csv,
     mc_expectation,
+    probability_table,
     rank_of_digits,
     sample_digits,
+    step_weights,
 )
 
 
@@ -66,6 +68,37 @@ def test_probabilities_are_summed_block_by_block_without_changing_a_bit(horizon,
     assert sp.n > PROBABILITY_BLOCK
 
 
+def _gathered_probabilities(params: ModelParams) -> np.ndarray:
+    """Reference: the digit table, gathered into log step weights and summed
+    in row blocks of PROBABILITY_BLOCK, as the sample space once did."""
+    count, T, B = params.n_configurations, params.horizon, params.n_marks + 1
+    digits = np.empty((count, T), dtype=np.int8)
+    for t in range(T):
+        digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
+    log_weights = np.log(step_weights(params))
+    probabilities = np.empty(count)
+    for s in range(0, count, PROBABILITY_BLOCK):
+        np.exp(log_weights[digits[s:s + PROBABILITY_BLOCK]].sum(axis=1), out=probabilities[s:s + PROBABILITY_BLOCK])
+    return probabilities
+
+
+@pytest.mark.parametrize("n_marks, horizon", [(m, T) for m in range(1, 7) for T in range(1, 14)
+                                              if (m + 1) ** T <= 3_000_000])
+def test_probability_table_has_the_bits_of_the_digit_gather(n_marks, horizon):
+    """Up to 3^13 configurations, several blocks of B^k rows wherever
+    B^T > PROBABILITY_BLOCK; the sample space holds the same shared table."""
+    q = np.arange(1.0, n_marks + 1.0)
+    params = ModelParams(horizon, tuple(np.linspace(-1.0, 2.0, n_marks)), 0.37, tuple(q / q.sum()))
+    try:
+        table = probability_table(params)
+        assert not table.flags.writeable
+        assert table.tobytes() == _gathered_probabilities(params).tobytes()
+        assert space(params).probabilities is table
+    finally:  # the larger models would otherwise stay in the shared caches for the session
+        space.cache_clear()
+        probability_table.cache_clear()
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("MBP_ENUM_CAP", "100")
     params = ModelParams(horizon=8, marks=(1.0, -1.0), jump_prob=0.5, mark_probs=(0.5, 0.5))
@@ -84,6 +117,9 @@ def test_params_validation():
         ModelParams(3, (1.0, -1.0), 0.5, (0.5, 0.4))
     with pytest.raises(ValueError, match="positive"):
         ModelParams(3, (1.0, -1.0), 0.5, (1.0, 0.0))
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            ModelParams(horizon, (1.0, -1.0), 0.5, (0.5, 0.5))
 
 
 @pytest.mark.parametrize("marks", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])
