@@ -24,9 +24,10 @@ prefix, because the F_t atom of rank omega is omega mod 3^t.  Step t
 reads a prefix as the (3, 3^(t-1)) grid ``prefix.reshape(3, -1)``, whose
 entry [d, c] is digit t = d on the F_{t-1} atom c: a backward step maps
 3^t entries to 3^(t-1), a forward step 3^(t-1) to 3^t.  Results store
-only what the recursions solve for (the prefixes of S, dS~, theta, rho,
-V and phi, and alpha_0); xi, alpha, S~, L, dP^/dP and every dense (n, T)
-table are derived on each access, step-major (a (T, n) array seen via ``.T``).
+only what the recursions solve for (the prefixes of S, dS~, V and phi,
+alpha_0, and the minimal martingale measure's step law); theta, xi, alpha,
+S~, L, dP^/dP and every dense (n, T) table are derived on each access,
+step-major (a (T, n) array seen via ``.T``).
 """
 from __future__ import annotations
 
@@ -191,37 +192,41 @@ def _step_mean(weights: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimalMartingaleMeasure:
-    """Exact minimal-martingale reweighting of the tree, kept on prefixes;
-    the cached measure is shared, so its arrays are read-only."""
+    """The exact minimal martingale measure: the mean-variance tradeoff is
+    deterministic, so P^ is a product of one step law w^ = w rho and
+    theta_t = c / S~_{t-1} (Schweizer 1995); the cached step law is read-only."""
 
     market: MarketParams
-    theta_prefixes: tuple[np.ndarray, ...]    # theta_t on the 3^(t-1) F_{t-1} atoms
-    factor_prefixes: tuple[np.ndarray, ...]   # rho_t on its (3, 3^(t-1)) grid
+    step_law: np.ndarray   # w^ of digits 0..2, shape (3,); signed when an entry is <= 0
+    c: float               # theta_1
 
-    theta = _dense_view("theta_prefixes")     # (n, T), predictable
-    factors = _dense_view("factor_prefixes")  # (n, T)
-    signed = property(lambda self: bool(np.any(self.density <= 0.0)))  # True for a signed measure
+    theta = _dense_view("theta_prefixes")  # (n, T), predictable
+    theta_prefixes = property(lambda self: tuple(map(self._theta, range(1, self.market.horizon + 1))))
+    signed = property(lambda self: bool(np.any(self.step_law <= 0.0)))  # True for a signed measure
+
+    def _theta(self, t: int) -> np.ndarray:
+        """theta_t = c / S~_{t-1} on the 3^(t-1) F_{t-1} atoms."""
+        price = price_paths(self.market).price_prefixes[t - 1]
+        return self.c / (price / _discount(self.market)[t - 1])
 
     @property
-    def density(self) -> np.ndarray:  # dP^ / dP, (n,): the factors multiplied in step order
-        return reduce(lambda d, f: (d * f).ravel(), self.factor_prefixes, np.ones(1))
+    def density(self) -> np.ndarray:  # dP^ / dP, (n,): rho = w^ / w multiplied in step order
+        rho = self.step_law / step_weights(self.market.model_params())
+        return reduce(lambda d, _: np.multiply.outer(rho, d).ravel(), range(self.market.horizon), np.ones(1))
 
 
 @lru_cache(maxsize=64)
 def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure:
-    """theta_t = E[dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] and the product
-    density prod (1 - theta dS~) / (1 - theta E[dS~ | F_{t-1}]); under it
+    """c = theta_1 = E[dS~_1] / E[(dS~_1)^2] and the step law w^ = w rho,
+    rho = (1 - c dS~_1) / (1 - c E[dS~_1]); under the product of w^
     discounted prices are a martingale tablewise."""
     weights = step_weights(market.model_params())
-    thetas, factors = [], []
-    for inc in price_paths(market).increment_prefixes:
-        e1 = _step_mean(weights, inc)
-        theta = e1 / _step_mean(weights, inc * inc)
-        thetas.append(theta)
-        factors.append((1.0 - theta * inc) / (1.0 - theta * e1))
-    for arr in (*thetas, *factors):
-        arr.flags.writeable = False
-    mmm = MinimalMartingaleMeasure(market, tuple(thetas), tuple(factors))
+    inc = price_paths(market).increment_prefixes[0]
+    e1 = _step_mean(weights, inc)
+    c = e1 / _step_mean(weights, inc * inc)
+    step_law = weights * ((1.0 - c * inc) / (1.0 - c * e1)).ravel()
+    step_law.flags.writeable = False
+    mmm = MinimalMartingaleMeasure(market, step_law, float(c[0]))
     if mmm.signed:
         warnings.warn("minimal martingale measure is signed for these parameters")
     return mmm
@@ -230,20 +235,18 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
 def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
                     values: np.ndarray) -> list[np.ndarray]:
     """The prefixes of E^[values | F_t], t = 0..T (3^t entries each), by
-    backward induction on the density factors."""
-    weights = step_weights(market.model_params())
+    backward induction on the step law."""
     T = market.horizon
     prefixes = [None] * T + [np.asarray(values, dtype=float)]
     for t in range(T, 0, -1):
-        weighted = mmm.factor_prefixes[t - 1] * prefixes[t].reshape(3, -1)
-        prefixes[t - 1] = _step_mean(weights, weighted)
+        prefixes[t - 1] = _step_mean(mmm.step_law, prefixes[t].reshape(3, -1))
     return prefixes
 
 
 def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure,
                     values: np.ndarray) -> list[np.ndarray]:
-    """E^[values | F_t] for t = 0..T by backward induction on the density
-    factors (exact, works for signed measures)."""
+    """E^[values | F_t] for t = 0..T by backward induction on the step law
+    (exact, works for signed measures)."""
     return list(_dense(_value_prefixes(market, mmm, values), np.size(values)).T)
 
 
@@ -331,12 +334,12 @@ def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
 def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[float, list[np.ndarray]]:
     """Residual E[(V_T - x - G_T)^2] of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1}),
     G the discounted gain, and for lag 1 the 3^(t-1)-entry prefixes of phi_t."""
-    theta = minimal_martingale_measure(kw.market).theta_prefixes
+    mmm = minimal_martingale_measure(kw.market)
     gain = np.zeros(1)
     phis = []
     for t, inc in enumerate(price_paths(kw.market).increment_prefixes, start=1):
         value = kw.value_prefixes[t - lag].reshape(-1, 3 ** (t - 1))
-        phi_t = kw._xi(t) + theta[t - 1] * (value - x - gain)  # xi_t lives only in this sum
+        phi_t = kw._xi(t) + mmm._theta(t) * (value - x - gain)  # xi_t lives only in this sum
         gain = (gain + phi_t * inc).ravel()
         if lag:  # the lag-0 variant reports its residual only
             phis.append(phi_t.ravel())

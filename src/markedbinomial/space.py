@@ -429,11 +429,12 @@ def enumerate_configurations(params: ModelParams) -> list[Configuration]:
 
 
 def config_probability(params: ModelParams, config: Configuration) -> float:
-    """Product over steps of (1 - lambda) or lambda * Q(mark)."""
+    """Product over steps of (1 - lambda) or lambda * Q(mark), as the exp of
+    the summed log step weights, the bits of the configuration's entry in
+    ``SampleSpace.probabilities``; no sample space is built."""
     if config.params != params:
         raise ValueError("configuration belongs to different params")
-    sp = space(params)
-    return float(np.exp(sp.log_step_weights[np.asarray(config.digits)].sum()))
+    return float(np.exp(np.log(step_weights(params))[np.asarray(config.digits)].sum()))
 
 
 def rng_stream(params: ModelParams, stream_index: int = 0) -> np.random.Generator:

@@ -163,7 +163,7 @@ def test_returned_tables_are_step_major(rng):
     kw = kunita_watanabe(market, F)
     strategy, _ = optimal_strategy(market, F, 1.0)
     oracle, _ = ls_oracle(market, F, 1.0)
-    tables = (paths.price, paths.discounted, paths.increments, mmm.theta, mmm.factors, kw.xi, kw.l_process,
+    tables = (paths.price, paths.discounted, paths.increments, mmm.theta, kw.xi, kw.l_process,
               strategy.phi, strategy.alpha, oracle.phi, oracle.alpha)
     for table in tables:
         assert table.shape[0] == 3**4
@@ -204,19 +204,19 @@ def test_minimal_martingale_measure_signed_warns():
 
 def test_cached_measure_cannot_be_corrupted():
     """The cached measure is shared by every later hedge in the process: its
-    prefixes refuse writes, and writing into a dense table it returns,
-    the density included, leaves the next strategy bit-identical."""
+    step law refuses writes, and writing into a table it returns, theta's
+    prefixes and the density included, leaves the next strategy bit-identical."""
     market = MarketParams(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7, horizon=4)
     F = call_payoff(market, 1.05)
     before, residual_before = optimal_strategy(market, F, 1.0)
     mmm = minimal_martingale_measure(market)
-    for arr in (*mmm.theta_prefixes, *mmm.factor_prefixes):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[...] = 0.0
-    theta, factors, density = mmm.theta, mmm.factors, mmm.density
+    with pytest.raises(ValueError, match="read-only"):
+        mmm.step_law[...] = 0.0
+    theta, density = mmm.theta, mmm.density
     theta[:] *= 2
-    factors[:] *= 1.5
     density[:] *= 3
+    for prefix in mmm.theta_prefixes:
+        prefix *= 1.5
     after, residual_after = optimal_strategy(market, F, 1.0)
     assert residual_after == residual_before
     np.testing.assert_array_equal(after.phi, before.phi)
@@ -226,9 +226,10 @@ def test_cached_measure_cannot_be_corrupted():
 
 
 def _assert_derived_views_are_bitwise(market, F):
-    """The views derived on access equal, bit for bit, the recursions that
-    once stored them: dP^/dP is the step-order product of the factor
-    prefixes, S~_t is S_t / (1+r)^t, xi_t is E[dV dS~ | F_{t-1}] /
+    """The views derived on access equal, bit for bit, their one formulas:
+    dP^/dP is the step-order product of rho = w^ / w, theta_t is
+    c / S~_{t-1}, the measure is signed when w^ has an entry <= 0, S~_t is
+    S_t / (1+r)^t, xi_t is E[dV dS~ | F_{t-1}] /
     E[dS~^2 | F_{t-1}] step by step, L follows its prefix recursion, and
     alpha is the self-financing recursion from alpha_0 = F0."""
     n = 3**market.horizon
@@ -245,12 +246,15 @@ def _assert_derived_views_are_bitwise(market, F):
     for got, want in zip(strategy.alpha_prefixes, _self_financed_alpha(market, strategy.phi_prefixes, kw.f0),
                          strict=True):
         np.testing.assert_array_equal(got, want)
-    density = np.ones(1)
-    for factor in mmm.factor_prefixes:
-        density = (density * factor).ravel()
-    np.testing.assert_array_equal(mmm.density, density)
-    assert mmm.signed == bool(np.any(density <= 0.0))
     disc = (1.0 + market.r) ** np.arange(market.horizon + 1)
+    rho, density = mmm.step_law / weights, np.ones(1)
+    for _ in range(market.horizon):
+        density = np.multiply.outer(rho, density).ravel()
+    np.testing.assert_array_equal(mmm.density, density)
+    for got, price, divisor in zip(mmm.theta_prefixes, paths.price_prefixes, disc, strict=False):
+        np.testing.assert_array_equal(got, mmm.c / (price / divisor))
+    assert len(mmm.theta_prefixes) == market.horizon
+    assert mmm.signed == bool(np.any(mmm.step_law <= 0.0))
     price, discounted = paths.price, paths.discounted
     for t in range(market.horizon + 1):
         np.testing.assert_array_equal(discounted[:, t], price[:, t] / disc[t])
@@ -277,11 +281,12 @@ def test_derived_views_match_the_stored_recursions(kw, horizon, rng):
         np.testing.assert_array_equal(got, want)
 
 
-def test_hedge_peak_memory_stays_below_eleven_tables():
+def test_hedge_peak_memory_stays_below_nine_tables():
     """At T=11 a hedge (claim, both forward recursions and the book-balance
-    check, from cold price and measure caches) peaks below 11 tables of 3^11
+    check, from cold price and measure caches) peaks below 9 tables of 3^11
     floats in traced memory; storing S~, L, dP^/dP and the lag-0 phi once
-    took it to about 15.8, and storing xi and alpha to about 11.35."""
+    took it to about 15.8, storing xi and alpha to about 11.35, and
+    storing theta and rho on every atom to about 10.35."""
     market = MarketParams(horizon=11, **MARTINGALE)
     n = 3**11
     space(market.model_params())
@@ -297,13 +302,13 @@ def test_hedge_peak_memory_stays_below_eleven_tables():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 11 * n * np.dtype(float).itemsize
+    assert peak < 9 * n * np.dtype(float).itemsize
 
 
 def test_derived_views_cost_about_their_result():
     """At T=11 reading dP^/dP peaks below 3 tables of 3^11 floats and S~
     below 13 (its own 12 columns): the density is a prefix product, not a
-    reduction of the dense (n, T) factors (12 tables), and S~ is divided
+    reduction of dense (n, T) factors (12 tables), and S~ is divided
     into a fresh price table, not into a second one (24 tables)."""
     market = MarketParams(horizon=11, **DRIFTED)
     table = 3**11 * np.dtype(float).itemsize
@@ -319,23 +324,23 @@ def test_derived_views_cost_about_their_result():
         assert peak < bound * table
 
 
-def test_measure_is_kept_on_prefixes():
-    """At T=11 the cached measure holds no (n, T) table: its prefixes take
-    under 4 MB against 31 MB for dense theta and factors, which are built
-    from them on access, as is the density, bit for bit."""
+def test_measure_is_one_step_law():
+    """At T=11 the cached measure holds no per-atom array: only the market,
+    the read-only step law w^ (3 floats) and c = theta_1, against 2.8 MB of
+    theta and rho prefixes; theta, its dense table and the density are
+    built from them on access, bit for bit."""
     market = MarketParams(horizon=11, **DRIFTED)
     n = 3**11
     mmm = minimal_martingale_measure(market)
-    prefixes = (*mmm.theta_prefixes, *mmm.factor_prefixes)
+    assert [f.name for f in fields(mmm)] == ["market", "step_law", "c"]
+    assert mmm.step_law.shape == (3,) and isinstance(mmm.c, float)
+    with pytest.raises(ValueError, match="read-only"):
+        mmm.step_law[...] = 0.0
     for t in range(1, 12):
         assert mmm.theta_prefixes[t - 1].shape == (3 ** (t - 1),)
-        assert mmm.factor_prefixes[t - 1].shape == (3, 3 ** (t - 1))
-    assert all(arr.ndim <= 2 and arr.size <= n for arr in (*prefixes, mmm.density))
-    assert sum(arr.nbytes for arr in prefixes) < 4e6
-    for dense, parts in ((mmm.theta, mmm.theta_prefixes), (mmm.factors, mmm.factor_prefixes)):
-        assert dense.shape == (n, 11)
-        np.testing.assert_array_equal(dense, _dense(parts, n))
-    assert not any(isinstance(getattr(mmm, f.name), np.ndarray) for f in fields(mmm))
+    assert mmm.theta.shape == (n, 11)
+    np.testing.assert_array_equal(mmm.theta, _dense(mmm.theta_prefixes, n))
+    assert mmm.density.shape == (n,)
     _assert_derived_views_are_bitwise(market, call_payoff(market, 1.05))
 
 

@@ -468,6 +468,37 @@ def test_hedging_recursion_matches_the_dense_reference(market_name, horizon, rng
             assert got[name].shape == want.shape, name
             error = np.max(np.abs(got[name] - want) / np.maximum(1.0, np.abs(want)))
             assert error <= tol, f"{name}: {error:.3e}"
+        assert mmm.signed == bool(np.any(expected["density"] <= 0.0))
+
+
+@pytest.mark.filterwarnings("ignore:minimal martingale measure is signed")
+@pytest.mark.parametrize("market_name", sorted(HEDGING_MARKETS))
+@pytest.mark.parametrize("horizon", range(1, 13))
+def test_step_law_matches_the_per_atom_measure(market_name, horizon):
+    """The per-atom construction that the step law replaced, theta_t and
+    rho_t = (1 - theta_t dS~_t) / (1 - theta_t E[dS~_t | F_{t-1}]) formed on
+    every F_{t-1} atom from its own increments.  The tradeoff is
+    deterministic, so rho_t is w^ / w on every atom and step up to
+    rounding, within 1e-13 (1 + K_1) relative: each factor divides by
+    1 - theta E[dS~ | F] = 1 / (1 + K_1).  At step 1 the step law is formed
+    by this very expression, so there they agree to the bit.  theta_t =
+    c / S~_{t-1} is held to the dense reference's 1e-12 (1 + K_1): on M1,
+    a martingale market, both are rounding noise about 5e-14 wide."""
+    market = MarketParams(horizon=horizon, **HEDGING_MARKETS[market_name])
+    lam, p = market.jump_prob, market.up_prob
+    w = np.array([1.0 - lam, lam * p, lam * (1.0 - p)])
+    mmm = minimal_martingale_measure(market)
+    rho = (mmm.step_law / w)[:, None]
+    tol = 1e-13 * (1.0 + martingale_diagnostics(market)[1][1])
+    for t, inc in enumerate(price_paths(market).increment_prefixes, start=1):
+        e1 = w @ inc / w.sum()
+        theta = e1 / (w @ (inc * inc) / w.sum())
+        factor = (1.0 - theta * inc) / (1.0 - theta * e1)
+        if t == 1:
+            np.testing.assert_array_equal(factor, rho)
+        assert np.max(np.abs(factor - rho) / np.abs(rho)) <= tol, t
+        theta_error = np.max(np.abs(mmm.theta_prefixes[t - 1] - theta) / np.maximum(1.0, np.abs(theta)))
+        assert theta_error <= 10 * tol, t
 
 
 def _phi_50_digits(market, strike, x):

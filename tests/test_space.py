@@ -209,6 +209,20 @@ def test_config_probability(cti):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("model", ["cti", "inst2"])
+def test_config_probability_builds_no_sample_space(model, request):
+    """One configuration's probability has the bits of the sample space's
+    own log-weight gather, and the call leaves no space in the cache."""
+    params = request.getfixturevalue(model)
+    sp = space(params)
+    expected = [float(np.exp(sp.log_step_weights[row].sum())) for row in sp.digits.astype(np.intp)]
+    space.cache_clear()
+    got = [config_probability(params, Configuration(row, params)) for row in sp.digits.tolist()]
+    assert space.cache_info().currsize == 0
+    assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+    np.testing.assert_array_equal(got, sp.probabilities)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=9))
 def test_rank_roundtrip(digits):
     rank = rank_of_digits(digits, 3)
