@@ -429,9 +429,8 @@ def enumerate_configurations(params: ModelParams) -> list[Configuration]:
 
 
 def config_probability(params: ModelParams, config: Configuration) -> float:
-    """Product over steps of (1 - lambda) or lambda * Q(mark), as the exp of
-    the summed log step weights, the bits of the configuration's entry in
-    ``SampleSpace.probabilities``; no sample space is built."""
+    """Product over steps of (1 - lambda) or lambda * Q(mark), with the bits
+    of its entry in ``probability_table``; no sample space is built."""
     if config.params != params:
         raise ValueError("configuration belongs to different params")
     return float(np.exp(np.log(step_weights(params))[np.asarray(config.digits)].sum()))

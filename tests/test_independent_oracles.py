@@ -489,16 +489,16 @@ def test_step_law_matches_the_per_atom_measure(market_name, horizon):
     w = np.array([1.0 - lam, lam * p, lam * (1.0 - p)])
     mmm = minimal_martingale_measure(market)
     rho = (mmm.step_law / w)[:, None]
-    tol = 1e-13 * (1.0 + martingale_diagnostics(market)[1][1])
+    k1 = martingale_diagnostics(market)[1][1]
     for t, inc in enumerate(price_paths(market).increment_prefixes, start=1):
         e1 = w @ inc / w.sum()
         theta = e1 / (w @ (inc * inc) / w.sum())
         factor = (1.0 - theta * inc) / (1.0 - theta * e1)
         if t == 1:
             np.testing.assert_array_equal(factor, rho)
-        assert np.max(np.abs(factor - rho) / np.abs(rho)) <= tol, t
+        assert np.max(np.abs(factor - rho) / np.abs(rho)) <= 1e-13 * (1.0 + k1), t
         theta_error = np.max(np.abs(mmm.theta_prefixes[t - 1] - theta) / np.maximum(1.0, np.abs(theta)))
-        assert theta_error <= 10 * tol, t
+        assert theta_error <= 1e-12 * (1.0 + k1), t
 
 
 def _phi_50_digits(market, strike, x):
