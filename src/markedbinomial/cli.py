@@ -31,7 +31,7 @@ def _float17(v) -> str:
 # Floats formatted per call when a float array is rendered: the output is
 # written piece by piece, so emitting a large payload never holds more than
 # one such piece (and its Python floats) besides the payload itself.
-FLOAT_CHUNK = 8192
+FLOAT_CHUNK = 2048
 
 
 def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
@@ -272,7 +272,7 @@ def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
     if spec.startswith("call:K="):
         return call_payoff(market, float(spec.split("=", 1)[1]))
     if spec == "discounted_price":  # S~_T = S_T / (1+r)^T
-        s_t = price_paths(market).price_prefixes[-1]
+        s_t = price_paths(market).terminal
         return PathFunctional(market.model_params(), values=s_t / _discount(market)[-1])
     raise ValueError(f"unknown claim {spec!r} (use call:K=<strike> or discounted_price)")
 

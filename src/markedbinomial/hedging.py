@@ -24,10 +24,12 @@ prefix, because the F_t atom of rank omega is omega mod 3^t.  Step t
 reads a prefix as the (3, 3^(t-1)) grid ``prefix.reshape(3, -1)``, whose
 entry [d, c] is digit t = d on the F_{t-1} atom c: a backward step maps
 3^t entries to 3^(t-1), a forward step 3^(t-1) to 3^t.  Results store
-only what the recursions solve for (the prefixes of S, dS~, V and phi,
-alpha_0, and the minimal martingale measure's step law); theta, xi, alpha,
-S~, L, dP^/dP and every dense (n, T) table are derived on each access,
-step-major (a (T, n) array seen via ``.T``).
+only what the recursions solve for (the prefixes of V and phi, alpha_0,
+and the minimal martingale measure's step law); S and dS~ are formed step
+by step from S_{t-1}, and theta, xi, alpha, S~, L, dP^/dP and every dense
+(n, T) table are derived on each access, step-major (a (T, n) array seen
+via ``.T``).  The forward recursion walks each step in blocks of at most
+BLOCK_ATOMS F_{t-1} atoms, so it holds whole only G_t and phi_t.
 """
 from __future__ import annotations
 
@@ -59,13 +61,10 @@ class MarketParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not -1.0 < self.a < self.r < self.b:
-            raise ValueError(
-                f"need -1 < a < r < b, got a={self.a}, r={self.r}, b={self.b}"
-            )
-        if not 0.0 < self.jump_prob < 1.0:
-            raise ValueError(f"jump_prob must lie in (0, 1), got {self.jump_prob}")
-        if not 0.0 < self.up_prob < 1.0:
-            raise ValueError(f"up_prob must lie in (0, 1), got {self.up_prob}")
+            raise ValueError(f"need -1 < a < r < b, got a={self.a}, r={self.r}, b={self.b}")
+        for name in ("jump_prob", "up_prob"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.initial_capital < 0.0:
             raise ValueError(f"initial capital must be >= 0, got {self.initial_capital}")
         if self.a0 <= 0.0:
@@ -74,30 +73,22 @@ class MarketParams:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
         object.__setattr__(self, "horizon", int(self.horizon))
 
-    @property
-    def down_prob(self) -> float:
-        return 1.0 - self.up_prob
+    down_prob = property(lambda self: 1.0 - self.up_prob)
 
     @property
     def rho(self) -> float:
         """lambda q / (1 - lambda p), the Gram-Schmidt mixing weight."""
-        lam, p = self.jump_prob, self.up_prob
-        return lam * (1.0 - p) / (1.0 - lam * p)
+        return self.jump_prob * (1.0 - self.up_prob) / (1.0 - self.jump_prob * self.up_prob)
 
     @property
     def drift_gap(self) -> float:
         """lambda (b p + a q) - r; zero exactly for martingale parameters."""
-        lam, p, q = self.jump_prob, self.up_prob, self.down_prob
-        return lam * (self.b * p + self.a * q) - self.r
+        return self.jump_prob * (self.b * self.up_prob + self.a * self.down_prob) - self.r
 
     def model_params(self) -> ModelParams:
         """Underlying marked binomial model: marks (+1, -1), Q = (p, q)."""
-        return ModelParams(
-            horizon=self.horizon,
-            marks=(1.0, -1.0),
-            jump_prob=self.jump_prob,
-            mark_probs=(self.up_prob, self.down_prob),
-        )
+        return ModelParams(horizon=self.horizon, marks=(1.0, -1.0), jump_prob=self.jump_prob,
+                           mark_probs=(self.up_prob, self.down_prob))
 
 
 def _dense(prefixes: tuple[np.ndarray, ...], n: int) -> np.ndarray:
@@ -125,45 +116,61 @@ def _discount(market: MarketParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PricePaths:
-    """Exact prices on the tree, kept on prefixes: S_t on the 3^t F_t atoms,
-    dS~_t on its (3, 3^(t-1)) grid."""
+    """Exact prices on the tree, formed step by step and never stored:
+    S_t on the 3^t F_t atoms, dS~_t on its (3, 3^(t-1)) grid."""
 
     market: MarketParams
-    riskless: np.ndarray                         # A_t, shape (T+1,)
-    price_prefixes: tuple[np.ndarray, ...]       # S_t, t = 0..T
-    increment_prefixes: tuple[np.ndarray, ...]   # dS~_t, t = 1..T
+    riskless: np.ndarray   # A_t, shape (T+1,)
 
-    price = _dense_view("price_prefixes")            # (n, T+1)
+    price_prefixes = property(lambda self: tuple(self.walk()))  # S_t, t = 0..T
+    increment_prefixes = property(lambda self: tuple(self.increment(t, s) for t, s in self.steps()))  # t = 1..T
+    terminal = property(lambda self: reduce(lambda _, price: price, self.walk()))  # S_T, the walk's last
     increments = _dense_view("increment_prefixes")   # (n, T)
+
+    @property
+    def price(self) -> np.ndarray:  # (n, T+1): row t is factor(digit t) times row t-1, in place
+        table = np.ones((self.market.horizon + 1, 3 ** self.market.horizon))
+        for t in range(1, self.market.horizon + 1):
+            grid = (-1, 3, 3 ** (t - 1))  # [higher digits, digit t, F_{t-1} atom]
+            np.multiply(self._factor[:, None], table[t - 1].reshape(grid), out=table[t].reshape(grid))
+        return table.T
 
     @property
     def discounted(self) -> np.ndarray:  # S~, (n, T+1): a fresh price table divided in place
         table = self.price
         return np.divide(table, _discount(self.market), out=table)
 
+    def walk(self):
+        """S_0, ..., S_T, each S_t[d, c] = factor(d) S_{t-1}[c] formed from the last:
+        the same products in the same order as a cumulative product over the digits."""
+        price = np.ones(1)
+        yield price
+        for _ in range(self.market.horizon):
+            price = np.multiply.outer(self._factor, price).ravel()
+            yield price
+
+    def steps(self):
+        """(t, S_{t-1}) for t = 1..T; zip stops on the range, so S_T is never formed."""
+        return zip(range(1, self.market.horizon + 1), self.walk())
+
+    def increment(self, t: int, price: np.ndarray) -> np.ndarray:
+        """dS~_t = S_t / (1+r)^t - S_{t-1} / (1+r)^(t-1) on the (3, k) grid over
+        k given entries of S_{t-1}; elementwise, so a block has the bits of the whole."""
+        disc = _discount(self.market)
+        return np.multiply.outer(self._factor, price) / disc[t] - price / disc[t - 1]
+
+    _factor = property(lambda self: np.array([1.0, 1.0 + self.market.b, 1.0 + self.market.a]))  # of digits 0..2
+
 
 @lru_cache(maxsize=64)
 def price_paths(market: MarketParams) -> PricePaths:
-    """Cached per market; the returned prefixes are shared and read-only.
-
-    S_t is built step by step, S_t[d, c] = factor(d) S_{t-1}[c], the same
-    products in the same order as a cumulative product over the digits."""
+    """Cached per market; holds the market and the read-only riskless prices A_t."""
     smallest = float(probability_table(market.model_params()).min())
     if smallest < np.finfo(float).tiny:
-        raise ValueError(
-            f"smallest configuration probability {smallest:.3e} is below the smallest normal float"
-        )
-    factor_of_digit = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
-    disc = _discount(market)
-    prices, increments = [np.ones(1)], []
-    for t in range(1, market.horizon + 1):
-        s_t = np.multiply.outer(factor_of_digit, prices[-1])
-        increments.append(s_t / disc[t] - prices[-1] / disc[t - 1])  # S~_t - S~_{t-1}
-        prices.append(s_t.ravel())
-    riskless = market.a0 * disc
-    for arr in (riskless, *prices, *increments):
-        arr.flags.writeable = False
-    return PricePaths(market, riskless, tuple(prices), tuple(increments))
+        raise ValueError(f"smallest configuration probability {smallest:.3e} is below the smallest normal float")
+    riskless = market.a0 * _discount(market)
+    riskless.flags.writeable = False
+    return PricePaths(market, riskless)
 
 
 def martingale_diagnostics(market: MarketParams) -> tuple[float, np.ndarray]:
@@ -176,12 +183,9 @@ def martingale_diagnostics(market: MarketParams) -> tuple[float, np.ndarray]:
     covariance of the mutually exclusive up and down jumps.  K is linear in
     t and deterministic.
     """
-    lam, p, q = market.jump_prob, market.up_prob, market.down_prob
-    a, b = market.a, market.b
-    gap = market.drift_gap
+    lam, p, q, a, b, gap = market.jump_prob, market.up_prob, market.down_prob, market.a, market.b, market.drift_gap
     denom = lam * p * (1.0 - lam * p) * b**2 + lam * q * (1.0 - lam * q) * a**2 - 2.0 * lam**2 * p * q * a * b
-    per_step = gap**2 / denom
-    return gap, per_step * np.arange(market.horizon + 1, dtype=float)
+    return gap, gap**2 / denom * np.arange(market.horizon + 1, dtype=float)
 
 
 def _step_mean(weights: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -201,12 +205,11 @@ class MinimalMartingaleMeasure:
     c: float               # theta_1
 
     theta = _dense_view("theta_prefixes")  # (n, T), predictable
-    theta_prefixes = property(lambda self: tuple(map(self._theta, range(1, self.market.horizon + 1))))
+    theta_prefixes = property(lambda self: tuple(self._theta(t, s) for t, s in price_paths(self.market).steps()))
     signed = property(lambda self: bool(np.any(self.step_law <= 0.0)))  # True for a signed measure
 
-    def _theta(self, t: int) -> np.ndarray:
-        """theta_t = c / S~_{t-1} on the 3^(t-1) F_{t-1} atoms."""
-        price = price_paths(self.market).price_prefixes[t - 1]
+    def _theta(self, t: int, price: np.ndarray) -> np.ndarray:
+        """theta_t = c / S~_{t-1} on the F_{t-1} atoms whose S_{t-1} is given."""
         return self.c / (price / _discount(self.market)[t - 1])
 
     @property
@@ -221,7 +224,7 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     rho = (1 - c dS~_1) / (1 - c E[dS~_1]); under the product of w^
     discounted prices are a martingale tablewise."""
     weights = step_weights(market.model_params())
-    inc = price_paths(market).increment_prefixes[0]
+    inc = price_paths(market).increment(1, np.ones(1))
     e1 = _step_mean(weights, inc)
     c = e1 / _step_mean(weights, inc * inc)
     step_law = weights * ((1.0 - c * inc) / (1.0 - c * e1)).ravel()
@@ -232,8 +235,7 @@ def minimal_martingale_measure(market: MarketParams) -> MinimalMartingaleMeasure
     return mmm
 
 
-def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
-                    values: np.ndarray) -> list[np.ndarray]:
+def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure, values: np.ndarray) -> list[np.ndarray]:
     """The prefixes of E^[values | F_t], t = 0..T (3^t entries each), by
     backward induction on the step law."""
     T = market.horizon
@@ -243,8 +245,7 @@ def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure,
     return prefixes
 
 
-def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure,
-                    values: np.ndarray) -> list[np.ndarray]:
+def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure, values: np.ndarray) -> list[np.ndarray]:
     """E^[values | F_t] for t = 0..T by backward induction on the step law
     (exact, works for signed measures)."""
     return list(_dense(_value_prefixes(market, mmm, values), np.size(values)).T)
@@ -267,14 +268,11 @@ class Strategy:
         """Max violation of A_t (alpha_{t+1}-alpha_t) + S_t (phi_{t+1}-phi_t) = 0
         over t = 0..T-1 and the 3^t F_t atoms, on which every term is fixed,
         with the convention phi_0 = phi_1; NaN if any entry is NaN."""
-        paths = price_paths(self.market)
-        phi, alpha = self.phi_prefixes, self.alpha_prefixes
-        worst = []
-        for t in range(0, self.market.horizon):
+        paths, phi, alpha, worst = price_paths(self.market), self.phi_prefixes, self.alpha_prefixes, []
+        for t, price in zip(range(self.market.horizon), paths.walk()):  # S_t, t = 0..T-1
             atoms = 3 ** max(t - 1, 0)  # entries of phi_t and alpha_t
-            price, phi_next = paths.price_prefixes[t].reshape(-1, atoms), phi[t].reshape(-1, atoms)
             lhs = paths.riskless[t] * (alpha[t + 1].reshape(-1, atoms) - alpha[t]) \
-                + price * (phi_next - phi[max(t - 1, 0)])
+                + price.reshape(-1, atoms) * (phi[t].reshape(-1, atoms) - phi[max(t - 1, 0)])
             worst.append(np.max(np.abs(lhs)))
         return float(np.max(worst))  # np.max, unlike max(), propagates NaN
 
@@ -286,9 +284,9 @@ def _self_financed_alpha(market: MarketParams, phi: tuple[np.ndarray, ...], alph
     to the 3^(t-1) entries of alpha_t."""
     paths = price_paths(market)
     alpha = [np.full(1, alpha0)]
-    for t in range(1, market.horizon + 1):
+    for t, price in paths.steps():
         atoms = 3 ** max(t - 2, 0)  # entries of phi_{t-1} and alpha_{t-1}
-        ratio = paths.price_prefixes[t - 1] / paths.riskless[t - 1]
+        ratio = price / paths.riskless[t - 1]
         step = (phi[t - 1].reshape(-1, atoms) - phi[max(t - 2, 0)]) * ratio.reshape(-1, atoms)
         alpha.append((alpha[-1] - step).ravel())
     return tuple(alpha)
@@ -305,13 +303,14 @@ class KWDecomposition:
 
     xi = _dense_view("xi_prefixes")                    # (n, T), predictable
     value = _dense_view("value_prefixes", columns=True)  # T+1 tables of shape (n,)
-    xi_prefixes = property(lambda self: tuple(map(self._xi, range(1, self.market.horizon + 1))))
+    xi_prefixes = property(lambda self: tuple(
+        self._xi(t, inc) for t, inc in enumerate(price_paths(self.market).increment_prefixes, start=1)))
 
-    def _xi(self, t: int) -> np.ndarray:
-        """xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] on the 3^(t-1) F_{t-1} atoms."""
+    def _xi(self, t: int, inc: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+        """xi_t = E[dV_t dS~_t | F_{t-1}] / E[(dS~_t)^2 | F_{t-1}] on a block of the
+        F_{t-1} atoms (all by default), given dS~_t on the block's grid."""
         weights = step_weights(self.market.model_params())
-        inc = price_paths(self.market).increment_prefixes[t - 1]
-        dv = self.value_prefixes[t].reshape(3, -1) - self.value_prefixes[t - 1]
+        dv = self.value_prefixes[t].reshape(3, -1)[:, block] - self.value_prefixes[t - 1][block]
         return _step_mean(weights, dv * inc) / _step_mean(weights, inc * inc)
 
     @property
@@ -319,7 +318,7 @@ class KWDecomposition:
         """(n, T+1): L_t = L_{t-1} + (V_t - V_{t-1}) - xi_t dS~_t on the 3^t F_t atoms, L_0 = 0."""
         ls, value = [np.zeros(1)], self.value_prefixes
         for t, inc in enumerate(price_paths(self.market).increment_prefixes, start=1):
-            ls.append((ls[-1] + (value[t].reshape(3, -1) - value[t - 1]) - self._xi(t) * inc).ravel())
+            ls.append((ls[-1] + (value[t].reshape(3, -1) - value[t - 1]) - self._xi(t, inc) * inc).ravel())
         return _dense(ls, 3 ** self.market.horizon)
 
 
@@ -331,24 +330,39 @@ def kunita_watanabe(market: MarketParams, F: PathFunctional) -> KWDecomposition:
     return KWDecomposition(market, float(value[0][0]), tuple(value))
 
 
+BLOCK_ATOMS = 4096  # F_{t-1} atoms per forward block; 2^15 took a traced T=11 hedge to 6.0 tables, not 4.05
+
+
+def _blocks(size: int):
+    """Slices of at most BLOCK_ATOMS entries covering 0..size-1; through T=11 a block's
+    (3,) @ (3, k) gemv gives the bits of a whole step's (a test checks T=11's 15 blocks)."""
+    return (slice(lo, lo + BLOCK_ATOMS) for lo in range(0, size, BLOCK_ATOMS))
+
+
 def _forward_gain(kw: KWDecomposition, x: float, lag: int) -> tuple[float, list[np.ndarray]]:
     """Residual E[(V_T - x - G_T)^2] of phi_t = xi_t + theta_t (V_{t-lag} - x - G_{t-1}),
-    G the discounted gain, and for lag 1 the 3^(t-1)-entry prefixes of phi_t."""
-    mmm = minimal_martingale_measure(kw.market)
-    gain = np.zeros(1)
-    phis = []
-    for t, inc in enumerate(price_paths(kw.market).increment_prefixes, start=1):
-        value = kw.value_prefixes[t - lag].reshape(-1, 3 ** (t - 1))
-        phi_t = kw._xi(t) + mmm._theta(t) * (value - x - gain)  # xi_t lives only in this sum
-        gain = (gain + phi_t * inc).ravel()
+    G the discounted gain, and for lag 1 the 3^(t-1)-entry prefixes of phi_t.  Each
+    step is walked in blocks of F_{t-1} atoms: only G_t and phi_t are held whole."""
+    mmm, paths, values = minimal_martingale_measure(kw.market), price_paths(kw.market), kw.value_prefixes
+    gain, phis = np.zeros(1), []
+    for t, price in paths.steps():
+        grid = np.empty((3, price.size))  # G_t
         if lag:  # the lag-0 variant reports its residual only
-            phis.append(phi_t.ravel())
-    residual = np.subtract(kw.value_prefixes[-1] - x, gain, out=gain)  # V_T is the claim's own table
-    return float(np.dot(probability_table(kw.market.model_params()), residual ** 2)), phis
+            phis.append(np.empty(price.size))
+        for block in _blocks(price.size):
+            inc = paths.increment(t, price[block])
+            value = values[t - lag].reshape(-1, price.size)[:, block]
+            phi = kw._xi(t, inc, block) + mmm._theta(t, price[block]) * (value - x - gain[block])
+            grid[:, block] = gain[block] + phi * inc
+            if lag:
+                phis[-1][block] = phi
+        gain = grid.ravel()
+    for block in _blocks(gain.size):  # the residual V_T - x - G_T overwrites G_T
+        np.subtract(values[-1][block] - x, gain[block], out=gain[block])  # V_T is the claim's own table
+    return float(np.dot(probability_table(kw.market.model_params()), np.multiply(gain, gain, out=gain))), phis
 
 
-def optimal_strategy(market: MarketParams, F: PathFunctional,
-                     x: float | None = None) -> tuple[Strategy, float]:
+def optimal_strategy(market: MarketParams, F: PathFunctional, x: float | None = None) -> tuple[Strategy, float]:
     """Quadratic-loss minimizing self-financed strategy for the claim F.
 
     Forward recursion on top of the value-process decomposition:
@@ -365,8 +379,7 @@ def optimal_strategy(market: MarketParams, F: PathFunctional,
     return Strategy(market, tuple(phi), kw.f0), residual
 
 
-def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
-                                    x: float | None = None) -> float:
+def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional, x: float | None = None) -> float:
     """Residual of the variant that conditions the correction term on F_t
     (not predictable; reported for comparison only)."""
     x = market.initial_capital if x is None else float(x)
@@ -376,8 +389,7 @@ def optimal_strategy_t_conditioning(market: MarketParams, F: PathFunctional,
 LS_ORACLE_MAX_HORIZON = 11
 
 
-def ls_oracle(market: MarketParams, F: PathFunctional,
-              x: float | None = None) -> tuple[Strategy, float]:
+def ls_oracle(market: MarketParams, F: PathFunctional, x: float | None = None) -> tuple[Strategy, float]:
     """Independent least-squares oracle: one unknown per (t, F_{t-1} atom),
     solved by orthogonal elimination in scenario-tree order.
 
@@ -398,9 +410,7 @@ def ls_oracle(market: MarketParams, F: PathFunctional,
     """
     x = market.initial_capital if x is None else float(x)
     if market.horizon > LS_ORACLE_MAX_HORIZON:
-        raise ValueError(
-            f"ls_oracle caps the horizon at {LS_ORACLE_MAX_HORIZON}, got {market.horizon}"
-        )
+        raise ValueError(f"ls_oracle caps the horizon at {LS_ORACLE_MAX_HORIZON}, got {market.horizon}")
     p = probability_table(market.model_params())
     increments = price_paths(market).increment_prefixes
     T, base = market.horizon, 3
@@ -451,7 +461,7 @@ def call_payoff(market: MarketParams, strike: float) -> PathFunctional:
     """European call (S_T - K)+ as an exact claim table."""
     if not math.isfinite(strike):
         raise ValueError(f"strike must be finite, got {strike}")
-    s_t = price_paths(market).price_prefixes[-1]
+    s_t = price_paths(market).terminal
     return PathFunctional(market.model_params(), values=np.maximum(s_t - strike, 0.0))
 
 

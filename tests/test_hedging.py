@@ -24,7 +24,7 @@ from markedbinomial.hedging import (
     pgf_ratio_trinomial,
     random_claim,
 )
-from markedbinomial.space import space
+from markedbinomial.space import probability_table, space
 
 
 MARTINGALE = dict(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5)
@@ -280,15 +280,17 @@ def test_derived_views_match_the_stored_recursions(kw, horizon, rng):
         np.testing.assert_array_equal(got, want)
 
 
-def test_hedge_peak_memory_stays_below_nine_tables():
-    """At T=11 a hedge (claim, both forward recursions and the book-balance
-    check, from cold price and measure caches) peaks below 9 tables of 3^11
-    floats in traced memory; storing S~, L, dP^/dP and the lag-0 phi once
-    took it to about 15.8, storing xi and alpha to about 11.35, and
-    storing theta and rho on every atom to about 10.35."""
-    market = MarketParams(horizon=11, **MARTINGALE)
-    n = 3**11
-    space(market.model_params())
+@pytest.mark.parametrize("horizon", [11, 13])
+def test_hedge_peak_memory_stays_below_five_tables(horizon):
+    """At T=11 and T=13 a hedge (claim, both forward recursions and the
+    book-balance check, from cold price and measure caches) peaks below 5
+    tables of 3^T floats in traced memory; storing S~, L, dP^/dP and the
+    lag-0 phi once took it to about 15.8, storing xi and alpha to about
+    11.35, storing theta and rho on every atom to about 10.35, and storing
+    the S and dS~ prefixes with whole-step temporaries to about 8.35."""
+    market = MarketParams(horizon=horizon, **MARTINGALE)
+    n = 3**horizon
+    probability_table(market.model_params())
     price_paths.cache_clear()
     minimal_martingale_measure.cache_clear()
     tracemalloc.start()
@@ -301,14 +303,45 @@ def test_hedge_peak_memory_stays_below_nine_tables():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 9 * n * np.dtype(float).itemsize
+    assert peak < 5 * n * np.dtype(float).itemsize
+
+
+def _bits(arrays):
+    """The bit patterns of a tuple of float arrays: -0.0 and 0.0 differ, NaNs compare."""
+    return [arr.view(np.int64).tolist() for arr in arrays]
+
+
+@pytest.mark.filterwarnings("ignore:minimal martingale measure is signed")
+@pytest.mark.parametrize("kw", [MARTINGALE, dict(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7),
+                                dict(a=-0.9, b=0.05, r=0.04, jump_prob=0.999, up_prob=0.001)],
+                         ids=["M1", "M3", "signed"])
+def test_block_walk_has_the_bits_of_one_block_per_step(kw, monkeypatch):
+    """At T=11 the forward walk splits the last step's 3^10 F_10 atoms into 15
+    blocks; phi, alpha and both residuals equal, bit for bit, those of a walk
+    with one block per step."""
+    from markedbinomial import hedging
+
+    market = MarketParams(horizon=11, **kw)
+    F = call_payoff(market, 1.05)
+    assert len(list(hedging._blocks(3**10))) == 15
+    runs = []
+    for block_atoms in (hedging.BLOCK_ATOMS, 3**10):
+        monkeypatch.setattr(hedging, "BLOCK_ATOMS", block_atoms)
+        strategy, residual = optimal_strategy(market, F, 1.0)
+        residual_alt = optimal_strategy_t_conditioning(market, F, 1.0)
+        runs.append((_bits(strategy.phi_prefixes), _bits(strategy.alpha_prefixes), residual.hex(), residual_alt.hex()))
+    blocked, whole = runs
+    for got, want, name in zip(blocked, whole, ("phi", "alpha", "residual", "t-conditioning residual")):
+        assert got == want, name
 
 
 def test_derived_views_cost_about_their_result():
     """At T=11 reading dP^/dP peaks below 3 tables of 3^11 floats and S~
     below 13 (its own 12 columns): the density is a prefix product, not a
-    reduction of dense (n, T) factors (12 tables), and S~ is divided
-    into a fresh price table, not into a second one (24 tables)."""
+    reduction of dense (n, T) factors (12 tables), S~ is divided into a
+    fresh price table, not into a second one (24 tables), and each price
+    row is formed in place from the row before, not from a list of the
+    S_t prefixes (13.5 tables) or from S_T beside S_(T-1) (13.33 tables)."""
     market = MarketParams(horizon=11, **DRIFTED)
     table = 3**11 * np.dtype(float).itemsize
     paths, mmm = price_paths(market), minimal_martingale_measure(market)
@@ -355,10 +388,11 @@ def _stored_arrays(result):
 
 def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
     """At T=11 price_paths, the optimal strategy and the Kunita-Watanabe
-    decomposition hold no (n, T) table and no derived quantity: the strategy
-    keeps phi and alpha_0, not alpha, the decomposition V, not xi.  Prices and
-    the strategy keep under 6 MB of prefixes against 49.6 + 32.6 MB of
-    dense tables, the decomposition under 3 MB (its V_T is the claim's own
+    decomposition hold no (n, T) table and no derived quantity: prices keep
+    only the riskless A_t, with S and dS~ formed on access, the strategy
+    keeps phi and alpha_0, not alpha, the decomposition V, not xi.  The
+    strategy keeps under 1 MB of prefixes against 49.6 + 32.6 MB of dense
+    tables, the decomposition under 3 MB (its V_T is the claim's own
     table); every dense view is built from the prefixes on access."""
     market = MarketParams(horizon=11, **DRIFTED)
     n = 3**11
@@ -366,6 +400,7 @@ def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
     paths = price_paths(market)
     strategy, _ = optimal_strategy(market, F, 1.0)
     kw = kunita_watanabe(market, F)
+    assert [f.name for f in fields(paths)] == ["market", "riskless"]
     assert [f.name for f in fields(strategy)] == ["market", "phi_prefixes", "alpha0"]
     assert [f.name for f in fields(kw)] == ["market", "f0", "value_prefixes"]
     for t in range(12):
@@ -376,7 +411,8 @@ def test_prices_strategies_and_decompositions_are_kept_on_prefixes():
         assert strategy.phi_prefixes[t - 1].shape == kw.xi_prefixes[t - 1].shape == (3 ** (t - 1),)
     for result in (paths, strategy, kw):
         assert all(arr.size <= n for arr in _stored_arrays(result))
-    assert sum(arr.nbytes for result in (paths, strategy) for arr in _stored_arrays(result)) < 6e6
+    assert sum(arr.nbytes for arr in _stored_arrays(paths)) == 12 * 8
+    assert sum(arr.nbytes for arr in _stored_arrays(strategy)) < 1e6
     assert sum(arr.nbytes for arr in _stored_arrays(kw)) < 3e6
     for arr in _stored_arrays(paths):  # cached and shared by every later hedge
         with pytest.raises(ValueError, match="read-only"):

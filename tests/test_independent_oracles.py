@@ -368,26 +368,26 @@ def test_ls_oracle_never_calls_the_recursion(monkeypatch, rng):
         raise AssertionError("the oracle must not use the recursion")
 
     for name in ("minimal_martingale_measure", "mmm_conditional", "kunita_watanabe",
-                 "_forward_gain", "optimal_strategy", "_step_mean", "_dense", "_value_prefixes"):
+                 "_forward_gain", "_blocks", "optimal_strategy", "_step_mean", "_dense", "_value_prefixes"):
         monkeypatch.setattr(hedging, name, refuse)
+    # the per-block helpers of the forward walk; the price walk itself is the oracle's input
+    monkeypatch.setattr(hedging.KWDecomposition, "_xi", refuse)
+    monkeypatch.setattr(hedging.MinimalMartingaleMeasure, "_theta", refuse)
     assert ls_oracle(market, F, 0.5)[1] == expected
 
 
 def test_ls_oracle_refuses_a_singular_normal_matrix(monkeypatch):
     """A step whose increments are all zero leaves its unknowns unconstrained."""
-    from dataclasses import replace
-
     from markedbinomial import hedging
 
-    exact = hedging.price_paths
+    exact = hedging.PricePaths.increment_prefixes.fget
 
-    def zeroed(market):
-        paths = exact(market)
-        increments = list(paths.increment_prefixes)
+    def zeroed(paths):
+        increments = list(exact(paths))
         increments[1] = np.zeros_like(increments[1])
-        return replace(paths, increment_prefixes=tuple(increments))
+        return tuple(increments)
 
-    monkeypatch.setattr(hedging, "price_paths", zeroed)
+    monkeypatch.setattr(hedging.PricePaths, "increment_prefixes", property(zeroed))
     market = MarketParams(horizon=3, **MARKETS["drifted"])
     with pytest.raises(ValueError, match="singular normal matrix"):
         ls_oracle(market, call_payoff(market, 1.05), 1.0)
