@@ -359,14 +359,22 @@ def covariance_from_coeffs(basis: OrthogonalBasis, cf: ChaosCoefficients, cg: Ch
 
 
 def random_kernel(params: ModelParams, n: int, rng: np.random.Generator, density: float = 1.0) -> Kernel:
-    """Seeded random order-n kernel on all (or a fraction of) ordered supports."""
-    kernel: Kernel = {}
+    """Seeded random order-n kernel on all (or a fraction of) ordered supports.
+
+    ``rng`` is a numpy Generator, drawn one ``normal()`` per kept support, or
+    a stream with ``draw(size)`` such as the identity suite's, which gives
+    every support its value in one call (density 1 only)."""
     times = range(1, params.horizon + 1)
-    for tset in combinations(times, n):
-        for ks in product(params.marks, repeat=n):
-            if density < 1.0 and rng.random() > density:
-                continue
-            kernel[tuple(zip(tset, ks))] = float(rng.normal())
+    supports = [tuple(zip(tset, ks)) for tset in combinations(times, n) for ks in product(params.marks, repeat=n)]
+    if hasattr(rng, "draw"):
+        if density < 1.0:
+            raise ValueError("a stream gives every support a value: density must be 1")
+        return dict(zip(supports, rng.draw(len(supports)).tolist()))
+    kernel: Kernel = {}
+    for support in supports:
+        if density < 1.0 and rng.random() > density:
+            continue
+        kernel[support] = float(rng.normal())
     return kernel
 
 

@@ -1,9 +1,11 @@
 """Exact identity suite: every structural identity of the calculus,
 evaluated on the enumerated space and reported as a max residual.
 
-Used by the ``verify`` CLI subcommand and by the acceptance tests.  All
-randomness is drawn from seeded generators, so a report is a pure
-function of (params, seed).
+Used by the ``verify`` CLI subcommand and by the acceptance tests.  Each
+check draws its random inputs from its own counter-based stream, keyed by
+the seed and the check's name, so a report is a pure function of
+(params, seed) and a check's inputs do not depend on the checks run
+before it.
 """
 from __future__ import annotations
 
@@ -33,21 +35,93 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-class _Context:
-    """Shared precomputed objects for one (params, seed) run."""
+# -- seeded inputs: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) as a counter-based
+# stream (Salmon et al., SC 2011) ------------------------------------------------------
 
-    def __init__(self, params: ModelParams, seed: int):
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the counter step: odd, 2^64 over the golden ratio
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+# Draws formed per pass: a fill's integer temporaries are two blocks.
+DRAW_BLOCK = 1 << 13
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer of one 64-bit word."""
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK
+    return z ^ (z >> 31)
+
+
+def stream_key(seed: int, name: str) -> int:
+    """Key of the stream a check named ``name`` draws under ``seed``: the seed
+    (mod 2^64), then each UTF-8 byte of the name, folded through the finalizer."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    key = _mix64((seed + _GAMMA) & _MASK)
+    for byte in name.encode():
+        key = _mix64((key + (byte + 1) * _GAMMA) & _MASK)
+    return key
+
+
+class UniformStream:
+    """Floats uniform on [-1, 1): draw i is SplitMix64's i-th output from
+    ``key``, z_i = mix64(key + (i + 1) * gamma mod 2^64), whose top 53 bits,
+    read as a signed integer s, give s * 2^-52.  Integer arithmetic and exact
+    conversions only, so the bits are the same on every host, and a block of
+    draws is formed without the draws before it."""
+
+    def __init__(self, key: int):
+        self.key = key
+        self.position = 0  # index of the next draw
+
+    def fill(self, out: np.ndarray, block: int = DRAW_BLOCK) -> np.ndarray:
+        """Write the next ``out.size`` draws into ``out`` in its memory order,
+        ``block`` at a time."""
+        if out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("a stream fills a C-contiguous float64 array")
+        flat = out.reshape(-1)
+        steps = np.arange(1, min(block, flat.size) + 1, dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)
+        z = np.empty_like(steps)
+        mix = [np.uint64(c) for c in _MIX]
+        for start in range(0, flat.size, block):
+            dest = flat[start : start + block]
+            zb, shifted = z[: len(dest)], dest.view(np.uint64)  # the destination is the shift scratch
+            np.add(steps[: len(dest)], np.uint64((self.key + (self.position + start) * _GAMMA) & _MASK), out=zb)
+            for shift, factor in zip((30, 27), mix):
+                np.right_shift(zb, shift, out=shifted)
+                zb ^= shifted
+                zb *= factor
+            np.right_shift(zb, 31, out=shifted)
+            zb ^= shifted
+            top = zb.view(np.int64)
+            np.right_shift(top, 11, out=top)  # arithmetic shift: the top 53 bits, signed
+            np.copyto(dest, top)  # exact below 2^53, and with no cast buffer
+            dest *= 2.0 ** -52
+        self.position += flat.size
+        return out
+
+    def draw(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        return self.fill(np.empty(shape))
+
+
+class _Context:
+    """Shared precomputed objects and the input stream of one check in a
+    (params, seed) run."""
+
+    def __init__(self, params: ModelParams, seed: int, check: str = ""):
         self.params = params
         self.sp = space(params)
         self.basis = basis_mod.build_basis(params)
-        self.rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        self.stream = UniformStream(stream_key(seed, check))
 
     def random_functional(self) -> PathFunctional:
-        return PathFunctional(self.params, values=self.rng.normal(size=self.sp.n))
+        return PathFunctional(self.params, values=self.stream.draw(self.sp.n))
 
     def random_process(self, predictable: bool = False) -> mal.ProcessTable:
         u = mal.ProcessTable.zeros(self.params)
-        u.values[:] = self.rng.normal(size=u.values.shape)
+        self.stream.fill(u.values.transpose(1, 2, 0))  # the step-major table's memory order
         if predictable:
             for t in range(1, self.params.horizon + 1):
                 for j in range(self.params.n_marks):
@@ -170,10 +244,10 @@ def _isometry(ctx: _Context) -> float:
     worst = 0.0
     max_order = min(3, ctx.params.horizon)
     kernels = {
-        n: chaos_mod.random_kernel(ctx.params, n, ctx.rng) for n in range(1, max_order + 1)
+        n: chaos_mod.random_kernel(ctx.params, n, ctx.stream) for n in range(1, max_order + 1)
     }
     others = {
-        n: chaos_mod.random_kernel(ctx.params, n, ctx.rng) for n in range(1, max_order + 1)
+        n: chaos_mod.random_kernel(ctx.params, n, ctx.stream) for n in range(1, max_order + 1)
     }
     integrals_f = {n: chaos_mod.multiple_integral(ctx.basis, kernels[n], n) for n in kernels}
     integrals_g = {n: chaos_mod.multiple_integral(ctx.basis, others[n], n) for n in others}
@@ -191,7 +265,7 @@ def _conditional_truncation(ctx: _Context) -> float:
     sp = ctx.sp
     worst = 0.0
     for n in range(1, min(2, ctx.params.horizon) + 1):
-        kernel = chaos_mod.random_kernel(ctx.params, n, ctx.rng)
+        kernel = chaos_mod.random_kernel(ctx.params, n, ctx.stream)
         J = chaos_mod.multiple_integral(ctx.basis, kernel, n)
         for t in range(ctx.params.horizon + 1):
             truncated = {s: v for s, v in kernel.items() if all(tt <= t for tt, _ in s)}
@@ -208,8 +282,8 @@ def _tensor_recursion(ctx: _Context) -> float:
     if params.horizon < 3:
         return 0.0
     n = 2
-    g = chaos_mod.random_kernel(params, 1, ctx.rng)
-    f = chaos_mod.random_kernel(params, n, ctx.rng)
+    g = chaos_mod.random_kernel(params, 1, ctx.stream)
+    f = chaos_mod.random_kernel(params, n, ctx.stream)
     # left side: symmetric tensor product on ordered 3-supports
     sym: dict = {}
     times = range(1, params.horizon + 1)
@@ -261,7 +335,7 @@ def _stroock_roundtrip(ctx: _Context) -> float:
 
 def _doleans(ctx: _Context) -> float:
     params = ctx.params
-    h = chaos_mod.random_kernel(params, 1, ctx.rng)
+    h = chaos_mod.random_kernel(params, 1, ctx.stream)
     h = {s: 0.4 * v for s, v in h.items()}
     xi = chaos_mod.doleans_exponential(ctx.basis, h)
     series = chaos_mod.doleans_series(ctx.basis, h)
@@ -453,14 +527,14 @@ POINCARE_CHUNK = 10
 def _poincare(ctx: _Context) -> float:
     """Var F <= E sum_(t,k) kappa_k |D_(t,k) F|^2 for 100 random F, drawn and
     differentiated POINCARE_CHUNK at a time.  Column f of the (n, chunk)
-    draw is the f-th of that many single ``normal(size=n)`` draws.  D_(t,k) F
+    draw is the f-th of that many single functionals' draws.  D_(t,k) F
     does not depend on digit t, so its step-t plane is weighted by the
     probability of each slice of the step-t view."""
     sp, kappa = ctx.sp, ctx.basis.kappa
     p = sp.probabilities
     worst = 0.0
     for start in range(0, 100, POINCARE_CHUNK):
-        X = ctx.rng.normal(size=(min(POINCARE_CHUNK, 100 - start), sp.n)).T
+        X = ctx.stream.draw((min(POINCARE_CHUNK, 100 - start), sp.n)).T
         var = p @ (X * X) - (p @ X) ** 2
         energy = np.zeros(X.shape[1])
         for t, planes in mal._gradient_planes(ctx.params, X):
@@ -567,21 +641,26 @@ def _singleton_l_operators(ctx: _Context) -> float:
 
 
 def _girsanov_block(ctx: _Context) -> float:
+    """The density's mean and factorization, its Doleans and varphi routes,
+    and its martingale property.  A density reaches max-ratio^T, so each
+    comparison of densities is relative to the largest one compared."""
     params, sp = ctx.params, ctx.sp
     target = ctx.canonical_target()
     dens = girsanov_mod.girsanov_density(params, target).table()
+    scale = float(np.max(np.abs(dens)))
     tgt_probs = space(target.as_params(params)).probabilities
     worst = abs(sp.expectation(dens) - 1.0)
     rel = np.abs(dens * sp.probabilities - tgt_probs) / tgt_probs
     worst = max(worst, float(np.max(rel)))
     via_doleans = girsanov_mod.girsanov_density_doleans(params, target).table()
-    worst = max(worst, float(np.max(np.abs(via_doleans - dens))))
+    worst = max(worst, float(np.max(np.abs(via_doleans - dens))) / scale)
     via_varphi = girsanov_mod.girsanov_density_varphi(params, target).table()
-    worst = max(worst, float(np.max(np.abs(via_varphi - dens))))
+    worst = max(worst, float(np.max(np.abs(via_varphi - dens))) / scale)
     prev = np.ones(sp.n)
     for t in range(1, params.horizon + 1):
         cur = girsanov_mod.girsanov_density(params, target, t).table()
-        worst = max(worst, float(np.max(np.abs(sp.conditional_expectation(cur, t - 1) - prev))))
+        gap = float(np.max(np.abs(sp.conditional_expectation(cur, t - 1) - prev)))
+        worst = max(worst, gap / float(np.max(np.abs(cur))))
         prev = cur
     F = ctx.random_functional()
     direct = float(np.dot(space(target.as_params(params)).probabilities, F.table()))
@@ -632,9 +711,9 @@ CHECKS: list[tuple[str, float, Callable[[_Context], float]]] = [
 
 
 def run_identity_suite(params: ModelParams, seed: int = 0) -> list[CheckResult]:
-    """Evaluate every identity on the enumerated space for ``params``."""
-    ctx = _Context(params, seed)
-    return [CheckResult(name, float(fn(ctx)), tol) for name, tol, fn in CHECKS]
+    """Evaluate every identity on the enumerated space for ``params``, each
+    on a context of its own."""
+    return [CheckResult(name, float(fn(_Context(params, seed, name))), tol) for name, tol, fn in CHECKS]
 
 
 def worst_offender(results: list[CheckResult]) -> CheckResult | None:

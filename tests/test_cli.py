@@ -388,6 +388,21 @@ def test_each_command_loads_only_the_engine_modules_it_runs(argv, engine):
     assert set(json.loads(proc.stdout)) == {f"markedbinomial.{name}" for name in engine | {"cli"}}
 
 
+def test_verify_loads_no_random_number_module():
+    """The identity suite seeds its inputs without numpy.random, which would
+    pull in `secrets` and OpenSSL's `_hashlib`."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from markedbinomial.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({['verify', *CTI_FLAGS]!r})\n"
+        "print(json.dumps([code, sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
 PUBLIC_NAMES = """
     ChaosCoefficients CompoundTarget Configuration KWDecomposition MarketParams ModelParams OrthogonalBasis
     PathFunctional ProcessTable SteinSolution Strategy TargetMeasure add_one_cost bar_grad basis build_basis

@@ -563,9 +563,9 @@ POINCARE_LAWS = {
 
 
 def test_poincare_check_draws_the_stream_of_100_single_functionals(monkeypatch):
-    """The chunked draws are the 100 single normal(size=n) draws, column by
-    column, and leave the generator where those draws leave it, so every
-    later check sees the same inputs."""
+    """The chunked draws are 100 single functionals' draws from the check's
+    stream, column by column, and leave the stream where those draws leave
+    it."""
     from markedbinomial import diagnostics, malliavin
 
     params = ModelParams(horizon=4, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5))
@@ -577,12 +577,12 @@ def test_poincare_check_draws_the_stream_of_100_single_functionals(monkeypatch):
         return planes(p, table)
 
     monkeypatch.setattr(malliavin, "_gradient_planes", recording)
-    ctx = diagnostics._Context(params, 3)
+    ctx = diagnostics._Context(params, 3, "poincare")
     diagnostics._poincare(ctx)
-    single = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
-    draws = [single.normal(size=params.n_configurations) for _ in range(100)]
+    single = diagnostics.UniformStream(diagnostics.stream_key(3, "poincare"))
+    draws = [single.draw(params.n_configurations) for _ in range(100)]
     assert np.array_equal(np.hstack(tables), np.column_stack(draws))
-    assert ctx.rng.bit_generator.state == single.bit_generator.state
+    assert ctx.stream.position == single.position == 100 * params.n_configurations
 
 
 def test_poincare_check_fails_on_a_halved_gradient(monkeypatch):
