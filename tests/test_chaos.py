@@ -99,6 +99,23 @@ def test_roundtrip_random(request, instance, rng):
         assert np.max(np.abs(back.table() - F.table())) <= 1e-9
 
 
+@pytest.mark.parametrize("density", [1.0, 0.4])
+def test_random_kernel_draws_a_generator_once_per_support_in_order(inst2, density):
+    """One random() per support below density 1, then one normal() per kept
+    support, in time-then-mark order."""
+    kernel = random_kernel(inst2, 2, np.random.default_rng(5), density=density)
+    rng = np.random.default_rng(5)
+    want = {}
+    for t1 in range(1, 6):
+        for t2 in range(t1 + 1, 6):
+            for k1 in inst2.marks:
+                for k2 in inst2.marks:
+                    if density < 1.0 and rng.random() > density:
+                        continue
+                    want[((t1, k1), (t2, k2))] = rng.normal()
+    assert list(kernel.items()) == list(want.items())
+
+
 def test_uniqueness_on_coefficients(cti, rng):
     basis = build_basis(cti)
     kernel = random_kernel(cti, 2, rng, density=0.4)
