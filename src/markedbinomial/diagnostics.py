@@ -75,12 +75,12 @@ class UniformStream:
         self.key = key
         self.position = 0  # index of the next draw
 
-    def fill(self, out: np.ndarray, block: int = DRAW_BLOCK) -> np.ndarray:
+    def fill(self, out: np.ndarray) -> np.ndarray:
         """Write the next ``out.size`` draws into ``out`` in its memory order,
-        ``block`` at a time."""
+        ``DRAW_BLOCK`` at a time."""
         if out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError("a stream fills a C-contiguous float64 array")
-        flat = out.reshape(-1)
+        flat, block = out.reshape(-1), DRAW_BLOCK
         steps = np.arange(1, min(block, flat.size) + 1, dtype=np.uint64)
         steps *= np.uint64(_GAMMA)
         z = np.empty_like(steps)
@@ -110,7 +110,7 @@ class _Context:
     """Shared precomputed objects and the input stream of one check in a
     (params, seed) run."""
 
-    def __init__(self, params: ModelParams, seed: int, check: str = ""):
+    def __init__(self, params: ModelParams, seed: int, check: str):
         self.params = params
         self.sp = space(params)
         self.basis = basis_mod.build_basis(params)
@@ -642,25 +642,22 @@ def _singleton_l_operators(ctx: _Context) -> float:
 
 def _girsanov_block(ctx: _Context) -> float:
     """The density's mean and factorization, its Doleans and varphi routes,
-    and its martingale property.  A density reaches max-ratio^T, so each
-    comparison of densities is relative to the largest one compared."""
+    and its martingale property.  A density spans min-ratio^T to max-ratio^T
+    and every route forms it atom by atom, so each comparison of densities is
+    relative to the density at the atom compared."""
     params, sp = ctx.params, ctx.sp
     target = ctx.canonical_target()
     dens = girsanov_mod.girsanov_density(params, target).table()
-    scale = float(np.max(np.abs(dens)))
     tgt_probs = space(target.as_params(params)).probabilities
     worst = abs(sp.expectation(dens) - 1.0)
     rel = np.abs(dens * sp.probabilities - tgt_probs) / tgt_probs
     worst = max(worst, float(np.max(rel)))
-    via_doleans = girsanov_mod.girsanov_density_doleans(params, target).table()
-    worst = max(worst, float(np.max(np.abs(via_doleans - dens))) / scale)
-    via_varphi = girsanov_mod.girsanov_density_varphi(params, target).table()
-    worst = max(worst, float(np.max(np.abs(via_varphi - dens))) / scale)
+    for route in (girsanov_mod.girsanov_density_doleans, girsanov_mod.girsanov_density_varphi):
+        worst = max(worst, float(np.max(np.abs(route(params, target).table() / dens - 1.0))))
     prev = np.ones(sp.n)
     for t in range(1, params.horizon + 1):
         cur = girsanov_mod.girsanov_density(params, target, t).table()
-        gap = float(np.max(np.abs(sp.conditional_expectation(cur, t - 1) - prev)))
-        worst = max(worst, gap / float(np.max(np.abs(cur))))
+        worst = max(worst, float(np.max(np.abs(sp.conditional_expectation(cur, t - 1) / prev - 1.0))))
         prev = cur
     F = ctx.random_functional()
     direct = float(np.dot(space(target.as_params(params)).probabilities, F.table()))

@@ -38,12 +38,13 @@ def test_stream_maps_each_output_to_its_top_53_bits_on_minus_one_one():
     assert stream.position == 305
 
 
-def test_draws_have_the_same_bits_for_every_block_size():
+def test_draws_have_the_same_bits_for_every_block_size(monkeypatch):
     n = 2 * diagnostics.DRAW_BLOCK + 5
     draws = []
     for block in (1, 7, diagnostics.DRAW_BLOCK):
+        monkeypatch.setattr(diagnostics, "DRAW_BLOCK", block)
         stream = diagnostics.UniformStream(diagnostics.stream_key(7, "isometry"))
-        draws.append(stream.fill(np.empty(n), block=block).view(np.uint64))
+        draws.append(stream.fill(np.empty(n)).view(np.uint64))
     assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
     values = draws[0].view(float)
     assert -1.0 <= values.min() and values.max() < 1.0
@@ -103,16 +104,22 @@ def test_girsanov_block_passes_where_densities_grow_like_a_power_of_the_horizon(
     assert main(args) == 0, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["every_atom", "smallest_density_atom"])
 @pytest.mark.parametrize("route", ["girsanov_density", "girsanov_density_doleans", "girsanov_density_varphi"])
 @pytest.mark.parametrize("T", [3, 6])
-def test_girsanov_block_fails_on_a_density_route_off_by_1e_9(route, T, monkeypatch):
+def test_girsanov_block_fails_on_a_density_route_off_by_1e_9(route, where, T, monkeypatch):
+    """At lambda 0.05 the density spans 0.76^T to 6^T, so an error of 1e-9 at
+    the smallest-density atom is 4e-15 of the largest density at T=6: the
+    check must still see it."""
     params = ModelParams(horizon=T, marks=(1.0, -1.0), jump_prob=0.05, mark_probs=(0.5, 0.5))
     tolerance = {name: tol for name, tol, _ in diagnostics.CHECKS}["girsanov_block"]
-    assert diagnostics._girsanov_block(diagnostics._Context(params, 0)) <= tolerance
+    assert diagnostics._girsanov_block(diagnostics._Context(params, 0, "girsanov_block")) <= tolerance
     exact = getattr(girsanov, route)
 
-    def scaled(p, target, *rest):
-        return PathFunctional(p, values=exact(p, target, *rest).table() * (1 + 1e-9))
+    def perturbed(p, target, *rest):
+        values = exact(p, target, *rest).table().copy()
+        values[slice(None) if where == "every_atom" else np.argmin(values)] *= 1 + 1e-9
+        return PathFunctional(p, values=values)
 
-    monkeypatch.setattr(girsanov, route, scaled)
-    assert diagnostics._girsanov_block(diagnostics._Context(params, 0)) > tolerance
+    monkeypatch.setattr(girsanov, route, perturbed)
+    assert diagnostics._girsanov_block(diagnostics._Context(params, 0, "girsanov_block")) > tolerance

@@ -214,7 +214,7 @@ def test_dr_law_check_against_dict_groupby(request, instance, perturb, monkeypat
         for t in range(2, params.horizon + 1):
             cur = law(table(basis, t, k))
             worst = max([worst] + [abs(ref.get(v, 0.0) - cur.get(v, 0.0)) for v in set(ref) | set(cur)])
-    residual = diagnostics._dr_identically_distributed(diagnostics._Context(params, 0))
+    residual = diagnostics._dr_identically_distributed(diagnostics._Context(params, 0, "dr_identically_distributed"))
     assert residual == worst
     assert (residual > 1e-3) == (perturb is not None)
 
@@ -226,7 +226,7 @@ def _lemma_check():
     from markedbinomial import diagnostics
 
     tolerance = {name: tol for name, tol, _ in diagnostics.CHECKS}["lemma_iterated_gradient"]
-    return diagnostics._lemma_iterated_gradient(diagnostics._Context(LEMMA_T6, 0)), tolerance
+    return diagnostics._lemma_iterated_gradient(diagnostics._Context(LEMMA_T6, 0, "lemma_iterated_gradient")), tolerance
 
 
 def test_lemma_check_takes_one_gradient_per_support(monkeypatch):
@@ -592,10 +592,10 @@ def test_poincare_check_fails_on_a_halved_gradient(monkeypatch):
 
     params = ModelParams(horizon=3, marks=(1.0, -1.0), jump_prob=0.5, mark_probs=(0.5, 0.5))
     tolerance = {name: tol for name, tol, _ in diagnostics.CHECKS}["poincare"]
-    assert diagnostics._poincare(diagnostics._Context(params, 0)) <= tolerance
+    assert diagnostics._poincare(diagnostics._Context(params, 0, "poincare")) <= tolerance
     exact = malliavin._projection
     monkeypatch.setattr(malliavin, "_projection", lambda p: 0.5 * exact(p))
-    assert diagnostics._poincare(diagnostics._Context(params, 0)) > tolerance
+    assert diagnostics._poincare(diagnostics._Context(params, 0, "poincare")) > tolerance
 
 
 @pytest.mark.parametrize("n_marks", [1, 2, 3, 4])
@@ -626,8 +626,8 @@ def test_poincare_check_peak_memory_stays_below_two_process_tables():
     from markedbinomial import diagnostics
 
     params = ModelParams(horizon=8, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5))
-    ctx = diagnostics._Context(params, 1)
-    diagnostics._poincare(diagnostics._Context(params, 1))  # warm the caches
+    ctx = diagnostics._Context(params, 1, "poincare")
+    diagnostics._poincare(diagnostics._Context(params, 1, "poincare"))  # warm the caches
     tracemalloc.start()
     try:
         diagnostics._poincare(ctx)
