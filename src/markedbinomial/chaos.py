@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import combinations, product, repeat
 from math import factorial
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,6 +53,9 @@ from .basis import (
     z_step_values,
 )
 from .space import ModelParams, PathFunctional, _text17, space
+
+if TYPE_CHECKING:
+    from .diagnostics import UniformStream
 
 # Coefficients at or below this fraction of the largest one are rounding
 # dust from the transform; kernels read out of the tensor leave them out.
@@ -359,19 +362,12 @@ def covariance_from_coeffs(basis: OrthogonalBasis, cf: ChaosCoefficients, cg: Ch
     return float(np.sum(cf.tensor.reshape(-1, order="F") * cg.tensor.reshape(-1, order="F") * weight))
 
 
-class Draws(Protocol):
-    """A stream that returns its next ``size`` floats in one call, such as
-    the identity suite's :class:`diagnostics.UniformStream`."""
-
-    def draw(self, size: int, /) -> np.ndarray: ...
-
-
-def random_kernel(params: ModelParams, n: int, rng: np.random.Generator | Draws, density: float = 1.0) -> Kernel:
+def random_kernel(params: ModelParams, n: int, rng: np.random.Generator | UniformStream, density: float = 1.0) -> Kernel:
     """Seeded random order-n kernel on all (or a fraction of) ordered supports.
 
     ``rng`` is a numpy Generator, drawn one ``normal()`` per kept support, or
-    a :class:`Draws` stream, which gives every support its value in one call
-    (density 1 only)."""
+    the identity suite's stream, which gives every support its value in one
+    ``draw`` call (density 1 only)."""
     times = range(1, params.horizon + 1)
     supports = [tuple(zip(tset, ks)) for tset in combinations(times, n) for ks in product(params.marks, repeat=n)]
     if hasattr(rng, "draw"):
