@@ -52,7 +52,7 @@ from .basis import (
     r_step_values,
     z_step_values,
 )
-from .space import ModelParams, PathFunctional, _text17, space
+from .space import ModelParams, PathFunctional, _text17, space, step_products
 
 if TYPE_CHECKING:
     from .diagnostics import UniformStream
@@ -356,8 +356,7 @@ def kernel_inner(basis: OrthogonalBasis, f_n: Kernel, g_n: Kernel, n: int) -> fl
 def covariance_from_coeffs(basis: OrthogonalBasis, cf: ChaosCoefficients, cg: ChaosCoefficients) -> float:
     """cov(F, G) = sum_n n! <f_n, g_n>_n, by Parseval on the coefficient tensors:
     the sum over non-constant d of C_F(d) C_G(d) prod_t kappa(d_t), kappa(0) = 1."""
-    sp = space(basis.params)
-    weight = np.concatenate([[1.0], basis.kappa])[sp.digits].prod(axis=1)
+    weight = step_products([np.concatenate([[1.0], basis.kappa])] * basis.params.horizon)
     weight[0] = 0.0
     return float(np.sum(cf.tensor.reshape(-1, order="F") * cg.tensor.reshape(-1, order="F") * weight))
 
@@ -394,8 +393,8 @@ def doleans_exponential(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:
     params = basis.params
     sp = space(params)
     g = _kernel_tensor(params, convert_coeffs_r_to_z(basis, h), 1)[sp.powers[:, None] * np.arange(1, sp.base)]
-    factors = 1.0 + g @ z_step_values(params).T
-    return PathFunctional(params, values=factors[np.arange(params.horizon), sp.digits].prod(axis=1))
+    factors = 1.0 + g @ z_step_values(params).T   # (T, 1+m): row t-1 holds step t's factor per digit
+    return PathFunctional(params, values=step_products(factors))
 
 
 def doleans_series(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:

@@ -40,7 +40,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .space import ModelParams, PathFunctional, probability_table, space, step_weights
+from .space import ModelParams, PathFunctional, probability_table, space, step_products, step_weights
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,7 @@ class MinimalMartingaleMeasure:
 
     @property
     def density(self) -> np.ndarray:  # dP^ / dP, (n,): rho = w^ / w multiplied in step order
-        rho = self.step_law / step_weights(self.market.model_params())
-        return reduce(lambda d, _: np.multiply.outer(rho, d).ravel(), range(self.market.horizon), np.ones(1))
+        return step_products([self.step_law / step_weights(self.market.model_params())] * self.market.horizon)
 
 
 @lru_cache(maxsize=64)

@@ -25,17 +25,13 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "MBP_ENUM_CAP"
-
-# Most rows per block when the configuration probabilities are summed from
-# the log step weights, so no float table spans all n rows of the (n, T) table.
-PROBABILITY_BLOCK = 1 << 15
 
 
 def enumeration_cap() -> int:
@@ -202,31 +198,20 @@ def _refuse_oversized(params: ModelParams) -> None:
         )
 
 
+def step_products(rows) -> np.ndarray:
+    """Rank-ordered table of prod_t rows[t-1][digit t], one row of factors per
+    step: T outer products in step order, so every entry is formed as
+    w_T * (... * (w_1 * 1.0)).  Only elementwise IEEE multiplies touch it, and
+    its bits are the same on every host and SIMD level."""
+    return reduce(lambda table, row: np.multiply.outer(row, table).ravel(), rows, np.ones(1))
+
+
 @lru_cache(maxsize=64)
 def probability_table(params: ModelParams) -> np.ndarray:
-    """Probabilities of all configurations in rank order, shared and read-only.
-
-    Rows are summed in blocks of B^k <= PROBABILITY_BLOCK ranks (B = 1+m):
-    one (B^k, T) table of log step weights serves every block, its first k
-    columns, the low digits, written once, and its other columns, the
-    digits of the block index, set to one constant each per block.  Each
-    row equals the row of the gather ``log(step_weights)[digits]``, so its
-    sum and exp have the same bits, and no digit table is built.
-    """
+    """Probabilities of all configurations in rank order, shared and read-only:
+    the step-order products of the step weights, built without a digit table."""
     _refuse_oversized(params)
-    T, B, count = params.horizon, params.n_marks + 1, params.n_configurations
-    log_weights = np.log(step_weights(params))
-    k = T
-    while B**k > PROBABILITY_BLOCK:
-        k -= 1
-    rows = B**k
-    logs = np.empty((rows, T))
-    for t in range(k):  # column t holds the log weight of digit t + 1, as the digit table does
-        logs.reshape(rows // B ** (t + 1), B, B**t, T)[..., t] = log_weights[:, None]
-    probabilities = np.empty(count)
-    for block, start in enumerate(range(0, count, rows)):
-        logs[:, k:] = log_weights[list(digits_of_rank(block, T - k, params.n_marks))]
-        np.exp(logs.sum(axis=1), out=probabilities[start:start + rows])
+    probabilities = step_products([step_weights(params)] * params.horizon)
     probabilities.flags.writeable = False
     return probabilities
 
@@ -429,11 +414,15 @@ def enumerate_configurations(params: ModelParams) -> list[Configuration]:
 
 
 def config_probability(params: ModelParams, config: Configuration) -> float:
-    """Product over steps of (1 - lambda) or lambda * Q(mark), with the bits
-    of its entry in ``probability_table``; no sample space is built."""
+    """Product over steps of (1 - lambda) or lambda * Q(mark), multiplied in
+    step order as ``probability_table`` is, so it has the bits of its entry
+    there; no sample space is built."""
     if config.params != params:
         raise ValueError("configuration belongs to different params")
-    return float(np.exp(np.log(step_weights(params))[np.asarray(config.digits)].sum()))
+    weights, prob = step_weights(params).tolist(), 1.0
+    for d in config.digits:
+        prob = weights[d] * prob
+    return prob
 
 
 def rng_stream(params: ModelParams, stream_index: int = 0) -> np.random.Generator:

@@ -288,6 +288,26 @@ def test_order_blocks_allocate_no_n_by_t_int64_table():
     assert peak < sp.n * params.horizon * np.dtype(np.int64).itemsize
 
 
+def test_doleans_exponential_and_parseval_weight_peak_below_two_and_a_half_tables():
+    """At T=11 with 2 marks the product tables are built by step-order outer
+    products: no (n, T) float gather is formed, and each call peaks below 2.5
+    tables of n floats in traced memory, its result included."""
+    params = ModelParams(11, (1.0, -1.0), 0.4, (0.5, 0.5))
+    basis, n = build_basis(params), params.n_configurations
+    h = random_kernel(params, 1, np.random.default_rng(5))
+    coeffs = stroock_decompose(PathFunctional(params, values=np.random.default_rng(6).normal(size=n)))
+    for call in (lambda: doleans_exponential(basis, h), lambda: covariance_from_coeffs(basis, coeffs, coeffs)):
+        call()  # the shared caches are filled before tracing starts
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * np.dtype(float).itemsize
+
+
 def _reference_csv(coeffs) -> str:
     """Every value formatted on its own, as a row-per-row f-string."""
     return "order,support,value\n" + "".join(f"{n},{label},{v:.17g}\n" for n, label, v in coeffs.rows())

@@ -24,7 +24,7 @@ from markedbinomial.hedging import (
     pgf_ratio_trinomial,
     random_claim,
 )
-from markedbinomial.space import probability_table, space
+from markedbinomial.space import probability_table, space, step_products
 
 
 MARTINGALE = dict(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5)
@@ -152,6 +152,16 @@ def test_price_paths_equal_the_cumulative_product(kw, horizon):
     np.testing.assert_array_equal(paths.price, price)
     np.testing.assert_array_equal(paths.discounted, discounted)
     np.testing.assert_array_equal(paths.increments, np.diff(discounted, axis=1))
+
+
+@pytest.mark.parametrize("kw", [MARTINGALE, DRIFTED, dict(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7)],
+                         ids=["M1", "M2", "M3"])
+@pytest.mark.parametrize("horizon", [1, 4, 9])
+def test_price_walk_ends_on_the_step_products_of_the_price_factors(kw, horizon):
+    """The walk keeps its own loop, since it yields every prefix; its last
+    prefix S_T has the bits of the step-order product table."""
+    paths = price_paths(mk(horizon=horizon, **kw))
+    assert paths.terminal.tobytes() == step_products([paths._factor] * horizon).tobytes()
 
 
 def test_returned_tables_are_step_major(rng):

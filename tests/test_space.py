@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from markedbinomial import (
 )
 from markedbinomial.basis import build_basis, delta_r_table
 from markedbinomial.space import (
-    PROBABILITY_BLOCK,
     _distinct,
     digits_of_rank,
     export_table_csv,
@@ -28,6 +28,7 @@ from markedbinomial.space import (
     probability_table,
     rank_of_digits,
     sample_digits,
+    step_products,
     step_weights,
 )
 
@@ -53,40 +54,23 @@ def test_digit_table_is_the_mixed_radix_expansion(horizon, marks):
     np.testing.assert_array_equal(sp.digits, (ranks[:, None] // sp.powers) % sp.base)
 
 
-@pytest.mark.parametrize("horizon, marks, probs", [
-    (10, (1.0, -1.0), (0.5, 0.5)),
-    (17, (2.5,), (1.0,)),
-    (8, (3.0, -1.0, 0.5), (0.2, 0.5, 0.3)),
-])
-def test_probabilities_are_summed_block_by_block_without_changing_a_bit(horizon, marks, probs):
-    """Row blocks of the log-weight sum give the bits of the one-pass sum
-    over the whole (n, T) gather, also on the rows past the first block."""
-    sp = space(ModelParams(horizon, marks, 0.37, probs))
-    assert not sp.probabilities.flags.writeable
-    whole = np.exp(sp.log_step_weights[sp.digits].sum(axis=1))
-    assert sp.probabilities.tobytes() == whole.tobytes()
-    assert sp.n > PROBABILITY_BLOCK
-
-
 def _gathered_probabilities(params: ModelParams) -> np.ndarray:
-    """Reference: the digit table, gathered into log step weights and summed
-    in row blocks of PROBABILITY_BLOCK, as the sample space once did."""
+    """Reference: the digit table gathered into step weights, the columns
+    multiplied in step order, acc = w[digits[:, t]] * acc."""
     count, T, B = params.n_configurations, params.horizon, params.n_marks + 1
     digits = np.empty((count, T), dtype=np.int8)
     for t in range(T):
         digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
-    log_weights = np.log(step_weights(params))
-    probabilities = np.empty(count)
-    for s in range(0, count, PROBABILITY_BLOCK):
-        np.exp(log_weights[digits[s:s + PROBABILITY_BLOCK]].sum(axis=1), out=probabilities[s:s + PROBABILITY_BLOCK])
-    return probabilities
+    weights, acc = step_weights(params), np.ones(count)
+    for t in range(T):
+        acc = weights[digits[:, t]] * acc
+    return acc
 
 
 @pytest.mark.parametrize("n_marks, horizon", [(m, T) for m in range(1, 7) for T in range(1, 14)
                                               if (m + 1) ** T <= 3_000_000])
 def test_probability_table_has_the_bits_of_the_digit_gather(n_marks, horizon):
-    """Up to 3^13 configurations, several blocks of B^k rows wherever
-    B^T > PROBABILITY_BLOCK; the sample space holds the same shared table."""
+    """Up to 3^13 configurations; the sample space holds the same shared table."""
     q = np.arange(1.0, n_marks + 1.0)
     params = ModelParams(horizon, tuple(np.linspace(-1.0, 2.0, n_marks)), 0.37, tuple(q / q.sum()))
     try:
@@ -97,6 +81,39 @@ def test_probability_table_has_the_bits_of_the_digit_gather(n_marks, horizon):
     finally:  # the larger models would otherwise stay in the shared caches for the session
         space.cache_clear()
         probability_table.cache_clear()
+
+
+@pytest.mark.parametrize("jump_prob", [0.3, 0.9])
+@pytest.mark.parametrize("n_marks", range(1, 5))
+def test_probability_table_is_within_t_minus_1_roundings_of_the_exact_products(n_marks, jump_prob):
+    """Each probability is T - 1 rounded products of float step weights, so it
+    lies within (T-1) 2^-53 relative of the exact product of those weights
+    (Jeannerod & Rump, SIAM J. Matrix Anal. Appl. 39, 2018); the exact
+    products are Fractions, T <= 10 up to 3^10 configurations."""
+    q = np.arange(1.0, n_marks + 1.0)
+    for horizon in range(1, 11):
+        params = ModelParams(horizon, tuple(np.linspace(-1.0, 2.0, n_marks)), jump_prob, tuple(q / q.sum()))
+        if params.n_configurations > 3**10:
+            break
+        weights = np.array([Fraction(w) for w in step_weights(params).tolist()], dtype=object)
+        exact = np.ones(1, dtype=object)
+        for _ in range(horizon):
+            exact = np.multiply.outer(weights, exact).ravel()
+        worst = max(abs(Fraction(p) - e) / e for p, e in zip(probability_table(params).tolist(), exact))
+        assert worst <= Fraction(horizon - 1, 2**53), (horizon, float(worst * 2**53))
+
+
+@pytest.mark.parametrize("n_marks, horizon", [(1, 9), (2, 7), (4, 5)])
+def test_step_products_multiply_the_digit_gather_column_by_column(n_marks, horizon):
+    """Distinct signed rows per step: entry r is rows[t-1][digit t of r]
+    multiplied in step order, acc = row[digits[:, t]] * acc, bit for bit."""
+    base = n_marks + 1
+    rows = np.random.default_rng(horizon).normal(size=(horizon, base))
+    digits = (np.arange(base**horizon)[:, None] // base ** np.arange(horizon)) % base
+    acc = np.ones(base**horizon)
+    for t in range(horizon):
+        acc = rows[t][digits[:, t]] * acc
+    assert step_products(rows).tobytes() == acc.tobytes()
 
 
 def test_enumeration_cap(monkeypatch):
@@ -211,11 +228,13 @@ def test_config_probability(cti):
 
 @pytest.mark.parametrize("model", ["cti", "inst2"])
 def test_config_probability_builds_no_sample_space(model, request):
-    """One configuration's probability has the bits of the sample space's
-    own log-weight gather, and the call leaves no space in the cache."""
+    """One configuration's probability has the bits of its step weights
+    multiplied in step order, and the call leaves no space in the cache."""
     params = request.getfixturevalue(model)
     sp = space(params)
-    expected = [float(np.exp(sp.log_step_weights[row].sum())) for row in sp.digits.astype(np.intp)]
+    expected = np.ones(sp.n)
+    for column in sp.digits.T.astype(np.intp):
+        expected = sp.step_weights[column] * expected
     space.cache_clear()
     got = [config_probability(params, Configuration(row, params)) for row in sp.digits.tolist()]
     assert space.cache_info().currsize == 0
