@@ -110,8 +110,9 @@ def _dense_view(prefixes: str, columns: bool = False) -> property:
 
 
 def _discount(market: MarketParams) -> np.ndarray:
-    """(1+r)^t, t = 0..T: the divisors of S~_t = S_t / (1+r)^t."""
-    return (1.0 + market.r) ** np.arange(market.horizon + 1)
+    """(1+r)^t, t = 0..T: the divisors of S~_t = S_t / (1+r)^t, multiplied
+    up step by step, since numpy's power loop rounds by SIMD level."""
+    return np.cumprod([1.0] + [1.0 + market.r] * market.horizon)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def test_price_paths_equal_the_cumulative_product(kw, horizon):
     sp = space(market.model_params())
     growth = np.array([1.0, 1.0 + market.b, 1.0 + market.a])[sp.digits]
     price = np.concatenate([np.ones((sp.n, 1)), np.cumprod(growth, axis=1)], axis=1)
-    discounted = price / (1.0 + market.r) ** np.arange(horizon + 1)
+    discounted = price / np.cumprod([1.0] + [1.0 + market.r] * horizon)
     paths = price_paths(market)
     np.testing.assert_array_equal(paths.price, price)
     np.testing.assert_array_equal(paths.discounted, discounted)
@@ -256,7 +256,7 @@ def _assert_derived_views_are_bitwise(market, F):
     for got, want in zip(strategy.alpha_prefixes, _self_financed_alpha(market, strategy.phi_prefixes, kw.f0),
                          strict=True):
         np.testing.assert_array_equal(got, want)
-    disc = (1.0 + market.r) ** np.arange(market.horizon + 1)
+    disc = np.cumprod([1.0] + [1.0 + market.r] * market.horizon)
     rho, density = mmm.step_law / weights, np.ones(1)
     for _ in range(market.horizon):
         density = np.multiply.outer(rho, density).ravel()
