@@ -115,7 +115,11 @@ def _emit(args, payload: dict) -> None:
 
 
 def _model_params(args) -> ModelParams:
+    given = [flag for flag, val in (("--T", args.T), ("--marks", args.marks),
+                                    ("--lambda", args.lam), ("--Q", args.Q)) if val is not None]
     if getattr(args, "config", None):
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be combined with --config, which sets the model")
         params = ModelParams.from_file(args.config)
         if args.seed is not None:
             params = ModelParams(params.horizon, params.marks, params.jump_prob,
@@ -123,8 +127,7 @@ def _model_params(args) -> ModelParams:
         else:
             args.seed = params.rng_seed
         return params
-    missing = [flag for flag, val in (("--T", args.T), ("--marks", args.marks),
-                                      ("--lambda", args.lam), ("--Q", args.Q)) if val is None]
+    missing = [flag for flag in ("--T", "--marks", "--lambda", "--Q") if flag not in given]
     if missing:
         raise ValueError(f"missing required flags: {', '.join(missing)} (or use --config)")
     if args.seed is None:

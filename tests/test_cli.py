@@ -239,32 +239,66 @@ MARKET_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("market, claim, golden", [
+HEDGE_GOLDENS = [
     ("M1", "call:K=1.05", "hedge_M1_call_T4.json"),
     ("M1", "discounted_price", "hedge_M1_discounted_price_T4.json"),
     ("M3", "call:K=1.05", "hedge_M3_call_T4.json"),
     ("signed", "call:K=1.05", "hedge_signed_call_T4.json"),
-])
-def test_hedge_output_is_byte_identical_to_the_golden_file(market, claim, golden, capsys):
-    """`hedge --T 4 --x 1.0 --no-timestamp`, the least-squares fields included,
-    reproduces the committed file byte for byte."""
-    argv = ["hedge", *MARKET_FLAGS[market], "--T", "4", "--claim", claim, "--x", "1.0", "--no-timestamp"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the signed market warns once per process
-        assert main(argv) == 0
-    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("model, golden", [
+]
+VERIFY_GOLDENS = [
     (["--T", "3", "--marks=1,-1", "--lambda", "0.5", "--Q", "0.5,0.5"], "verify_cti_T3.json"),
     (["--T", "5", "--marks=1,2,3", "--lambda", "0.3", "--Q", "0.5,0.3,0.2"], "verify_inst2_T5.json"),
     (["--T", "8", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5"], "verify_binary_T8.json"),
-])
+]
+
+
+def _hedge_argv(market: str, claim: str) -> list[str]:
+    return ["hedge", *MARKET_FLAGS[market], "--T", "4", "--claim", claim, "--x", "1.0", "--no-timestamp"]
+
+
+def _verify_argv(model: list[str]) -> list[str]:
+    return ["verify", *model, "--seed", "1", "--no-timestamp"]
+
+
+@pytest.mark.parametrize("market, claim, golden", HEDGE_GOLDENS)
+def test_hedge_output_is_byte_identical_to_the_golden_file(market, claim, golden, capsys):
+    """`hedge --T 4 --x 1.0 --no-timestamp`, the least-squares fields included,
+    reproduces the committed file byte for byte."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the signed market warns once per process
+        assert main(_hedge_argv(market, claim)) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("model, golden", VERIFY_GOLDENS)
 def test_verify_output_is_byte_identical_to_the_golden_file(model, golden, capsys):
     """`verify --seed 1 --no-timestamp` reproduces every residual of the
     committed file byte for byte."""
-    assert main(["verify", *model, "--seed", "1", "--no-timestamp"]) == 0
+    assert main(_verify_argv(model)) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+def _host_has_avx512f() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0 keeps the table elsewhere
+        return False
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(not _host_has_avx512f(), reason="the host has no AVX-512 loops to disable")
+@pytest.mark.parametrize("argv, golden",
+                         [(_hedge_argv(market, claim), golden) for market, claim, golden in HEDGE_GOLDENS]
+                         + [(_verify_argv(model), golden) for model, golden in VERIFY_GOLDENS],
+                         ids=[golden for *_, golden in HEDGE_GOLDENS + VERIFY_GOLDENS])
+def test_golden_output_holds_without_numpys_avx512_loops(argv, golden):
+    """numpy picks its exp, log and power loops by SIMD level.  With the
+    AVX-512 loops disabled, as on an AVX2-only host, each golden command
+    prints the committed bytes in a fresh process."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    proc = run_cli(argv, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("model, functional, golden", [
@@ -490,6 +524,22 @@ def test_config_file_source(tmp_path):
     proc = run_cli(["verify", "--config", str(cfg), "--no-timestamp"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["seed"] == 9
+
+
+@pytest.mark.parametrize("flag", [["--T", "5"], ["--marks=1,2"], ["--lambda", "0.3"], ["--Q", "0.4,0.6"]],
+                         ids=["T", "marks", "lambda", "Q"])
+def test_config_refuses_model_flags_beside_it(tmp_path, flag, capsys):
+    """A model flag next to --config would be silently dropped: it is refused
+    with exit 2 and one error line, while --seed still overrides the file."""
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("T = 3\nmarks = 1,-1\nlambda = 0.5\nQ = 0.5,0.5\nseed = 9\n")
+    assert main(["decompose", "--config", str(cfg), *flag, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag[0].split('=')[0]} cannot be combined with --config, "
+                                         "which sets the model"]
+    assert main(["decompose", "--config", str(cfg), "--seed", "4", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 4
 
 
 def test_enumeration_cap_env(tmp_path):
