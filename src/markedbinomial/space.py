@@ -26,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -198,7 +198,7 @@ def _refuse_oversized(params: ModelParams) -> None:
         )
 
 
-def step_products(rows) -> np.ndarray:
+def step_products(rows: Iterable[np.ndarray]) -> np.ndarray:
     """Rank-ordered table of prod_t rows[t-1][digit t], one row of factors per
     step: T outer products in step order, so every entry is formed as
     w_T * (... * (w_1 * 1.0)).  Only elementwise IEEE multiplies touch it, and
