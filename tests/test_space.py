@@ -88,7 +88,7 @@ def test_probability_table_has_the_bits_of_the_digit_gather(n_marks, horizon):
 def test_probability_table_is_within_t_minus_1_roundings_of_the_exact_products(n_marks, jump_prob):
     """Each probability is T - 1 rounded products of float step weights, so it
     lies within (T-1) 2^-53 relative of the exact product of those weights
-    (Jeannerod & Rump, SIAM J. Matrix Anal. Appl. 39, 2018); the exact
+    (Rump, Bünger & Jeannerod, BIT Numer. Math. 56, 2016); the exact
     products are Fractions, T <= 10 up to 3^10 configurations."""
     q = np.arange(1.0, n_marks + 1.0)
     for horizon in range(1, 11):
