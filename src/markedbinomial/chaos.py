@@ -39,7 +39,6 @@ from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import combinations, product, repeat
 from math import factorial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,10 +51,7 @@ from .basis import (
     r_step_values,
     z_step_values,
 )
-from .space import ModelParams, PathFunctional, _text17, space, step_products
-
-if TYPE_CHECKING:
-    from .diagnostics import UniformStream
+from .space import ModelParams, PathFunctional, UniformStream, _text17, space, step_products
 
 # Coefficients at or below this fraction of the largest one are rounding
 # dust from the transform; kernels read out of the tensor leave them out.

@@ -53,9 +53,38 @@ def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
     yield f"\n{pad}]"
 
 
+# Integers formatted per piece when integer rows are rendered.
+INT_CHUNK = 1 << 16
+
+
+class IntRows:
+    """A list of integer rows of one length, given as consecutive 2-D blocks
+    of rows.  ``_json17`` renders it as it renders the same list of lists,
+    block by block, so the rows are never held together."""
+
+    def __init__(self, blocks: Iterable[np.ndarray]):
+        self.blocks = blocks
+
+
+def _int_rows(blocks: Iterable[np.ndarray], pad: str) -> Iterator[str]:
+    """An ``IntRows`` list as JSON: one ``%`` template per block, with a
+    ``%d`` per entry, in place of a recursion per integer."""
+    first, sep = f"[\n{pad}  ", f",\n{pad}  "
+    opener = first
+    for block in blocks:
+        if len(block):
+            row = "[" + ",".join([f"\n{pad}    %d"] * block.shape[1]) + f"\n{pad}  ]"
+            yield opener + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+            opener = sep
+    yield "[]" if opener == first else f"\n{pad}]"
+
+
 def _json17(obj, indent: int = 0) -> Iterator[str]:
     """The pieces of ``dumps17(obj, indent)``, in order."""
     pad = "  " * indent
+    if isinstance(obj, IntRows):
+        yield from _int_rows(obj.blocks, pad)
+        return
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -155,21 +184,45 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
 
 
+def _csv_paths(blocks: Iterable[np.ndarray], n_marks: int) -> Iterator[str]:
+    """``simulate``'s CSV rows ``path,digits``, a block of paths per piece.
+    Below 10 marks each digit is one character, written by a byte template;
+    from 10 marks on a digit can take two or three, so they are joined by
+    spaces."""
+    first = 0
+    for digits in blocks:
+        if n_marks < 10:
+            text = np.empty((len(digits), digits.shape[1] + 1), dtype=np.uint8)
+            text[:, -1] = ord("\n")
+            text[:, :-1] = digits
+            text[:, :-1] += ord("0")
+            rows = text.tobytes().decode("ascii").splitlines()
+        else:
+            template = " ".join(["%d"] * digits.shape[1]) + "\n"
+            rows = (template * len(digits) % tuple(digits.ravel().tolist())).splitlines()
+        yield "".join([f"{i},{row}\n" for i, row in enumerate(rows, start=first)])
+        first += len(rows)
+
+
 def cmd_simulate(args) -> int:
-    from .space import sample_digits
+    from .space import rng_stream, sample_digits
 
     params = _model_params(args)
-    digs = sample_digits(params, args.paths, stream=args.stream)
+    if args.paths < 0:
+        raise ValueError(f"--paths must be non-negative, got {args.paths}")
+    stream = rng_stream(params, args.stream)
+    # path i is draws i*T .. i*T+T-1 of the stream, so drawing in blocks gives the same paths
+    per_block = max(1, INT_CHUNK // params.horizon)
+    blocks = (sample_digits(params, min(per_block, args.paths - start), stream)
+              for start in range(0, args.paths, per_block))
     if args.format == "csv":
-        lines = ["path,digits"]
-        lines += [f"{i},{''.join(str(d) for d in row)}" for i, row in enumerate(digs.tolist())]
-        _write(args, ["\n".join(lines) + "\n"])
+        _write(args, itertools.chain(["path,digits\n"], _csv_paths(blocks, params.n_marks)))
         return 0
     _emit(args, {
         "params": {"T": params.horizon, "marks": list(params.marks),
                    "lambda": params.jump_prob, "Q": list(params.mark_probs)},
         "stream": args.stream,
-        "paths": [[int(d) for d in row] for row in digs.tolist()],
+        "paths": IntRows(blocks),
     })
     return 0
 

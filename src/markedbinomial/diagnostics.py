@@ -21,7 +21,15 @@ from . import basis as basis_mod
 from . import chaos as chaos_mod
 from . import girsanov as girsanov_mod
 from . import malliavin as mal
-from .space import ModelParams, PathFunctional, digits_of_rank, rank_of_digits, space
+from .space import (
+    ModelParams,
+    PathFunctional,
+    UniformStream,
+    digits_of_rank,
+    rank_of_digits,
+    space,
+    stream_key,
+)
 
 
 @dataclass
@@ -33,77 +41,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
-
-
-# -- seeded inputs: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) as a counter-based
-# stream (Salmon et al., SC 2011) ------------------------------------------------------
-
-_MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15  # the counter step: odd, 2^64 over the golden ratio
-_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-
-# Draws formed per pass: a fill's integer temporaries are two blocks.
-DRAW_BLOCK = 1 << 13
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64's finalizer of one 64-bit word."""
-    z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK
-    return z ^ (z >> 31)
-
-
-def stream_key(seed: int, name: str) -> int:
-    """Key of the stream a check named ``name`` draws under ``seed``: the seed
-    (mod 2^64), then each UTF-8 byte of the name, folded through the finalizer."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    key = _mix64((seed + _GAMMA) & _MASK)
-    for byte in name.encode():
-        key = _mix64((key + (byte + 1) * _GAMMA) & _MASK)
-    return key
-
-
-class UniformStream:
-    """Floats uniform on [-1, 1): draw i is SplitMix64's i-th output from
-    ``key``, z_i = mix64(key + (i + 1) * gamma mod 2^64), whose top 53 bits,
-    read as a signed integer s, give s * 2^-52.  Integer arithmetic and exact
-    conversions only, so the bits are the same on every host, and a block of
-    draws is formed without the draws before it."""
-
-    def __init__(self, key: int):
-        self.key = key
-        self.position = 0  # index of the next draw
-
-    def fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the next ``out.size`` draws into ``out`` in its memory order,
-        ``DRAW_BLOCK`` at a time."""
-        if out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError("a stream fills a C-contiguous float64 array")
-        flat, block = out.reshape(-1), DRAW_BLOCK
-        steps = np.arange(1, min(block, flat.size) + 1, dtype=np.uint64)
-        steps *= np.uint64(_GAMMA)
-        z = np.empty_like(steps)
-        mix = [np.uint64(c) for c in _MIX]
-        for start in range(0, flat.size, block):
-            dest = flat[start : start + block]
-            zb, shifted = z[: len(dest)], dest.view(np.uint64)  # the destination is the shift scratch
-            np.add(steps[: len(dest)], np.uint64((self.key + (self.position + start) * _GAMMA) & _MASK), out=zb)
-            for shift, factor in zip((30, 27), mix):
-                np.right_shift(zb, shift, out=shifted)
-                zb ^= shifted
-                zb *= factor
-            np.right_shift(zb, 31, out=shifted)
-            zb ^= shifted
-            top = zb.view(np.int64)
-            np.right_shift(top, 11, out=top)  # arithmetic shift: the top 53 bits, signed
-            np.copyto(dest, top)  # exact below 2^53, and with no cast buffer
-            dest *= 2.0 ** -52
-        self.position += flat.size
-        return out
-
-    def draw(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        return self.fill(np.empty(shape))
 
 
 class _Context:

@@ -25,13 +25,16 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "MBP_ENUM_CAP"
+
+# Digit tables are int8, so digits 0..m must fit below 128.
+MAX_MARKS = 127
 
 
 def enumeration_cap() -> int:
@@ -68,6 +71,10 @@ class ModelParams:
             raise ValueError(f"jump_prob must lie in (0, 1), got {self.jump_prob}")
         if len(self.marks) == 0:
             raise ValueError("at least one mark is required")
+        if len(self.marks) > MAX_MARKS:
+            raise ValueError(
+                f"at most {MAX_MARKS} marks are supported (digits are stored as int8), got {len(self.marks)}"
+            )
         if not all(math.isfinite(k) for k in self.marks):
             raise ValueError(f"marks must be finite, got {self.marks}")
         if len(set(self.marks)) != len(self.marks):
@@ -202,8 +209,24 @@ def step_products(rows: Iterable[np.ndarray]) -> np.ndarray:
     """Rank-ordered table of prod_t rows[t-1][digit t], one row of factors per
     step: T outer products in step order, so every entry is formed as
     w_T * (... * (w_1 * 1.0)).  Only elementwise IEEE multiplies touch it, and
-    its bits are the same on every host and SIMD level."""
-    return reduce(lambda table, row: np.multiply.outer(row, table).ravel(), rows, np.ones(1))
+    its bits are the same on every host and SIMD level.
+
+    One buffer of B^T entries holds every level: the table of steps 1..t
+    lies in its last B^t entries, and step t + 1 writes the blocks of digits
+    0..B-2 in front of it before it scales the table itself as the block of
+    digit B-1."""
+    rows = [np.asarray(row, dtype=np.float64) for row in rows]
+    base = len(rows[0]) if rows else 1
+    table = np.empty(base ** len(rows))
+    table[-1:] = 1.0
+    size = 1
+    for row in rows:
+        level = table[table.size - size * base :].reshape(base, size)
+        for digit in range(base - 1):
+            np.multiply(row[digit], level[-1], out=level[digit])
+        level[-1] *= row[-1]
+        size *= base
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -425,19 +448,138 @@ def config_probability(params: ModelParams, config: Configuration) -> float:
     return prob
 
 
-def rng_stream(params: ModelParams, stream_index: int = 0) -> np.random.Generator:
-    """Independent seeded stream; assignment by worker index keeps runs
-    reproducible regardless of scheduling."""
-    return np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(stream_index,)))
+# -- Monte Carlo: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) as a counter-based
+# stream (Salmon et al., SC 2011) ------------------------------------------------------
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the counter step: odd, 2^64 over the golden ratio
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+# Draws formed per pass: a fill's integer temporaries are a few blocks.
+DRAW_BLOCK = 1 << 13
 
 
-def sample_digits(params: ModelParams, n_paths: int, stream: int | np.random.Generator = 0) -> np.ndarray:
-    """Draw n_paths digit vectors (shape (n_paths, T)) from the model."""
-    rng = stream if isinstance(stream, np.random.Generator) else rng_stream(params, stream)
-    return rng.choice(params.n_marks + 1, size=(n_paths, params.horizon), p=step_weights(params)).astype(np.int8)
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer of one 64-bit word."""
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _MASK
+    return z ^ (z >> 31)
 
 
-def sample_path(params: ModelParams, stream: int | np.random.Generator = 0) -> Configuration:
+def stream_key(seed: int, name: str) -> int:
+    """Key of the stream named ``name`` under ``seed``: the seed (mod 2^64),
+    then each UTF-8 byte of the name, folded through the finalizer."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    key = _mix64((seed + _GAMMA) & _MASK)
+    for byte in name.encode():
+        key = _mix64((key + (byte + 1) * _GAMMA) & _MASK)
+    return key
+
+
+class UniformStream:
+    """Draw i is SplitMix64's i-th output from ``key``,
+    z_i = mix64(key + (i + 1) * gamma mod 2^64), read through its top 53
+    bits: as a signed integer s they give the float s * 2^-52, uniform on
+    [-1, 1) (:meth:`fill`); as an unsigned integer u, the point u * 2^-53,
+    uniform on [0, 1) (:meth:`fill_digits`).  Integer arithmetic and exact
+    conversions only, so the bits are the same on every host, and a block of
+    draws is formed without the draws before it."""
+
+    def __init__(self, key: int):
+        self.key = key
+        self.position = 0  # index of the next draw
+
+    def _outputs(self, z: np.ndarray, scratch: np.ndarray, steps: np.ndarray, start: int) -> np.ndarray:
+        """Write outputs position + start, ... of the stream into the uint64
+        array z, with ``scratch`` (uint64, as long as z) for the shifts;
+        ``steps`` holds (i + 1) * gamma mod 2^64 for i = 0, 1, ..."""
+        np.add(steps[: len(z)], np.uint64((self.key + (self.position + start) * _GAMMA) & _MASK), out=z)
+        for shift, factor in zip((30, 27), _MIX):
+            np.right_shift(z, shift, out=scratch)
+            z ^= scratch
+            z *= np.uint64(factor)
+        np.right_shift(z, 31, out=scratch)
+        z ^= scratch
+        return z
+
+    @staticmethod
+    def _steps(size: int) -> np.ndarray:
+        steps = np.arange(1, min(DRAW_BLOCK, size) + 1, dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)
+        return steps
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next ``out.size`` draws on [-1, 1) into ``out`` in its
+        memory order, ``DRAW_BLOCK`` at a time."""
+        if out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("a stream fills a C-contiguous float64 array")
+        flat = out.reshape(-1)
+        steps = self._steps(flat.size)
+        z = np.empty_like(steps)
+        for start in range(0, flat.size, DRAW_BLOCK):
+            dest = flat[start : start + DRAW_BLOCK]
+            # the destination is the shift scratch
+            top = self._outputs(z[: len(dest)], dest.view(np.uint64), steps, start).view(np.int64)
+            np.right_shift(top, 11, out=top)  # arithmetic shift: the top 53 bits, signed
+            np.copyto(dest, top)  # exact below 2^53, and with no cast buffer
+            dest *= 2.0 ** -52
+        self.position += flat.size
+        return out
+
+    def draw(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        return self.fill(np.empty(shape))
+
+    def fill_digits(self, out: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Write into the int8 array ``out``, in its memory order, the number
+        of ``edges`` at or below each of the next ``out.size`` draws on
+        [0, 1), ``DRAW_BLOCK`` at a time.  u * 2^-53 >= e exactly when
+        u >= ceil(e * 2^53), whose scaling and ceiling are exact, so each
+        count is exact and no float is formed per draw."""
+        if out.dtype != np.int8 or not out.flags.c_contiguous:
+            raise ValueError("digits fill a C-contiguous int8 array")
+        thresholds = np.ceil(np.asarray(edges, dtype=np.float64) * 2.0**53).astype(np.uint64)
+        flat = out.reshape(-1)
+        steps = self._steps(flat.size)
+        z, scratch, hit = np.empty_like(steps), np.empty_like(steps), np.empty(steps.shape, dtype=bool)
+        for start in range(0, flat.size, DRAW_BLOCK):
+            dest = flat[start : start + DRAW_BLOCK]
+            count = len(dest)
+            top = self._outputs(z[:count], scratch[:count], steps, start)
+            np.right_shift(top, 11, out=top)  # the top 53 bits, unsigned
+            dest.fill(0)
+            for threshold in thresholds:
+                dest += np.greater_equal(top, threshold, out=hit[:count])
+        self.position += flat.size
+        return out
+
+
+def rng_stream(params: ModelParams, stream_index: int = 0) -> UniformStream:
+    """Monte Carlo stream ``stream_index`` of ``params``: a counter stream
+    keyed by (rng_seed, stream index) under a name that no identity check
+    carries, so runs are reproducible on every host and regardless of
+    scheduling."""
+    if stream_index < 0:
+        raise ValueError(f"stream index must be non-negative, got {stream_index}")
+    return UniformStream(stream_key(params.rng_seed, f"sample stream {stream_index}"))
+
+
+def sample_digits(params: ModelParams, n_paths: int, stream: int | UniformStream = 0) -> np.ndarray:
+    """Draw n_paths digit vectors (shape (n_paths, T)) from the model: digit
+    d of a step is the number of step-weight CDF edges w_0, w_0 + w_1, ...,
+    w_0 + ... + w_(m-1) at or below its draw.  Path i takes draws
+    i*T, ..., i*T + T - 1 of the stream (counted from its position), so the
+    first k of n paths are the k paths of the same stream, and a stream
+    passed in again continues where it stopped."""
+    if n_paths < 0:
+        raise ValueError(f"number of paths must be non-negative, got {n_paths}")
+    if not isinstance(stream, UniformStream):
+        stream = rng_stream(params, stream)
+    edges = np.cumsum(step_weights(params))[:-1]
+    return stream.fill_digits(np.empty((n_paths, params.horizon), dtype=np.int8), edges)
+
+
+def sample_path(params: ModelParams, stream: int | UniformStream = 0) -> Configuration:
     return Configuration(tuple(sample_digits(params, 1, stream)[0].tolist()), params)
 
 
@@ -468,7 +610,7 @@ def conditional_expectation(F: PathFunctional, t: int) -> PathFunctional:
     return PathFunctional(F.params, values=sp.conditional_expectation(F.table(), t))
 
 
-def mc_expectation(F: PathFunctional, n_samples: int, stream: int | np.random.Generator = 0) -> tuple[float, float]:
+def mc_expectation(F: PathFunctional, n_samples: int, stream: int | UniformStream = 0) -> tuple[float, float]:
     """Monte Carlo mean and standard error of a callable-mode functional."""
     digs = sample_digits(F.params, n_samples, stream)
     if F.values is not None:

@@ -38,6 +38,15 @@ def test_unknown_flag_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("cuts", [[], [3], [0, 0, 5, 10], list(range(1, 10))], ids=["one", "two", "empty", "single"])
+def test_int_rows_render_as_the_list_of_lists(cuts):
+    rows = np.random.default_rng(len(cuts)).integers(0, 128, size=(10, 4)).astype(np.int8)
+    payload = {"x": 1, "paths": rows.tolist(), "y": [0.5]}
+    assert dumps17({**payload, "paths": cli.IntRows(iter(np.split(rows, cuts)))}) == dumps17(payload)
+    assert dumps17(cli.IntRows(np.split(rows, cuts)), 2) == dumps17(rows.tolist(), 2)
+    assert dumps17({"p": cli.IntRows([rows[:0]])}) == dumps17({"p": []})
+
+
 def test_dumps17_renders_17_significant_digits():
     text = dumps17({"x": 0.1, "n": 3, "flag": True, "none": None})
     assert "0.10000000000000001" in text
@@ -358,6 +367,54 @@ def test_simulate_deterministic_and_csv():
     assert len(lines) == 6
 
 
+def _simulate_flags(n_marks):
+    return ["--T", "3", "--marks", ",".join(str(k) for k in range(1, n_marks + 1)), "--lambda", "0.9",
+            "--Q", ",".join([repr(1 / n_marks)] * n_marks)]
+
+
+@pytest.mark.parametrize("n_marks", [2, 9, 11])
+def test_simulate_csv_rows_are_the_json_paths(n_marks, capsys):
+    """Up to 9 marks a row writes its digits together, as it always has; from
+    10 marks on it joins them by spaces, so that (11, 9, 1) and (1, 19, 11)
+    do not both print as 0,11911."""
+    flags = ["simulate", *_simulate_flags(n_marks), "--paths", "50", "--no-timestamp"]
+    assert main(flags) == 0
+    paths = json.loads(capsys.readouterr().out)["paths"]
+    assert main([*flags, "--format", "csv"]) == 0
+    joiner = " " if n_marks >= 10 else ""
+    want = ["path,digits"] + [f"{i},{joiner.join(map(str, path))}" for i, path in enumerate(paths)]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    assert n_marks < 10 or max(max(path) for path in paths) >= 10
+
+
+def test_simulate_output_is_a_prefix_and_does_not_depend_on_the_pieces(monkeypatch, capsys):
+    """The first k paths of --paths N are the paths of --paths k, and the
+    bytes do not depend on how many paths are drawn and written per piece."""
+    outputs = {}
+    for chunk in (cli.INT_CHUNK, 21, 1):  # 1, 7 or all paths per piece at T=3
+        monkeypatch.setattr(cli, "INT_CHUNK", chunk)
+        for fmt in ("json", "csv"):
+            for paths in ("40", "13"):
+                assert main(["simulate", *CTI_FLAGS, "--paths", paths, "--format", fmt, "--no-timestamp"]) == 0
+                outputs.setdefault((fmt, paths), set()).add(capsys.readouterr().out)
+    assert all(len(texts) == 1 for texts in outputs.values())
+    csv_rows = {paths: outputs[("csv", paths)].pop().splitlines() for paths in ("40", "13")}
+    assert csv_rows["13"] == csv_rows["40"][:14]
+    json_paths = {paths: json.loads(outputs[("json", paths)].pop())["paths"] for paths in ("40", "13")}
+    assert json_paths["13"] == json_paths["40"][:13]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *CTI_FLAGS, "--paths", "-1"], "--paths must be non-negative, got -1"),
+    (["simulate", *CTI_FLAGS, "--stream", "-1"], "stream index must be non-negative, got -1"),
+    (["simulate", *_simulate_flags(128)], "at most 127 marks are supported (digits are stored as int8), got 128"),
+], ids=["paths", "stream", "128-marks"])
+def test_simulate_refuses_with_its_own_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_decompose_csv():
     proc = run_cli(["decompose", *CTI_FLAGS, "--functional", "count",
                     "--format", "csv", "--no-timestamp"])
@@ -393,20 +450,23 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("argv, engine", [
-    (HEDGE_T3 + ["--x", "1.0"], {"space", "hedging"}),
-    (["simulate", *CTI_FLAGS], {"space"}),
-    (["--version"], {"space"}),
-    (["verify", "--bogus"], {"space"}),
-    (["decompose", *CTI_FLAGS], {"space", "basis", "chaos"}),
-    (["girsanov", *CTI_FLAGS, "--lambda-target", "0.5", "--Q-target", "0.75,0.25"],
-     {"space", "basis", "chaos", "girsanov"}),
-    (["verify", *CTI_FLAGS], {"space", "basis", "chaos", "malliavin", "girsanov", "diagnostics"}),
-    (["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5"], {"space", "stein"}),
-    (["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.7", "--mu", "0.02"], {"space", "stein"}),
-], ids=["hedge", "simulate", "version", "usage_error", "decompose", "girsanov", "verify", "stein_headrun",
-        "stein_dna"])
-def test_each_command_loads_only_the_engine_modules_it_runs(argv, engine):
+# each command's engine modules beside `cli`
+FOOTPRINTS = {
+    "hedge": (HEDGE_T3 + ["--x", "1.0"], {"space", "hedging"}),
+    "simulate": (["simulate", *CTI_FLAGS], {"space"}),
+    "version": (["--version"], {"space"}),
+    "usage_error": (["verify", "--bogus"], {"space"}),
+    "decompose": (["decompose", *CTI_FLAGS], {"space", "basis", "chaos"}),
+    "girsanov": (["girsanov", *CTI_FLAGS, "--lambda-target", "0.5", "--Q-target", "0.75,0.25"],
+                 {"space", "basis", "chaos", "girsanov"}),
+    "verify": (["verify", *CTI_FLAGS], {"space", "basis", "chaos", "malliavin", "girsanov", "diagnostics"}),
+    "stein_headrun": (["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5"], {"space", "stein"}),
+    "stein_dna": (["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.7", "--mu", "0.02"], {"space", "stein"}),
+}
+
+
+def _modules_after(argv, expression):
+    """``expression`` evaluated over ``sys.modules`` after ``main(argv)`` ran in a fresh interpreter."""
     code = (
         "import contextlib, io, json, sys\n"
         "from markedbinomial.cli import main\n"
@@ -415,26 +475,24 @@ def test_each_command_loads_only_the_engine_modules_it_runs(argv, engine):
         f"        main({argv!r})\n"
         "    except SystemExit:\n"
         "        pass\n"
-        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('markedbinomial.'))))\n"
+        f"print(json.dumps(sorted({expression})))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == {f"markedbinomial.{name}" for name in engine | {"cli"}}
+    return json.loads(proc.stdout)
 
 
-def test_verify_loads_no_random_number_module():
-    """The identity suite seeds its inputs without numpy.random, which would
-    pull in `secrets` and OpenSSL's `_hashlib`."""
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from markedbinomial.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({['verify', *CTI_FLAGS]!r})\n"
-        "print(json.dumps([code, sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules))]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, []]
+@pytest.mark.parametrize("argv, engine", list(FOOTPRINTS.values()), ids=list(FOOTPRINTS))
+def test_each_command_loads_only_the_engine_modules_it_runs(argv, engine):
+    names = _modules_after(argv, "name for name in sys.modules if name.startswith('markedbinomial.')")
+    assert set(names) == {f"markedbinomial.{name}" for name in engine | {"cli"}}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in FOOTPRINTS.values()], ids=list(FOOTPRINTS))
+def test_no_command_loads_a_random_number_module(argv):
+    """The identity suite and `simulate` draw from a counter stream, not from
+    numpy.random, which would pull in `secrets` and OpenSSL's `_hashlib`."""
+    assert _modules_after(argv, "{'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)") == []
 
 
 PUBLIC_NAMES = """

@@ -1,4 +1,8 @@
 """The identity suite's input streams and the Girsanov block's relative measure."""
+import dataclasses
+import importlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from markedbinomial.cli import main
 REF3 = ModelParams(horizon=3, marks=(1.0, -1.0), jump_prob=0.5, mark_probs=(0.5, 0.5))
 REF5 = ModelParams(horizon=5, marks=(1.0, 2.0, 3.0), jump_prob=0.3, mark_probs=(0.5, 0.3, 0.2))
 MASK = (1 << 64) - 1
+space_mod = importlib.import_module("markedbinomial.space")  # the package root's `space` is the function
 
 
 def splitmix64(key, i):
@@ -39,10 +44,10 @@ def test_stream_maps_each_output_to_its_top_53_bits_on_minus_one_one():
 
 
 def test_draws_have_the_same_bits_for_every_block_size(monkeypatch):
-    n = 2 * diagnostics.DRAW_BLOCK + 5
+    n = 2 * space_mod.DRAW_BLOCK + 5
     draws = []
-    for block in (1, 7, diagnostics.DRAW_BLOCK):
-        monkeypatch.setattr(diagnostics, "DRAW_BLOCK", block)
+    for block in (1, 7, space_mod.DRAW_BLOCK):
+        monkeypatch.setattr(space_mod, "DRAW_BLOCK", block)
         stream = diagnostics.UniformStream(diagnostics.stream_key(7, "isometry"))
         draws.append(stream.fill(np.empty(n)).view(np.uint64))
     assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
@@ -61,6 +66,26 @@ def test_stream_keys_differ_by_seed_and_by_name_and_refuse_negative_seeds():
     assert len(keys) == 3 * len(diagnostics.CHECKS)
     with pytest.raises(ValueError, match="non-negative"):
         diagnostics.stream_key(-1, "poincare")
+
+
+def test_sample_stream_keys_differ_from_every_check_key():
+    """Monte Carlo streams are named so that no identity check shares their key."""
+    samples = {space_mod.rng_stream(dataclasses.replace(REF3, rng_seed=seed), index).key
+               for seed in (0, 1, 7) for index in range(10)}
+    checks = {diagnostics.stream_key(seed, name) for seed in (0, 1, 7) for name, _, _ in diagnostics.CHECKS}
+    assert len(samples) == 30 and not samples & checks
+
+
+def test_digits_count_the_edges_at_or_below_each_draw_exactly():
+    """Digit i counts the edges e with u_i * 2^-53 >= e, u_i the top 53 bits of
+    output i: a draw equal to an edge counts it, the next float up does not."""
+    tops = [splitmix64(99, i) >> 11 for i in range(300)]
+    hit = tops[5] * 2.0**-53
+    edges = [0.2, hit, float(np.nextafter(hit, 1.0)), 0.55, 0.9]
+    assert sorted(edges) == edges and tops[5] > 0.2 * 2**53
+    digits = diagnostics.UniformStream(99).fill_digits(np.empty((3, 100), dtype=np.int8), np.array(edges))
+    want = [sum(Fraction(u, 2**53) >= Fraction(e) for e in edges) for u in tops]
+    assert digits.ravel().tolist() == want and want[5] == 2
 
 
 def test_random_process_fills_the_step_major_table_in_memory_order():

@@ -1,5 +1,7 @@
 import gc
+import importlib
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -27,10 +29,13 @@ from markedbinomial.space import (
     mc_expectation,
     probability_table,
     rank_of_digits,
+    rng_stream,
     sample_digits,
     step_products,
     step_weights,
 )
+
+space_mod = importlib.import_module("markedbinomial.space")  # the package root's `space` is the function
 
 
 def test_enumeration_counts(cti, inst2):
@@ -114,6 +119,30 @@ def test_step_products_multiply_the_digit_gather_column_by_column(n_marks, horiz
     for t in range(horizon):
         acc = rows[t][digits[:, t]] * acc
     assert step_products(rows).tobytes() == acc.tobytes()
+
+
+def test_step_products_fill_one_table():
+    """Each level is built in the tail of the output itself, so the product
+    never holds the last level beside the full table (1.33 tables at base 3)."""
+    rows = [np.array([0.5, 0.25, 0.25])] * 11
+    tracemalloc.start()
+    try:
+        table = step_products(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.size == 3**11 and peak <= 1.05 * table.nbytes
+
+
+def test_models_past_127_marks_are_refused():
+    """Digit tables are int8: 127 marks still give exact tables, while at
+    128 the top digit would wrap to -128 and be read as mark 1."""
+    params = ModelParams(horizon=1, marks=tuple(range(1, 128)), jump_prob=0.5, mark_probs=(1 / 127,) * 127)
+    sp = space(params)
+    assert sp.digits.max() == 127
+    assert sp.expectation(sp.compound_sum()) == pytest.approx(32.0, abs=1e-12)
+    with pytest.raises(ValueError, match="at most 127 marks"):
+        ModelParams(horizon=1, marks=tuple(range(1, 129)), jump_prob=0.5, mark_probs=(1 / 128,) * 128)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -266,6 +295,43 @@ def test_sampled_mean_matches_intensity(cti):
     counts = (digs > 0).sum(axis=1)
     se = counts.std(ddof=1) / np.sqrt(n)
     assert abs(counts.mean() - 1.5) <= 4 * se
+
+
+@pytest.mark.parametrize("mark_probs", [(1.0,), (0.7, 0.3), (0.5, 0.3, 0.2)], ids=["1mark", "2marks", "3marks"])
+def test_sampled_digit_frequencies_match_the_step_law(mark_probs):
+    params = ModelParams(horizon=4, marks=tuple(range(1, len(mark_probs) + 1)), jump_prob=0.35,
+                         mark_probs=mark_probs)
+    digits = sample_digits(params, 250_000, stream=3).ravel()
+    weights = step_weights(params)
+    frequencies = np.bincount(digits, minlength=weights.size) / digits.size
+    assert frequencies.size == weights.size
+    assert np.all(np.abs(frequencies - weights) <= 5 * np.sqrt(weights * (1 - weights) / digits.size))
+
+
+def test_the_first_paths_of_a_longer_run_are_the_shorter_run(cti):
+    """Path i is draws i*T .. i*T+T-1, so a run extends every shorter one and
+    a stream drawn in pieces gives the paths it gives in one call."""
+    whole = sample_digits(cti, 1000, stream=4)
+    assert np.array_equal(sample_digits(cti, 37, stream=4), whole[:37])
+    stream = rng_stream(cti, 4)
+    pieces = [sample_digits(cti, count, stream) for count in (1, 36, 0, 963)]
+    assert np.array_equal(np.concatenate(pieces), whole)
+    assert stream.position == whole.size
+
+
+def test_paths_do_not_depend_on_the_draw_block(monkeypatch, cti):
+    runs = []
+    for block in (1, 7, space_mod.DRAW_BLOCK):
+        monkeypatch.setattr(space_mod, "DRAW_BLOCK", block)
+        runs.append(sample_digits(cti, 3000, stream=2))  # 9,000 draws: past one default block
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
+def test_sampling_refuses_negative_counts(cti):
+    with pytest.raises(ValueError, match="number of paths must be non-negative"):
+        sample_digits(cti, -1)
+    with pytest.raises(ValueError, match="stream index must be non-negative"):
+        sample_digits(cti, 5, stream=-1)
 
 
 def test_compound_value(cti):
