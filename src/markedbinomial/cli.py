@@ -380,7 +380,7 @@ def cmd_hedge(args) -> int:
 
 def cmd_girsanov(args) -> int:
     from .girsanov import TargetMeasure, girsanov_density, girsanov_drift, girsanov_varphi
-    from .space import expectation, space
+    from .space import expectation, probability_table, space
 
     params = _model_params(args)
     target = TargetMeasure(args.lam_target,
@@ -389,7 +389,7 @@ def cmd_girsanov(args) -> int:
     varphi = girsanov_varphi(params, target)
     dens = girsanov_density(params, target)
     sp = space(params)
-    tgt_probs = space(target.as_params(params)).probabilities
+    tgt_probs = probability_table(target.as_params(params))
     factor_resid = float(np.max(np.abs(dens.table() * sp.probabilities - tgt_probs) / tgt_probs))
     payload = {
         "target": {"lambda": target.jump_prob, "Q": list(target.mark_probs)},

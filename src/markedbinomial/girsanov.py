@@ -12,8 +12,8 @@ equals the exponential functional of the drift kernel
     g(t, k) = lam~ Q~(k) / (lam Q(k)) - (1-lam~)/(1-lam)
 
 (expressed in Z-coordinates), and also takes the compound form
-((1-lam~)/(1-lam))^T prod over jumps of (1 + varphi(mark)).  Densities
-are accumulated in log space so long horizons do not underflow.
+((1-lam~)/(1-lam))^T prod over jumps of (1 + varphi(mark)), whose logs are
+summed over the digit table; the density is a step-order product of ratios.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import Kernel, build_basis, convert_order1_z_to_r
 from .chaos import doleans_exponential
-from .space import ModelParams, PathFunctional, space, step_weights
+from .space import ModelParams, PathFunctional, _refuse_oversized, space, step_products, step_weights
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,16 @@ def girsanov_drift(params: ModelParams, target: TargetMeasure) -> Kernel:
 
 
 def girsanov_density(params: ModelParams, target: TargetMeasure, t: int | None = None) -> PathFunctional:
-    """dP~/dP restricted to F_t, t in 0..T, as an exact table (log-space
-    product); L_0 = 1 on the trivial F_0.  Only the target's one-step
-    weights are read, so no sample space of the target law is built."""
+    """dP~/dP restricted to F_t, t in 0..T, as an exact table: the step-order
+    product of the one-step ratios w~_d / w_d on steps 1..t, with rows of
+    ones after t (L_0 = 1 on the trivial F_0).  Only the two laws' one-step
+    weights are read, so no sample space is built."""
     t = params.horizon if t is None else t
     if not 0 <= t <= params.horizon:
         raise ValueError(f"time {t} out of range 0..{params.horizon}")
-    sp = space(params)
-    log_ratio = np.log(step_weights(target.as_params(params))) - sp.log_step_weights
-    vals = np.exp(log_ratio[sp.digits[:, :t]].sum(axis=1))
-    return PathFunctional(params, values=vals)
+    _refuse_oversized(params)
+    ratio = step_weights(target.as_params(params)) / step_weights(params)
+    return PathFunctional(params, values=step_products([ratio] * t + [np.ones_like(ratio)] * (params.horizon - t)))
 
 
 def girsanov_varphi(params: ModelParams, target: TargetMeasure) -> dict[float, float]:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .basis import Point, build_basis, delta_r_table, r_step_values
 from .chaos import chaos_order_tensor, coefficient_tensor, synthesize
-from .space import ModelParams, PathFunctional, SampleSpace, space
+from .space import ModelParams, PathFunctional, SampleSpace, UniformStream, space, stream_key
 
 
 def _step_major(params: ModelParams, alloc=np.empty) -> np.ndarray:
@@ -171,41 +171,34 @@ def _projection(params: ModelParams) -> np.ndarray:
     return proj
 
 
+def _gradient_plane(params: ModelParams, table: np.ndarray, t: int) -> np.ndarray:
+    """plane[a, c, ..., j] = D_(t,k^j) of the rank-indexed table on the step-t
+    view's slice (a, c), every mark in one contraction; the table's trailing
+    axes pass through, so one call serves a batch of functionals."""
+    view = space(params).step_view(table, t)
+    return view.transpose(0, 2, *range(3, view.ndim), 1) @ _projection(params)
+
+
 def _gradient_planes(params: ModelParams, table: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(t, plane) for t = 1..T, where plane[a, c, ..., j] is D_(t,k^j) of the
-    rank-indexed table on the step-t view's slice (a, c); the table's
-    trailing axes pass through, so one call serves a batch of functionals."""
-    sp = space(params)
-    proj = _projection(params)
+    """(t, :func:`_gradient_plane`) for t = 1..T."""
     for t in range(1, params.horizon + 1):
-        view = sp.step_view(table, t)
-        yield t, view.transpose(0, 2, *range(3, view.ndim), 1) @ proj
+        yield t, _gradient_plane(params, table, t)
 
 
 def gradient(F: PathFunctional, point: Point) -> PathFunctional:
     """Annihilation gradient D_(t,k): projection of the step-t slice of F
-    onto dR_(t,k), normalized by kappa_k.  Independent of digit t.
-
-    One matrix-vector product per call.  :func:`gradient_process` takes a
-    matrix product over all marks at once, and BLAS picks its kernel by
-    operand shape: the two agree bit for bit with one mark, and with more
-    marks they may differ in the last bit (at most 1.0 eps * max|DF|
-    measured with 2-4 marks at T <= 6).  They are kept apart because a
-    shared route would move the ``verify`` residual digits.
-    """
+    onto dR_(t,k), normalized by kappa_k.  Independent of digit t.  Column k
+    of the step-t contraction of :func:`gradient_process`, bit for bit."""
     params = F.params
     sp = space(params)
     t, k = point
-    step = sp.step_view(F.table(), t).swapaxes(1, 2)
-    plane = step @ _projection(params)[:, params.mark_index(k)]
+    plane = _gradient_plane(params, F.table(), t)[..., params.mark_index(k)]
     return PathFunctional(params, values=_spread(sp, plane, t))
 
 
 def gradient_process(F: PathFunctional) -> ProcessTable:
-    """D_(t,k) F for every (t, k): one contraction of the step axis per step.
-
-    Bit for bit :func:`gradient` at each point with one mark; with more
-    marks the last bit may differ (see there)."""
+    """D_(t,k) F for every (t, k): one contraction of the step axis per step,
+    whose column k at step t is :func:`gradient` at (t, k)."""
     params = F.params
     sp = space(params)
     out = _step_major(params)
@@ -358,7 +351,6 @@ def gamma_tilde_expansion(F: PathFunctional, G: PathFunctional) -> PathFunctiona
     lq = params.jump_prob * np.asarray(params.mark_probs)
     acc = np.zeros(sp.n)
     for t in range(1, params.horizon + 1):
-        digit = sp.digits[:, t - 1]
         dbarF = bar_grad(F, t).table()
         dbarG = bar_grad(G, t).table()
         for k in params.marks:
@@ -368,7 +360,7 @@ def gamma_tilde_expansion(F: PathFunctional, G: PathFunctional) -> PathFunctiona
             dmF = remove_one_cost(F, (t, k)).table()
             dmG = remove_one_cost(G, (t, k)).table()
             acc += lq[j] * (dpF * dpG - dpF * dbarG - dpG * dbarF)
-            acc += np.where(digit == j + 1, dmF * dmG, 0.0)
+            acc += dmF * dmG  # the remove-one costs vanish off digit j + 1
     return PathFunctional(params, values=0.5 * acc)
 
 
@@ -392,42 +384,43 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
 
     Each digit survives with probability exp(-tau) and is otherwise
     replaced by a fresh draw from the one-step marginal.  One uniform u
-    per digit does both: u below exp(-tau) keeps the digit, and otherwise
-    u, uniform on the rest of [0, 1), falls into the cell of digit d
-    among the edges exp(-tau) + (1 - exp(-tau)) (w_0 + ... + w_(d-1)).
-    Configurations are taken in rank-order blocks of at most
-    MEHLER_BLOCK_DRAWS digit draws (at least one configuration each);
-    block b draws from its own stream SeedSequence(rng_seed,
-    spawn_key=(stream, b)), so the estimate is reproducible under any
-    scheduling.  Returns (means, standard errors).
+    per digit does both: the number of edges
+    exp(-tau) + (1 - exp(-tau)) (w_0 + ... + w_(d-1)), d = 0..m, at or below
+    u is 0 to keep the digit and d + 1 to redraw digit d.  The draws are
+    :func:`UniformStream.fill_digits` counts of the counter stream
+    ``stream_key(rng_seed, "mehler stream <stream>")``, read at consecutive
+    positions in (configuration, sample, step) order, so the estimate does
+    not depend on how configurations are split into passes of
+    MEHLER_BLOCK_DRAWS digits.  Returns (means, standard errors).
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
+    if stream < 0:
+        raise ValueError(f"stream index must be non-negative, got {stream}")
     params = F.params
     sp = space(params)
     vals = F.table()
     keep_p = exp(-tau)
     edges = keep_p + (1.0 - keep_p) * np.concatenate([[0.0], np.cumsum(sp.step_weights[:-1])])
+    draws = UniformStream(stream_key(params.rng_seed, f"mehler stream {stream}"))
     block = max(1, MEHLER_BLOCK_DRAWS // (n_samples * params.horizon))
     B = sp.base
-    # entry p * B + d is the new digit for pick p and old digit d: d if p = 0, else p - 1
+    # entry p * B + d is the new digit for count p and old digit d: d if p = 0, else p - 1
     new_digit = np.concatenate([np.arange(B), np.repeat(np.arange(B), B)]).astype(np.int8)
-    pick_type = np.int8 if new_digit.size <= 128 else np.int64
+    pick_type = np.uint8 if new_digit.size <= 256 else np.intp
+    old_digits = sp.digits.view(np.uint8)  # digits are nonnegative
     means = np.empty(sp.n)
     errs = np.empty(sp.n)
-    for b, start in enumerate(range(0, sp.n, block)):
+    for start in range(0, sp.n, block):
         stop = min(start + block, sp.n)
-        rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(int(stream), b)))
-        u = rng.random((stop - start, n_samples, params.horizon))
-        pick = np.zeros(u.shape, dtype=pick_type)  # 0: keep the digit, d + 1: draw digit d
-        for edge in edges:
-            pick += u >= edge
+        # counts reach B = m + 1, which int8 holds only below 128 marks
+        counts = np.empty((stop - start, n_samples, params.horizon), dtype=np.uint8)
+        pick = draws.fill_digits(counts, edges).astype(pick_type, copy=False)
         pick *= B
-        pick += sp.digits[start:stop, None, :]
-        digs = new_digit[pick]
-        sample = vals[digs @ sp.powers]
+        pick += old_digits[start:stop, None, :]
+        sample = vals[new_digit[pick] @ sp.powers]
         means[start:stop] = sample.mean(axis=1)
         errs[start:stop] = sample.std(axis=1, ddof=1) / sqrt(n_samples)
     return means, errs

@@ -276,7 +276,6 @@ class SampleSpace:
         for t in range(T):  # digit t + 1 of rank (a * B + d) * B^t + c is d
             self.digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
         self.step_weights = step_weights(params)
-        self.log_step_weights = np.log(self.step_weights)
         self.probabilities = probability_table(params)
         for arr in (self.powers, self.digits, self.step_weights):
             arr.flags.writeable = False
@@ -531,13 +530,13 @@ class UniformStream:
         return self.fill(np.empty(shape))
 
     def fill_digits(self, out: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Write into the int8 array ``out``, in its memory order, the number
-        of ``edges`` at or below each of the next ``out.size`` draws on
+        """Write into the int8 or uint8 array ``out``, in its memory order, the
+        number of ``edges`` at or below each of the next ``out.size`` draws on
         [0, 1), ``DRAW_BLOCK`` at a time.  u * 2^-53 >= e exactly when
         u >= ceil(e * 2^53), whose scaling and ceiling are exact, so each
         count is exact and no float is formed per draw."""
-        if out.dtype != np.int8 or not out.flags.c_contiguous:
-            raise ValueError("digits fill a C-contiguous int8 array")
+        if out.dtype not in (np.int8, np.uint8) or not out.flags.c_contiguous:
+            raise ValueError("digits fill a C-contiguous int8 or uint8 array")
         thresholds = np.ceil(np.asarray(edges, dtype=np.float64) * 2.0**53).astype(np.uint64)
         flat = out.reshape(-1)
         steps = self._steps(flat.size)

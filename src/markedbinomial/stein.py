@@ -446,10 +446,10 @@ def head_run_lambda0(n: int, m: int, p: float) -> float:
 
 
 def _head_run_values(digits: np.ndarray, n: int, m: int) -> np.ndarray:
-    jumps = (digits > 0).astype(float)
-    u = np.prod(jumps[..., :m], axis=-1)
+    jumps = digits > 0  # bool windows: no float table of the digits
+    u = jumps[..., :m].all(axis=-1).astype(float)
     for i in range(1, n):
-        u = u + (1.0 - jumps[..., i - 1]) * np.prod(jumps[..., i : i + m], axis=-1)
+        u += ~jumps[..., i - 1] & jumps[..., i : i + m].all(axis=-1)
     return u
 
 

@@ -69,11 +69,14 @@ def test_stream_keys_differ_by_seed_and_by_name_and_refuse_negative_seeds():
 
 
 def test_sample_stream_keys_differ_from_every_check_key():
-    """Monte Carlo streams are named so that no identity check shares their key."""
+    """Monte Carlo streams are named so that no identity check shares their
+    key, and the Mehler estimator's streams share none with path sampling."""
     samples = {space_mod.rng_stream(dataclasses.replace(REF3, rng_seed=seed), index).key
                for seed in (0, 1, 7) for index in range(10)}
+    mehler = {diagnostics.stream_key(seed, f"mehler stream {index}") for seed in (0, 1, 7) for index in range(10)}
     checks = {diagnostics.stream_key(seed, name) for seed in (0, 1, 7) for name, _, _ in diagnostics.CHECKS}
     assert len(samples) == 30 and not samples & checks
+    assert len(mehler) == 30 and not mehler & (samples | checks)
 
 
 def test_digits_count_the_edges_at_or_below_each_draw_exactly():

@@ -116,7 +116,8 @@ def test_reweighted_matches_direct_target_expectation(cti, tilted, rng):
 
 
 def test_log_space_long_horizon():
-    """T = 20 on a single-mark space: the log-space product stays accurate."""
+    """T = 20 on a single-mark space: the density, a product of 20 ratios,
+    stays accurate against the target's probabilities."""
     params = ModelParams(horizon=20, marks=(1.0,), jump_prob=0.3, mark_probs=(1.0,))
     target = TargetMeasure(0.6, (1.0,))
     sp = space(params)
@@ -145,13 +146,13 @@ _TARGETS = [
 
 
 def test_density_builds_no_target_space_and_keeps_its_bits(monkeypatch):
-    """The density reads the target's one-step weights without building its
-    sample space, and equals, bit for bit, the formula read off that space."""
-    from markedbinomial.space import SampleSpace
+    """The density reads the two laws' one-step weights without building a
+    sample space, and equals, bit for bit, the product over steps 1..t of the
+    weight ratios at each configuration's digits, multiplied in step order."""
+    from markedbinomial.space import SampleSpace, digits_of_rank, step_weights
 
-    # a seed no other test uses, so no target space of this model is cached
+    # a seed no other test uses, so no space of this model is cached
     params = ModelParams(horizon=6, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5), rng_seed=916)
-    sp = space(params)
     built = []
     init = SampleSpace.__init__
 
@@ -160,11 +161,41 @@ def test_density_builds_no_target_space_and_keeps_its_bits(monkeypatch):
         init(self, p)
 
     monkeypatch.setattr(SampleSpace, "__init__", spy)
+    weights = step_weights(params).tolist()
     for target in _TARGETS:
         densities = [girsanov_density(params, target, t).table() for t in range(params.horizon + 1)]
         assert built == []
-        tgt = space(target.as_params(params))
-        log_ratio = np.log(tgt.step_weights) - sp.log_step_weights
+        ratio = [w_tgt / w for w_tgt, w in zip(step_weights(target.as_params(params)).tolist(), weights)]
         for t, dens in enumerate(densities):
-            assert np.array_equal(dens, np.exp(log_ratio[sp.digits[:, :t]].sum(axis=1)))
-        built.clear()
+            want = []
+            for rank in range(params.n_configurations):
+                acc = 1.0
+                for d in digits_of_rank(rank, params.horizon, params.n_marks)[:t]:
+                    acc = ratio[d] * acc
+                want.append(acc)
+            assert dens.tobytes() == np.array(want).tobytes()
+
+
+def test_density_past_the_cap_is_refused_before_any_allocation(monkeypatch):
+    """Past MBP_ENUM_CAP the density raises the enumeration refusal before it
+    allocates a table and without building a sample space."""
+    import tracemalloc
+
+    from markedbinomial.space import SampleSpace
+
+    def refuse(self, p):
+        raise AssertionError("a sample space was built")
+
+    monkeypatch.setattr(SampleSpace, "__init__", refuse)
+    monkeypatch.setenv("MBP_ENUM_CAP", "100")
+    params = ModelParams(horizon=9, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5), rng_seed=917)
+    target = TargetMeasure(0.5, (0.75, 0.25))
+    tracemalloc.start()
+    try:
+        for t in (None, 0, 4):
+            with pytest.raises(ValueError, match="enumeration too large: 19683 configurations exceeds cap 100"):
+                girsanov_density(params, target, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.n_configurations * 8

@@ -385,14 +385,52 @@ def test_mehler_mc_reproducible_and_unbiased(cti):
     assert np.max(z) <= 5.0
 
 
-def test_mehler_blocks_draw_from_distinct_streams(cti, rng, monkeypatch):
+def test_mehler_blocks_read_fresh_stream_positions(cti, rng, monkeypatch):
     """With one configuration per block and every digit redrawn, each block's
-    sample is its own stream's draws: equal means would mean shared streams."""
+    sample is the next stretch of the stream: equal means would mean that
+    blocks read the same positions."""
     from markedbinomial import malliavin
 
     monkeypatch.setattr(malliavin, "MEHLER_BLOCK_DRAWS", 1)
     means, _ = ou_mehler_mc(_rand(cti, rng), 50.0, 20, stream=1)
     assert len(set(means.tolist())) == len(means)
+
+
+def test_mehler_is_the_same_for_every_block_size(inst2, rng, monkeypatch):
+    """The pass size bounds memory only: one configuration per pass and one
+    pass for all give the same bits."""
+    from markedbinomial import malliavin
+
+    F = _rand(inst2, rng)
+    runs = []
+    for block_draws in (1, 2**18):
+        monkeypatch.setattr(malliavin, "MEHLER_BLOCK_DRAWS", block_draws)
+        runs.append(ou_mehler_mc(F, 0.8, 30, stream=2))
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_mehler_draws_leave_numpy_random_unloaded():
+    """Every package module imported and the estimator run: numpy.random
+    stays out of sys.modules, since every draw comes from a counter stream."""
+    import subprocess
+    import sys
+
+    code = (
+        "import pkgutil, sys, importlib\n"
+        "import markedbinomial as mb\n"
+        "for info in pkgutil.iter_modules(mb.__path__):\n"
+        "    importlib.import_module(f'markedbinomial.{info.name}')\n"
+        "p = mb.ModelParams(horizon=3, marks=(1.0, -1.0), jump_prob=0.5, mark_probs=(0.5, 0.5))\n"
+        "mb.ou_mehler_mc(mb.PathFunctional(p, values=mb.space(p).jump_count()), 0.5, 10)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('markedbinomial.')))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, random_loaded = proc.stdout.splitlines()
+    assert "markedbinomial.stein" in loaded and "markedbinomial.hedging" in loaded
+    assert random_loaded == "False"
 
 
 @pytest.mark.parametrize("name", ["cti", "inst2"])
@@ -581,40 +619,48 @@ def test_divergence_stages_at_most_one_step_of_a_c_order_table():
     assert peaks[1] <= peaks[0] + buffer + 1024
 
 
-def _mehler_reference(F, tau, n_samples, stream):
-    """The Mehler estimator with the new digit chosen by np.where over the
-    whole (block, samples, T) draw, as it was written before the table lookup."""
-    from markedbinomial import malliavin
+_MASK = (1 << 64) - 1
 
+
+def _mehler_counts(params, tau, n_samples, stream):
+    """Edge counts of the estimator's draws, one by one in plain Python:
+    draw i is SplitMix64's output i from the key of "mehler stream <stream>",
+    its top 53 bits read as a float on [0, 1) and compared with each edge."""
+    from markedbinomial.space import stream_key
+
+    keep_p = math.exp(-tau)
+    edges = (keep_p + (1.0 - keep_p) * np.concatenate([[0.0], np.cumsum(space(params).step_weights[:-1])])).tolist()
+    key = stream_key(params.rng_seed, f"mehler stream {stream}")
+    counts = []
+    for i in range(params.n_configurations * n_samples * params.horizon):
+        z = (key + (i + 1) * 0x9E3779B97F4A7C15) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        u = ((z ^ (z >> 31)) >> 11) * 2.0**-53
+        counts.append(sum(u >= e for e in edges))
+    return np.array(counts).reshape(params.n_configurations, n_samples, params.horizon)
+
+
+def _mehler_reference(F, tau, n_samples, stream):
+    """The Mehler estimator on the stream's draws, with the new digit chosen
+    by np.where over the whole (configurations, samples, T) draw."""
     params = F.params
     sp = space(params)
-    keep_p = math.exp(-tau)
-    edges = keep_p + (1.0 - keep_p) * np.concatenate([[0.0], np.cumsum(sp.step_weights[:-1])])
-    block = max(1, malliavin.MEHLER_BLOCK_DRAWS // (n_samples * params.horizon))
-    means, errs = np.empty(sp.n), np.empty(sp.n)
-    for b, start in enumerate(range(0, sp.n, block)):
-        stop = min(start + block, sp.n)
-        rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed, spawn_key=(int(stream), b)))
-        u = rng.random((stop - start, n_samples, params.horizon))
-        pick = np.zeros(u.shape, dtype=np.int8)
-        for edge in edges:
-            pick += u >= edge
-        sample = F.table()[np.where(pick == 0, sp.digits[start:stop, None, :], pick - 1) @ sp.powers]
-        means[start:stop] = sample.mean(axis=1)
-        errs[start:stop] = sample.std(axis=1, ddof=1) / math.sqrt(n_samples)
-    return means, errs
+    pick = _mehler_counts(params, tau, n_samples, stream)
+    sample = F.table()[np.where(pick == 0, sp.digits[:, None, :], pick - 1) @ sp.powers]
+    return sample.mean(axis=1), sample.std(axis=1, ddof=1) / math.sqrt(n_samples)
 
 
 @pytest.mark.parametrize("marks, probs", [
     ((1.5,), (1.0,)),
     ((2.0, -0.5, 1.0), (0.2, 0.5, 0.3)),
-    (tuple(range(-5, 6)), (1.0 / 11,) * 11),  # (B + 1) * B = 156 picks do not fit int8
+    (tuple(range(-5, 6)), (1.0 / 11,) * 11),  # (B + 1) * B = 156 picks fit uint8, not int8
 ])
 @pytest.mark.parametrize("tau", [0.0, 3.0])
 @pytest.mark.parametrize("block_draws", [7 * 12 * 4, 2**18])
 def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, block_draws, rng, monkeypatch):
-    """The digit lookup table reproduces every bit of the np.where choice,
-    with one block or several, on a nonzero stream."""
+    """The digit lookup table reproduces every bit of the np.where choice on
+    the stream's draws, with one block or several, on a nonzero stream."""
     from markedbinomial import malliavin
 
     monkeypatch.setattr(malliavin, "MEHLER_BLOCK_DRAWS", block_draws)
@@ -623,6 +669,19 @@ def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, bloc
     got = ou_mehler_mc(F, tau, 12, stream=5)
     want = _mehler_reference(F, tau, 12, stream=5)
     for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_mehler_with_127_marks_redraws_into_the_last_cell(rng):
+    """With 127 marks a count reaches B = 128, one past int8: a redraw of the
+    last digit must still land on that digit."""
+    marks = tuple(float(k) for k in range(1, 128))
+    probs = (0.5 / 126,) * 126 + (0.5,)
+    params = ModelParams(1, marks, 0.9, probs, rng_seed=3)
+    counts = _mehler_counts(params, 5.0, 4, 0)
+    assert counts.max() == 128
+    F = _rand(params, rng)
+    for g, w in zip(ou_mehler_mc(F, 5.0, 4, stream=0), _mehler_reference(F, 5.0, 4, 0)):
         assert g.tobytes() == w.tobytes()
 
 
@@ -635,13 +694,13 @@ def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, bloc
     ((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4), 0.5),
 ])
 def test_gradient_and_gradient_process_agree_to_the_last_bit_or_nearly(marks, Q, lam):
-    """One mark: the matrix-vector gradient and the all-marks gradient_process
-    agree bit for bit.  With more marks BLAS may pick a different kernel for
-    the two operand shapes, and they differ by at most 4 eps * max|DF|."""
-    params = ModelParams(horizon=5, marks=marks, jump_prob=lam, mark_probs=Q)
-    F = PathFunctional(params, values=np.random.default_rng(7).normal(size=params.n_configurations))
-    DF = gradient_process(F).values
-    bound = 0.0 if len(marks) == 1 else 4 * np.finfo(float).eps * np.max(np.abs(DF))
-    for t in range(1, params.horizon + 1):
-        for j, k in enumerate(marks):
-            assert np.max(np.abs(gradient(F, (t, k)).table() - DF[:, t - 1, j])) <= bound
+    """gradient at (t, k) is column k of the step-t contraction that
+    gradient_process takes, so the two agree bit for bit with 1-4 marks at
+    every horizon T = 1-6."""
+    for horizon in range(1, 7):
+        params = ModelParams(horizon=horizon, marks=marks, jump_prob=lam, mark_probs=Q)
+        F = PathFunctional(params, values=np.random.default_rng(7).normal(size=params.n_configurations))
+        DF = gradient_process(F).values
+        for t in range(1, horizon + 1):
+            for j, k in enumerate(marks):
+                assert gradient(F, (t, k)).table().tobytes() == np.ascontiguousarray(DF[:, t - 1, j]).tobytes()

@@ -438,6 +438,32 @@ def test_head_run_monte_carlo_mode(monkeypatch):
     assert float(U.fn(digits)) == 1.0  # one clump starting at position 1
 
 
+def _head_run_float_formula(digits, n, m):
+    """The clump count from a float jump table and product windows."""
+    jumps = (digits > 0).astype(float)
+    u = np.prod(jumps[..., :m], axis=-1)
+    for i in range(1, n):
+        u = u + (1.0 - jumps[..., i - 1]) * np.prod(jumps[..., i : i + m], axis=-1)
+    return u
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 2), (6, 3), (8, 2)])
+def test_head_run_values_are_bit_equal_to_the_float_formula(n, m):
+    """The bool windows give the float formula's bits on the exact digit
+    table, on a Monte Carlo batch and on a single digit row."""
+    from markedbinomial.space import sample_digits
+    from markedbinomial.stein import _head_run_values
+
+    params = head_run_params(n, m, 0.6)
+    batches = [space(params).digits, sample_digits(params, 500, stream=4)]
+    for digits in batches:
+        assert _head_run_values(digits, n, m).tobytes() == _head_run_float_formula(digits, n, m).tobytes()
+    row = batches[1][0]
+    assert float(_head_run_values(row, n, m)) == float(_head_run_float_formula(row, n, m))
+    U = head_run_functional(n, m, 0.6)
+    assert U.table().tobytes() == _head_run_float_formula(space(params).digits, n, m).tobytes()
+
+
 def test_head_run_rejects_bad_args():
     with pytest.raises(ValueError):
         head_run_params(0, 2, 0.5)
