@@ -380,22 +380,22 @@ def cmd_hedge(args) -> int:
 
 def cmd_girsanov(args) -> int:
     from .girsanov import TargetMeasure, girsanov_density, girsanov_drift, girsanov_varphi
-    from .space import expectation, probability_table, space
+    from .space import probability_table
 
     params = _model_params(args)
     target = TargetMeasure(args.lam_target,
                            tuple(float(x) for x in args.Q_target.split(",")))
     drift = girsanov_drift(params, target)
     varphi = girsanov_varphi(params, target)
-    dens = girsanov_density(params, target)
-    sp = space(params)
+    dens = girsanov_density(params, target).table()
+    probs = probability_table(params)  # the table space(params).probabilities holds, without the space
     tgt_probs = probability_table(target.as_params(params))
-    factor_resid = float(np.max(np.abs(dens.table() * sp.probabilities - tgt_probs) / tgt_probs))
+    factor_resid = float(np.max(np.abs(dens * probs - tgt_probs) / tgt_probs))
     payload = {
         "target": {"lambda": target.jump_prob, "Q": list(target.mark_probs)},
         "drift": {f"{k:g}": drift[((1, k),)] for k in params.marks},
         "varphi": {f"{k:g}": varphi[k] for k in params.marks},
-        "density_mean": expectation(dens),
+        "density_mean": float(np.dot(probs, dens)),
         "factorization_rel_residual": factor_resid,
     }
     _emit(args, payload)

@@ -56,16 +56,9 @@ class _Context:
     def random_functional(self) -> PathFunctional:
         return PathFunctional(self.params, values=self.stream.draw(self.sp.n))
 
-    def random_process(self, predictable: bool = False) -> mal.ProcessTable:
+    def random_process(self) -> mal.ProcessTable:
         u = mal.ProcessTable.zeros(self.params)
         self.stream.fill(u.values.transpose(1, 2, 0))  # the step-major table's memory order
-        if predictable:
-            for t in range(1, self.params.horizon + 1):
-                for j in range(self.params.n_marks):
-                    u.values[:, t - 1, j] = self.sp.conditional_expectation(
-                        u.values[:, t - 1, j], t - 1
-                    )
-            u.predictable = True
         return u
 
     def nu_weights(self) -> np.ndarray:
@@ -289,7 +282,7 @@ def _ipp_l1(ctx: _Context) -> float:
     """E[int D+ F u dnu] = E[F delta~ u] + E[int Dbar F u dnu], u predictable."""
     params, sp = ctx.params, ctx.sp
     F = ctx.random_functional()
-    u = ctx.random_process(predictable=True)
+    u = mal._project_predictable(ctx.random_process())
     nu = ctx.nu_weights()
     lhs = 0.0
     bar_term = 0.0
@@ -307,7 +300,7 @@ def _ipp_tilde(ctx: _Context) -> float:
     """E[<Dtilde F, u>_nu] = E[F delta~ u], u predictable."""
     params, sp = ctx.params, ctx.sp
     F = ctx.random_functional()
-    u = ctx.random_process(predictable=True)
+    u = mal._project_predictable(ctx.random_process())
     nu = ctx.nu_weights()
     lhs = 0.0
     for t in range(1, params.horizon + 1):
@@ -329,7 +322,7 @@ def _ipp_l2(ctx: _Context) -> float:
 
 def _divergence_predictable_form(ctx: _Context) -> float:
     params = ctx.params
-    u = ctx.random_process(predictable=True)
+    u = mal._project_predictable(ctx.random_process())
     delta = mal.divergence(u).table()
     acc = np.zeros(ctx.sp.n)
     for t in range(1, params.horizon + 1):
@@ -565,7 +558,7 @@ def _gamma_tilde(ctx: _Context) -> float:
 
 
 def _tilde_divergence_centered(ctx: _Context) -> float:
-    u = ctx.random_process(predictable=True)
+    u = mal._project_predictable(ctx.random_process())
     return abs(ctx.sp.expectation(mal.tilde_divergence(u).table()))
 
 

@@ -18,12 +18,14 @@ summed over the digit table; the density is a step-order product of ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import Kernel, build_basis, convert_order1_z_to_r
-from .chaos import doleans_exponential
 from .space import ModelParams, PathFunctional, _refuse_oversized, space, step_products, step_weights
+
+if TYPE_CHECKING:
+    from .basis import Kernel
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,9 @@ def girsanov_density_varphi(params: ModelParams, target: TargetMeasure) -> PathF
 def girsanov_density_doleans(params: ModelParams, target: TargetMeasure) -> PathFunctional:
     """Density via the exponential-functional route: the drift kernel is
     mapped to basis coordinates and exponentiated with unit mean."""
+    from .basis import build_basis, convert_order1_z_to_r
+    from .chaos import doleans_exponential
+
     basis = build_basis(params)
     h = convert_order1_z_to_r(basis, girsanov_drift(params, target))
     return doleans_exponential(basis, h)

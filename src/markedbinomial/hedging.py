@@ -245,12 +245,6 @@ def _value_prefixes(market: MarketParams, mmm: MinimalMartingaleMeasure, values:
     return prefixes
 
 
-def mmm_conditional(market: MarketParams, mmm: MinimalMartingaleMeasure, values: np.ndarray) -> list[np.ndarray]:
-    """E^[values | F_t] for t = 0..T by backward induction on the step law
-    (exact, works for signed measures)."""
-    return list(_dense(_value_prefixes(market, mmm, values), np.size(values)).T)
-
-
 @dataclass(frozen=True)
 class Strategy:
     """Predictable risky quotas phi_t on the 3^(t-1) F_{t-1} atoms; the

@@ -33,14 +33,14 @@ the Monte Carlo estimator checks.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, sqrt
 
 import numpy as np
 
-from .basis import Point, build_basis, delta_r_table, r_step_values
+from .basis import Point, build_basis, delta_r_table, delta_z_table, r_step_values
 from .chaos import chaos_order_tensor, coefficient_tensor, synthesize
 from .space import ModelParams, PathFunctional, SampleSpace, UniformStream, space, stream_key
 
@@ -55,6 +55,9 @@ def _step_major(params: ModelParams, alloc=np.empty) -> np.ndarray:
 class ProcessTable:
     """Exact process u(omega, (t,k)): array of shape (n_configs, T, m).
 
+    Predictability is checked, not declared: :meth:`is_predictable` tests
+    whether each step t is F_{t-1}-measurable, and no field records it.
+
     Tables this module allocates are step-major in memory (see
     ``_step_major``); a table handed to the constructor is kept as is,
     never converted, since a copy of a whole table costs T * m tables of
@@ -64,15 +67,12 @@ class ProcessTable:
 
     params: ModelParams
     values: np.ndarray
-    predictable: bool = False
 
     def __post_init__(self):
         expected = (self.params.n_configurations, self.params.horizon, self.params.n_marks)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != expected:
             raise ValueError(f"process table must have shape {expected}, got {self.values.shape}")
-        if self.predictable and not self.is_predictable():
-            raise ValueError("process marked predictable is not F_{t-1}-measurable")
 
     def is_predictable(self, tol: float = 0.0) -> bool:
         sp = space(self.params)
@@ -428,29 +428,34 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
 
 # -- Clark representation ---------------------------------------------------------------
 
+def _project_predictable(u: ProcessTable) -> ProcessTable:
+    """u(.,(t,k)) := E[u(.,(t,k)) | F_{t-1}] for every (t, k), in place."""
+    sp = space(u.params)
+    for t in range(1, u.params.horizon + 1):
+        for j in range(u.params.n_marks):
+            u.values[:, t - 1, j] = sp.conditional_expectation(u.values[:, t - 1, j], t - 1)
+    return u
+
+
+def _clark_sum(F: PathFunctional, u: ProcessTable, increment: Callable[[int, float], np.ndarray]) -> PathFunctional:
+    """E[F] + sum_(t,k) u(.,(t,k)) increment(t, k), summed in (t, k) order."""
+    params = F.params
+    acc = np.full(params.n_configurations, space(params).expectation(F.table()))
+    for t in range(1, params.horizon + 1):
+        for k in params.marks:
+            acc += u.values[:, t - 1, params.mark_index(k)] * increment(t, k)
+    return PathFunctional(params, values=acc)
+
+
 def clark_integrand(F: PathFunctional) -> ProcessTable:
     """Predictable integrand E[D_(t,k) F | F_{t-1}]."""
-    params = F.params
-    sp = space(params)
-    u = gradient_process(F)
-    for t in range(1, params.horizon + 1):
-        for j in range(params.n_marks):
-            u.values[:, t - 1, j] = sp.conditional_expectation(u.values[:, t - 1, j], t - 1)
-    u.predictable = True
-    return u
+    return _project_predictable(gradient_process(F))
 
 
 def clark_reconstruct(F: PathFunctional) -> PathFunctional:
     """E[F] + sum_(t,k) E[D_(t,k)F | F_{t-1}] dR_(t,k); equals F."""
-    params = F.params
-    sp = space(params)
-    basis = build_basis(params)
-    u = clark_integrand(F)
-    acc = np.full(sp.n, sp.expectation(F.table()))
-    for t in range(1, params.horizon + 1):
-        for k in params.marks:
-            acc += u.values[:, t - 1, params.mark_index(k)] * delta_r_table(basis, t, k)
-    return PathFunctional(params, values=acc)
+    basis = build_basis(F.params)
+    return _clark_sum(F, clark_integrand(F), lambda t, k: delta_r_table(basis, t, k))
 
 
 def clark_integrand_z(F: PathFunctional) -> ProcessTable:
@@ -462,19 +467,9 @@ def clark_integrand_z(F: PathFunctional) -> ProcessTable:
     values = _step_major(params)
     # on the (T, m, n) bases, step t is one (m, m) @ (m, n) product
     np.matmul(basis.matrix_m_inv.T, u.values.transpose(1, 2, 0), out=values.transpose(1, 2, 0))
-    out = ProcessTable(params, values)
-    out.predictable = True
-    return out
+    return ProcessTable(params, values)
 
 
 def clark_reconstruct_z(F: PathFunctional) -> PathFunctional:
-    from .basis import delta_z_table
-
-    params = F.params
-    sp = space(params)
-    u = clark_integrand_z(F)
-    acc = np.full(sp.n, sp.expectation(F.table()))
-    for t in range(1, params.horizon + 1):
-        for k in params.marks:
-            acc += u.values[:, t - 1, params.mark_index(k)] * delta_z_table(params, t, k)
-    return PathFunctional(params, values=acc)
+    """E[F] + sum_(t,k) (Z-coordinate Clark integrand) dZ_(t,k); equals F."""
+    return _clark_sum(F, clark_integrand_z(F), lambda t, k: delta_z_table(F.params, t, k))

@@ -18,6 +18,7 @@ from markedbinomial.cli import dumps17, main
 CTI_FLAGS = ["--T", "3", "--marks", "1,-1", "--lambda", "0.5", "--Q", "0.5,0.5"]
 HEDGE_T3 = ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5", "--T", "3",
             "--claim", "call:K=1.05"]
+GIRSANOV_CTI = ["girsanov", *CTI_FLAGS, "--lambda-target", "0.5", "--Q-target", "0.75,0.25"]
 
 
 def run_cli(args, **kw):
@@ -457,8 +458,7 @@ FOOTPRINTS = {
     "version": (["--version"], {"space"}),
     "usage_error": (["verify", "--bogus"], {"space"}),
     "decompose": (["decompose", *CTI_FLAGS], {"space", "basis", "chaos"}),
-    "girsanov": (["girsanov", *CTI_FLAGS, "--lambda-target", "0.5", "--Q-target", "0.75,0.25"],
-                 {"space", "basis", "chaos", "girsanov"}),
+    "girsanov": (GIRSANOV_CTI, {"space", "girsanov"}),
     "verify": (["verify", *CTI_FLAGS], {"space", "basis", "chaos", "malliavin", "girsanov", "diagnostics"}),
     "stein_headrun": (["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5"], {"space", "stein"}),
     "stein_dna": (["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.7", "--mu", "0.02"], {"space", "stein"}),
@@ -652,6 +652,17 @@ def test_hedge_builds_no_sample_space(horizon):
     hedge with and without the least-squares cross-check leaves the cache of
     sample spaces (digit tables and all) empty."""
     argv = [*HEDGE_T3[:12], horizon, *HEDGE_T3[13:], "--x", "1.0", "--no-timestamp"]
+    assert _sample_spaces_after(argv) == 0
+
+
+def test_girsanov_builds_no_sample_space():
+    """The density, its mean and the factorization residual read the one-step
+    weights and the probability tables only."""
+    assert _sample_spaces_after([*GIRSANOV_CTI, "--no-timestamp"]) == 0
+
+
+def _sample_spaces_after(argv) -> int:
+    """Size of the sample-space cache after ``main(argv)`` ran in a fresh interpreter."""
     code = (
         "import contextlib, io\n"
         "from markedbinomial.cli import main\n"
@@ -662,7 +673,7 @@ def test_hedge_builds_no_sample_space(horizon):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    return int(proc.stdout)
 
 
 def test_decompose_json_streams_its_rows(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from markedbinomial import ModelParams, PathFunctional, diagnostics, girsanov
+from markedbinomial import ModelParams, PathFunctional, diagnostics, girsanov, malliavin
 from markedbinomial.chaos import random_kernel
 from markedbinomial.cli import main
 
@@ -97,6 +97,15 @@ def test_random_process_fills_the_step_major_table_in_memory_order():
     stream = diagnostics.UniformStream(diagnostics.stream_key(5, "mecke"))
     flat = stream.draw(REF3.horizon * REF3.n_marks * REF3.n_configurations)
     assert np.array_equal(u.values.transpose(1, 2, 0).ravel(), flat)
+
+
+@pytest.mark.parametrize("name", ["cti", "inst2"])
+def test_predictable_random_process_is_predictable(name, request):
+    """The checks that need a predictable u draw one and project each step t onto F_{t-1}."""
+    params = request.getfixturevalue(name)
+    drawn = diagnostics._Context(params, 0, "ipp_l1").random_process()
+    assert not drawn.is_predictable(1e-12)
+    assert malliavin._project_predictable(drawn).is_predictable(1e-12)
 
 
 def test_random_kernel_reads_a_stream_in_support_order():

@@ -18,7 +18,6 @@ from markedbinomial import (
 from markedbinomial.hedging import (
     _dense,
     _self_financed_alpha,
-    mmm_conditional,
     optimal_strategy_t_conditioning,
     pgf_ratio_enumerated,
     pgf_ratio_trinomial,
@@ -197,7 +196,7 @@ def test_minimal_martingale_measure_drifted():
     assert np.all(mmm.density >= 0.0)
     assert float(np.dot(sp.probabilities, mmm.density)) == pytest.approx(1.0, abs=1e-12)
     # under the reweighting the discounted price is a martingale tablewise
-    cond = mmm_conditional(market, mmm, paths.discounted[:, -1])
+    cond = kunita_watanabe(market, PathFunctional(market.model_params(), values=paths.discounted[:, -1])).value
     for t in range(market.horizon):
         expected = paths.discounted[:, t]
         assert np.max(np.abs(cond[t] - expected)) <= 1e-12
@@ -447,17 +446,6 @@ def test_kunita_watanabe_attainable_claim():
     assert kw.f0 == pytest.approx(1.0, abs=1e-13)
 
 
-def test_kunita_watanabe_keeps_the_value_process(rng):
-    market = mk()
-    F = random_claim(market, rng)
-    kw = kunita_watanabe(market, F)
-    expected = mmm_conditional(market, minimal_martingale_measure(market), F.table())
-    assert len(kw.value) == market.horizon + 1
-    for got, want in zip(kw.value, expected):
-        np.testing.assert_array_equal(got, want)
-    assert kw.f0 == kw.value[0][0]
-
-
 def test_kunita_watanabe_constant_claim():
     market = mk()
     kw = kunita_watanabe(market, PathFunctional.constant(market.model_params(), 2.0))
@@ -533,8 +521,7 @@ def test_alpha0_is_mmm_price(rng):
     market = mk(**DRIFTED)
     F = call_payoff(market, 1.05)
     strategy, _ = optimal_strategy(market, F, 1.0)
-    mmm = minimal_martingale_measure(market)
-    price = mmm_conditional(market, mmm, F.table())[0][0]
+    price = kunita_watanabe(market, F).f0
     assert strategy.alpha[0, 0] == pytest.approx(price, abs=1e-12)
 
 
@@ -616,7 +603,7 @@ def test_t_conditioning_variant_differs_under_drift(rng):
 @pytest.mark.parametrize("param_set", [MARTINGALE, DRIFTED])
 def test_forward_recursions_match_reference_loops(param_set, rng):
     """phi_t = xi_t + theta_t (V_s - x - G_{t-1}) written out from
-    V = mmm_conditional: s = t-1 for optimal_strategy, s = t for the
+    V = kunita_watanabe(...).value: s = t-1 for optimal_strategy, s = t for the
     t-conditioning variant; same arithmetic, so equal to the bit."""
     market = mk(horizon=3, **param_set)
     F = random_claim(market, rng)
@@ -624,8 +611,8 @@ def test_forward_recursions_match_reference_loops(param_set, rng):
     sp = space(market.model_params())
     increments = price_paths(market).increments
     mmm = minimal_martingale_measure(market)
-    xi = kunita_watanabe(market, F).xi
-    v = mmm_conditional(market, mmm, F.table())
+    kw = kunita_watanabe(market, F)
+    xi, v = kw.xi, kw.value
     strategy, residual = optimal_strategy(market, F, x)
     alt = optimal_strategy_t_conditioning(market, F, x)
     for lag, got in ((1, residual), (0, alt)):

@@ -367,7 +367,7 @@ def test_ls_oracle_never_calls_the_recursion(monkeypatch, rng):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle must not use the recursion")
 
-    for name in ("minimal_martingale_measure", "mmm_conditional", "kunita_watanabe",
+    for name in ("minimal_martingale_measure", "kunita_watanabe",
                  "_forward_gain", "_blocks", "optimal_strategy", "_step_mean", "_dense", "_value_prefixes"):
         monkeypatch.setattr(hedging, name, refuse)
     # the per-block helpers of the forward walk; the price walk itself is the oracle's input

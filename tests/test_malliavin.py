@@ -516,10 +516,9 @@ def test_clark_second_order(cti, rng):
 def test_process_table_validation(cti):
     with pytest.raises(ValueError, match="shape"):
         ProcessTable(cti, np.zeros((27, 3)))
-    with pytest.raises(ValueError, match="predictable"):
-        bad = np.zeros((27, 3, 2))
-        bad[:, 2, 0] = np.arange(27)  # depends on digit 3: not F_2-measurable
-        ProcessTable(cti, bad, predictable=True)
+    bad = np.zeros((27, 3, 2))
+    bad[:, 2, 0] = np.arange(27)  # depends on digit 3: not F_2-measurable
+    assert not ProcessTable(cti, bad).is_predictable()
 
 
 # -- memory layout ---------------------------------------------------------------------
