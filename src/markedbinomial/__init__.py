@@ -6,27 +6,26 @@ total-variation oracles, and quadratic hedging in the ternary market.
 
 __version__ = "0.1.0"
 
+import sys as _sys
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
-from .space import (
-    Configuration,
-    ModelParams,
-    PathFunctional,
-    compound_value,
-    conditional_expectation,
-    config_probability,
-    enumerate_configurations,
-    expectation,
-    rng_stream,
-    sample_path,
-    space,
-)
-
-# Every other name, and each submodule, is imported on first access
-# (PEP 562), so an `mbp` command loads only the modules it runs.  `space`
-# stays eager: the function shares its submodule's name, and a lazy
-# lookup would let `import markedbinomial.space` rebind it to the module.
+# Every name, and each submodule, is imported on first access (PEP 562), so
+# `import markedbinomial` loads nothing and an `mbp` command loads only the
+# modules it runs.
 _EXPORTS = {
+    "space": (
+        "Configuration",
+        "ModelParams",
+        "PathFunctional",
+        "compound_value",
+        "conditional_expectation",
+        "config_probability",
+        "enumerate_configurations",
+        "expectation",
+        "rng_stream",
+        "sample_path",
+    ),
     "basis": (
         "OrthogonalBasis",
         "build_basis",
@@ -104,7 +103,7 @@ _EXPORTS = {
     "diagnostics": ("run_identity_suite",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_EXPORTS, *_MODULE_OF})
+__all__ = sorted({*_EXPORTS, *_MODULE_OF})
 
 
 def __getattr__(name: str):
@@ -119,3 +118,25 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+class _Root(_ModuleType):
+    """The package root, whose ``space`` is the function, not the submodule
+    of that name.  The import system binds each submodule it loads on its
+    parent; that binding of ``space`` is ignored, and any other assignment
+    replaces the function."""
+
+    @property
+    def space(self):
+        found = vars(self)
+        if "space" not in found:
+            found["space"] = _import_module(".space", __name__).space
+        return found["space"]
+
+    @space.setter
+    def space(self, value):
+        if value is not _sys.modules.get(f"{__name__}.space"):
+            vars(self)["space"] = value
+
+
+_sys.modules[__name__].__class__ = _Root

@@ -18,10 +18,10 @@ import time
 import warnings
 from collections.abc import Iterable, Iterator
 
-import numpy as np
-
 from . import __version__
-from .space import ModelParams, _text17
+
+# numpy and the engine modules are imported by the functions that use them,
+# so `--version`, `--help` and usage errors are answered before numpy loads.
 
 
 def _float17(v) -> str:
@@ -37,6 +37,10 @@ FLOAT_CHUNK = 2048
 def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
     """A flat float array as a JSON list, chunk by chunk, each distinct
     float of a chunk formatted once; non-finite entries render null."""
+    import numpy as np
+
+    from .space import _text17
+
     if not values.size:
         yield "[]"
         return
@@ -59,21 +63,31 @@ INT_CHUNK = 1 << 16
 
 class IntRows:
     """A list of integer rows of one length, given as consecutive 2-D blocks
-    of rows.  ``_json17`` renders it as it renders the same list of lists,
-    block by block, so the rows are never held together."""
+    of rows, or, for rows too long to hold whole, as one iterable of
+    consecutive 1-D pieces per row.  ``_json17`` renders it as it renders the
+    same list of lists, block by block or piece by piece, so the rows are
+    never held together."""
 
     def __init__(self, blocks: Iterable[np.ndarray]):
         self.blocks = blocks
 
 
 def _int_rows(blocks: Iterable[np.ndarray], pad: str) -> Iterator[str]:
-    """An ``IntRows`` list as JSON: one ``%`` template per block, with a
-    ``%d`` per entry, in place of a recursion per integer."""
-    first, sep = f"[\n{pad}  ", f",\n{pad}  "
+    """An ``IntRows`` list as JSON: one ``%`` template per block or piece,
+    with a ``%d`` per entry, in place of a recursion per integer."""
+    import numpy as np
+
+    first, sep, entry = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}    %d"
     opener = first
     for block in blocks:
-        if len(block):
-            row = "[" + ",".join([f"\n{pad}    %d"] * block.shape[1]) + f"\n{pad}  ]"
+        if not isinstance(block, np.ndarray):  # one row, piece by piece
+            yield opener + "["
+            for i, piece in enumerate(block):
+                yield ("," if i else "") + ",".join([entry] * len(piece)) % tuple(piece.tolist())
+            yield f"\n{pad}  ]"
+            opener = sep
+        elif len(block):
+            row = "[" + ",".join([entry] * block.shape[1]) + f"\n{pad}  ]"
             yield opener + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
             opener = sep
     yield "[]" if opener == first else f"\n{pad}]"
@@ -81,6 +95,8 @@ def _int_rows(blocks: Iterable[np.ndarray], pad: str) -> Iterator[str]:
 
 def _json17(obj, indent: int = 0) -> Iterator[str]:
     """The pieces of ``dumps17(obj, indent)``, in order."""
+    import numpy as np
+
     pad = "  " * indent
     if isinstance(obj, IntRows):
         yield from _int_rows(obj.blocks, pad)
@@ -144,6 +160,8 @@ def _emit(args, payload: dict) -> None:
 
 
 def _model_params(args) -> ModelParams:
+    from .space import ModelParams
+
     given = [flag for flag, val in (("--T", args.T), ("--marks", args.marks),
                                     ("--lambda", args.lam), ("--Q", args.Q)) if val is not None]
     if getattr(args, "config", None):
@@ -188,9 +206,22 @@ def _csv_paths(blocks: Iterable[np.ndarray], n_marks: int) -> Iterator[str]:
     """``simulate``'s CSV rows ``path,digits``, a block of paths per piece.
     Below 10 marks each digit is one character, written by a byte template;
     from 10 marks on a digit can take two or three, so they are joined by
-    spaces."""
+    spaces.  A row given as pieces (see ``IntRows``) is written piece by
+    piece."""
+    import numpy as np
+
     first = 0
     for digits in blocks:
+        if not isinstance(digits, np.ndarray):  # one row, piece by piece
+            yield f"{first},"
+            for i, piece in enumerate(digits):
+                if n_marks < 10:
+                    yield (piece + ord("0")).tobytes().decode("ascii")
+                else:
+                    yield (" " if i else "") + " ".join(map(str, piece.tolist()))
+            yield "\n"
+            first += 1
+            continue
         if n_marks < 10:
             text = np.empty((len(digits), digits.shape[1] + 1), dtype=np.uint8)
             text[:, -1] = ord("\n")
@@ -205,16 +236,25 @@ def _csv_paths(blocks: Iterable[np.ndarray], n_marks: int) -> Iterator[str]:
 
 
 def cmd_simulate(args) -> int:
-    from .space import rng_stream, sample_digits
+    import numpy as np
+
+    from .space import _digit_edges, rng_stream, sample_digits
 
     params = _model_params(args)
     if args.paths < 0:
         raise ValueError(f"--paths must be non-negative, got {args.paths}")
     stream = rng_stream(params, args.stream)
-    # path i is draws i*T .. i*T+T-1 of the stream, so drawing in blocks gives the same paths
-    per_block = max(1, INT_CHUNK // params.horizon)
-    blocks = (sample_digits(params, min(per_block, args.paths - start), stream)
-              for start in range(0, args.paths, per_block))
+    # path i is draws i*T .. i*T+T-1 of the stream, so drawing in blocks, or a
+    # row in pieces of INT_CHUNK digits, gives the same paths
+    T = params.horizon
+    if T > INT_CHUNK:
+        edges = _digit_edges(params)
+        blocks = ((stream.fill_digits(np.empty(min(INT_CHUNK, T - start), dtype=np.int8), edges)
+                   for start in range(0, T, INT_CHUNK)) for _ in range(args.paths))
+    else:
+        per_block = INT_CHUNK // T
+        blocks = (sample_digits(params, min(per_block, args.paths - start), stream)
+                  for start in range(0, args.paths, per_block))
     if args.format == "csv":
         _write(args, itertools.chain(["path,digits\n"], _csv_paths(blocks, params.n_marks)))
         return 0
@@ -228,6 +268,8 @@ def cmd_simulate(args) -> int:
 
 
 def _named_functional(params: ModelParams, name: str) -> PathFunctional:
+    import numpy as np
+
     from .space import PathFunctional, space
 
     sp = space(params)
@@ -379,6 +421,8 @@ def cmd_hedge(args) -> int:
 
 
 def cmd_girsanov(args) -> int:
+    import numpy as np
+
     from .girsanov import TargetMeasure, girsanov_density, girsanov_drift, girsanov_varphi
     from .space import probability_table
 
@@ -410,15 +454,17 @@ def cmd_verify(args) -> int:
     if args.basis_csv:
         build_basis(params).export_csv(args.basis_csv)
     results = run_identity_suite(params, seed=args.seed or 0)
-    payload = {
-        "params": {"T": params.horizon, "marks": list(params.marks),
-                   "lambda": params.jump_prob, "Q": list(params.mark_probs)},
-        "checks": {
-            r.name: {"residual": r.residual, "tolerance": r.tolerance, "passed": r.passed}
-            for r in results
-        },
-        "all_passed": all(r.passed for r in results),
+    timed = not args.no_timestamp  # sizes and times stay out of byte-stable output, as the timestamp does
+    payload = {"params": {"T": params.horizon, "marks": list(params.marks),
+                          "lambda": params.jump_prob, "Q": list(params.mark_probs)}}
+    if timed:
+        payload["n_configurations"] = params.n_configurations
+    payload["checks"] = {
+        r.name: {"residual": r.residual, "tolerance": r.tolerance, "passed": r.passed,
+                 **({"seconds": r.seconds} if timed else {})}
+        for r in results
     }
+    payload["all_passed"] = all(r.passed for r in results)
     _emit(args, payload)
     offender = worst_offender(results)
     if offender is not None:

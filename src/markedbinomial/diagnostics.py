@@ -10,6 +10,7 @@ before it.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 from math import factorial
@@ -37,6 +38,7 @@ class CheckResult:
     name: str
     residual: float
     tolerance: float
+    seconds: float  # wall time of the check, its context included
 
     @property
     def passed(self) -> bool:
@@ -639,8 +641,13 @@ CHECKS: list[tuple[str, float, Callable[[_Context], float]]] = [
 
 def run_identity_suite(params: ModelParams, seed: int = 0) -> list[CheckResult]:
     """Evaluate every identity on the enumerated space for ``params``, each
-    on a context of its own."""
-    return [CheckResult(name, float(fn(_Context(params, seed, name))), tol) for name, tol, fn in CHECKS]
+    on a context of its own, and time each."""
+    results = []
+    for name, tol, fn in CHECKS:
+        start = time.perf_counter()
+        residual = float(fn(_Context(params, seed, name)))
+        results.append(CheckResult(name, residual, tol, time.perf_counter() - start))
+    return results
 
 
 def worst_offender(results: list[CheckResult]) -> CheckResult | None:

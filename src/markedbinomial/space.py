@@ -563,6 +563,11 @@ def rng_stream(params: ModelParams, stream_index: int = 0) -> UniformStream:
     return UniformStream(stream_key(params.rng_seed, f"sample stream {stream_index}"))
 
 
+def _digit_edges(params: ModelParams) -> np.ndarray:
+    """The edges a draw is counted against to give its digit (see ``sample_digits``)."""
+    return np.cumsum(step_weights(params))[:-1]
+
+
 def sample_digits(params: ModelParams, n_paths: int, stream: int | UniformStream = 0) -> np.ndarray:
     """Draw n_paths digit vectors (shape (n_paths, T)) from the model: digit
     d of a step is the number of step-weight CDF edges w_0, w_0 + w_1, ...,
@@ -574,8 +579,7 @@ def sample_digits(params: ModelParams, n_paths: int, stream: int | UniformStream
         raise ValueError(f"number of paths must be non-negative, got {n_paths}")
     if not isinstance(stream, UniformStream):
         stream = rng_stream(params, stream)
-    edges = np.cumsum(step_weights(params))[:-1]
-    return stream.fill_digits(np.empty((n_paths, params.horizon), dtype=np.int8), edges)
+    return stream.fill_digits(np.empty((n_paths, params.horizon), dtype=np.int8), _digit_edges(params))
 
 
 def sample_path(params: ModelParams, stream: int | UniformStream = 0) -> Configuration:

@@ -31,11 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .space import ModelParams, PathFunctional, space
+# `space` is imported by the head-run and Malliavin-route functions that use
+# it, so the closed forms and the DNA law load this module alone.
+if TYPE_CHECKING:
+    from .space import ModelParams, PathFunctional
 
 
 # -- constants and generic helpers --------------------------------------------------
@@ -274,6 +277,8 @@ def exact_tv(pmf_a: Sequence[float], pmf_b: Sequence[float]) -> float:
 
 def functional_pmf(F: PathFunctional) -> np.ndarray:
     """Law of a Z+-valued exact functional as a pmf table."""
+    from .space import space
+
     sp = space(F.params)
     vals = F.table()
     rounded = np.rint(vals)
@@ -296,6 +301,7 @@ def poisson_bound(F: PathFunctional, lam0: float) -> float:
     remainder of phi along the add-one step.
     """
     from .malliavin import gradient, l_inverse, tilde_grad
+    from .space import PathFunctional, space
 
     params = F.params
     if params.n_marks != 1:
@@ -382,6 +388,8 @@ def compound_poisson_bound_details(F: PathFunctional | ModelParams, target: Comp
     through iid convolutions of the one-step law; a functional is only
     checked, by enumeration, to be such a compound sum.
     """
+    from .space import PathFunctional
+
     if isinstance(F, PathFunctional):
         params = _first_chaos_step_law(F)
     else:
@@ -434,6 +442,8 @@ def compound_poisson_bound_details(F: PathFunctional | ModelParams, target: Comp
 
 def head_run_params(n: int, m: int, p: float, rng_seed: int = 0) -> ModelParams:
     """Simple binomial space of length n+m-1 with jump probability p."""
+    from .space import ModelParams
+
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if not 0.0 < p < 1.0:
@@ -457,6 +467,8 @@ def head_run_functional(n: int, m: int, p: float, rng_seed: int = 0) -> PathFunc
     """Number of clumps of success runs of length >= m starting in the
     first n tosses; exact table when the space fits the cap, otherwise a
     callable for Monte Carlo use."""
+    from .space import PathFunctional, space
+
     params = head_run_params(n, m, p, rng_seed)
     try:
         sp = space(params)

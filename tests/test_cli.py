@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from markedbinomial import MarketParams, call_payoff, optimal_strategy, cli
 from markedbinomial.cli import dumps17, main
+from markedbinomial.space import ModelParams, rng_stream, sample_digits
 
 CTI_FLAGS = ["--T", "3", "--marks", "1,-1", "--lambda", "0.5", "--Q", "0.5,0.5"]
 HEDGE_T3 = ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5", "--T", "3",
@@ -101,6 +103,21 @@ def test_verify_exit_codes_and_seed_echo(tmp_path):
     assert proc.returncode == 0
     report = json.loads(out.read_text())
     assert report["seed"] == 3
+
+
+def test_verify_times_each_check_unless_output_is_byte_stable(capsys):
+    """Without --no-timestamp each check carries its wall time and the report
+    the model size; with it, neither, so the goldens keep their bytes.  The
+    rest of the report is the same."""
+    assert main(["verify", *CTI_FLAGS, "--seed", "2"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert main(["verify", *CTI_FLAGS, "--seed", "2", "--no-timestamp"]) == 0
+    stable = json.loads(capsys.readouterr().out)
+    assert timed.pop("n_configurations") == 27 and "n_configurations" not in stable
+    seconds = [check.pop("seconds") for check in timed["checks"].values()]
+    assert all(isinstance(s, float) and s >= 0 for s in seconds)
+    timed.pop("timestamp")
+    assert list(timed) == list(stable) and timed == stable
 
 
 def test_stein_headrun_values_and_determinism():
@@ -405,6 +422,27 @@ def test_simulate_output_is_a_prefix_and_does_not_depend_on_the_pieces(monkeypat
     assert json_paths["13"] == json_paths["40"][:13]
 
 
+@pytest.mark.parametrize("n_marks", [2, 11])
+def test_simulate_long_rows_in_pieces_keep_the_whole_row_bytes(n_marks, monkeypatch, capsys):
+    """A row longer than INT_CHUNK digits is drawn and written in pieces of
+    INT_CHUNK digits, from the same stream positions: the bytes are those of
+    the row drawn and rendered whole, and the digits those of sample_digits."""
+    chunk = cli.INT_CHUNK
+    marks = ",".join(str(k) for k in range(1, n_marks + 1))
+    flags = ["--marks", marks, "--lambda", "0.9", "--Q", ",".join([repr(1 / n_marks)] * n_marks), "--no-timestamp"]
+    for T, paths, fmt in itertools.product((chunk - 1, chunk, chunk + 1, 3 * chunk + 5), (1, 3), ("json", "csv")):
+        argv = ["simulate", "--T", str(T), *flags, "--paths", str(paths), "--format", fmt]
+        texts = []
+        for whole_rows_up_to in (chunk, T):  # as written, then with the row drawn and rendered whole
+            monkeypatch.setattr(cli, "INT_CHUNK", whole_rows_up_to)
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1], (T, paths, fmt)
+        if fmt == "json":
+            params = ModelParams(T, tuple(range(1, n_marks + 1)), 0.9, (1 / n_marks,) * n_marks)
+            assert json.loads(texts[0])["paths"] == sample_digits(params, paths, rng_stream(params)).tolist()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", *CTI_FLAGS, "--paths", "-1"], "--paths must be non-negative, got -1"),
     (["simulate", *CTI_FLAGS, "--stream", "-1"], "stream index must be non-negative, got -1"),
@@ -443,25 +481,29 @@ def test_format_only_on_table_commands():
 
 
 def test_import_leaves_scipy_out():
+    """`import markedbinomial` loads no submodule and not even numpy."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, markedbinomial; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import json, sys, markedbinomial\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy', 'markedbinomial')))))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == ["markedbinomial"]
 
 
-# each command's engine modules beside `cli`
+# each command's engine modules beside `cli`; numpy loads with the first of them
 FOOTPRINTS = {
     "hedge": (HEDGE_T3 + ["--x", "1.0"], {"space", "hedging"}),
     "simulate": (["simulate", *CTI_FLAGS], {"space"}),
-    "version": (["--version"], {"space"}),
-    "usage_error": (["verify", "--bogus"], {"space"}),
+    "version": (["--version"], set()),
+    "help": (["--help"], set()),
+    "verify_help": (["verify", "--help"], set()),
+    "usage_error": (["verify", "--bogus"], set()),
     "decompose": (["decompose", *CTI_FLAGS], {"space", "basis", "chaos"}),
     "girsanov": (GIRSANOV_CTI, {"space", "girsanov"}),
     "verify": (["verify", *CTI_FLAGS], {"space", "basis", "chaos", "malliavin", "girsanov", "diagnostics"}),
     "stein_headrun": (["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5"], {"space", "stein"}),
-    "stein_dna": (["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.7", "--mu", "0.02"], {"space", "stein"}),
+    "stein_dna": (["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.7", "--mu", "0.02"], {"stein"}),
 }
 
 
@@ -484,8 +526,8 @@ def _modules_after(argv, expression):
 
 @pytest.mark.parametrize("argv, engine", list(FOOTPRINTS.values()), ids=list(FOOTPRINTS))
 def test_each_command_loads_only_the_engine_modules_it_runs(argv, engine):
-    names = _modules_after(argv, "name for name in sys.modules if name.startswith('markedbinomial.')")
-    assert set(names) == {f"markedbinomial.{name}" for name in engine | {"cli"}}
+    names = _modules_after(argv, "m for m in sys.modules if m.startswith('markedbinomial.') or m == 'numpy'")
+    assert set(names) == {f"markedbinomial.{name}" for name in engine | {"cli"}} | ({"numpy"} if engine else set())
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in FOOTPRINTS.values()], ids=list(FOOTPRINTS))
@@ -538,6 +580,21 @@ def test_package_root_keeps_its_public_names():
     assert facts["star"] == PUBLIC_NAMES
     assert facts["unresolved"] == []
     assert facts["space_is_function"] and facts["hedging_is_module"] and facts["unknown_raises"]
+    # `space` names both a function and its submodule: the root keeps the function whichever route
+    # loads the submodule first, and an assignment still replaces it
+    routes = {"import": "import markedbinomial.space", "from": "from markedbinomial.space import ModelParams",
+              "attribute": "mb.ModelParams"}
+    for order in itertools.permutations(routes):
+        code = "import sys, types\nimport markedbinomial as mb\n" + "".join(
+            f"{routes[route]}\nassert mb.space is sys.modules['markedbinomial.space'].space, {route!r}\n"
+            for route in order
+        ) + (
+            "assert isinstance(sys.modules['markedbinomial.space'], types.ModuleType)\n"
+            "mb.space = stand_in = object()\n"
+            "assert mb.space is stand_in\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, (order, proc.stderr)
 
 
 @pytest.mark.parametrize("module", ["space", "basis", "chaos", "malliavin", "girsanov", "stein", "hedging",
