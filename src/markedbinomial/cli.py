@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -446,7 +447,32 @@ def cmd_girsanov(args) -> int:
     return 0
 
 
+# Read by the BLAS libraries numpy may load, once, when it loads.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _load_numpy_with_one_blas_thread() -> None:
+    """Load numpy with its BLAS on one thread, so the process keeps one OS
+    thread and the identity suite may fork its workers (see
+    ``diagnostics.suite_workers``); the printed residuals then do not depend
+    on the BLAS thread count.  The variables are restored once numpy has
+    loaded.  A process that has loaded numpy already keeps its BLAS as is."""
+    if "numpy" in sys.modules:
+        return
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    try:
+        import numpy  # noqa: F401
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def cmd_verify(args) -> int:
+    _load_numpy_with_one_blas_thread()
     from .basis import build_basis
     from .diagnostics import run_identity_suite, worst_offender
 
@@ -459,6 +485,7 @@ def cmd_verify(args) -> int:
                           "lambda": params.jump_prob, "Q": list(params.mark_probs)}}
     if timed:
         payload["n_configurations"] = params.n_configurations
+        payload["workers"] = results.workers
     payload["checks"] = {
         r.name: {"residual": r.residual, "tolerance": r.tolerance, "passed": r.passed,
                  **({"seconds": r.seconds} if timed else {})}
@@ -557,7 +584,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except Exception as exc:  # any failure is exit 2: exit 1 means only that verify found a violation
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"error: {str(exc) or type(exc).__name__}{notes}", file=sys.stderr)
         return 2
 
 

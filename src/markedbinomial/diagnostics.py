@@ -5,12 +5,17 @@ Used by the ``verify`` CLI subcommand and by the acceptance tests.  Each
 check draws its random inputs from its own counter-based stream, keyed by
 the seed and the check's name, so a report is a pure function of
 (params, seed) and a check's inputs do not depend on the checks run
-before it.
+before it, nor on the process that runs it: the suite spreads its checks
+over forked worker processes (see :func:`suite_workers`).
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 from math import factorial
@@ -639,15 +644,174 @@ CHECKS: list[tuple[str, float, Callable[[_Context], float]]] = [
 ]
 
 
-def run_identity_suite(params: ModelParams, seed: int = 0) -> list[CheckResult]:
+class SuiteResults(list):
+    """The suite's ``CheckResult``s in ``CHECKS`` order, and ``workers``, the
+    number of processes that ran them."""
+
+    def __init__(self, results: list[CheckResult], workers: int):
+        super().__init__(results)
+        self.workers = workers
+
+
+# Float tables of n*T*m entries a suite process may hold at its peak; the
+# suite forks no more workers than the available memory holds this many of.
+WORKER_TABLES = 4
+
+
+def _thread_count() -> int | None:
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+def suite_workers(params: ModelParams) -> int:
+    """Processes the suite runs on: one per CPU the process may use, at most
+    one per check and per WORKER_TABLES (n, T, m) float tables of available
+    memory, and only this one unless the process runs exactly one OS thread.
+    Forking a process with other threads (an OpenBLAS pool, say) is unsafe,
+    and its workers would oversubscribe the CPUs."""
+    if _thread_count() != 1:
+        return 1
+    table_bytes = 8 * params.n_configurations * params.horizon * params.n_marks
+    memory = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (WORKER_TABLES * table_bytes)
+    return max(1, min(len(os.sched_getaffinity(0)), len(CHECKS), memory))
+
+
+def run_identity_suite(params: ModelParams, seed: int = 0) -> SuiteResults:
     """Evaluate every identity on the enumerated space for ``params``, each
-    on a context of its own, and time each."""
-    results = []
-    for name, tol, fn in CHECKS:
-        start = time.perf_counter()
+    on a context of its own, and time each.  The space and the basis are
+    built here, once, and the checks then run on ``suite_workers(params)``
+    processes; a check that raises, or whose worker dies, raises here, the
+    first such in ``CHECKS`` order, with a note naming the check."""
+    space(params)
+    basis_mod.build_basis(params)
+    checks = list(CHECKS)
+    workers = suite_workers(params)
+    if workers == 1:  # lazily, so the first check that raises ends the suite
+        outcomes = (_outcome(params, seed, check) for check in checks)
+    else:
+        outcomes, workers = _fan_out(params, seed, checks, workers)
+    return SuiteResults([_result(name, outcome) for (name, _, _), outcome in zip(checks, outcomes)], workers)
+
+
+def _outcome(params: ModelParams, seed: int, check: tuple) -> CheckResult | Exception:
+    name, tol, fn = check
+    start = time.perf_counter()
+    try:
         residual = float(fn(_Context(params, seed, name)))
-        results.append(CheckResult(name, residual, tol, time.perf_counter() - start))
-    return results
+    except Exception as exc:
+        return exc
+    return CheckResult(name, residual, tol, time.perf_counter() - start)
+
+
+def _result(name: str, outcome: CheckResult | Exception) -> CheckResult:
+    if isinstance(outcome, Exception):
+        outcome.__notes__ = [*getattr(outcome, "__notes__", ()), f"in check {name}"]
+        raise outcome
+    return outcome
+
+
+def _pull(todo: int, parent: int) -> Iterator[int]:
+    """Check indices taken one byte at a time from the shared pipe until it
+    is empty, or, in a worker, until the parent is gone."""
+    while os.getpid() == parent or os.getppid() == parent:
+        index = os.read(todo, 1)
+        if not index:
+            return
+        yield index[0]
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a RuntimeError with its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc} (raised in a worker; not picklable)")
+    return exc
+
+
+def _work(params: ModelParams, seed: int, checks: list, todo: int, out: int, parent: int) -> None:
+    """A worker's life: run the checks it pulls and pickle each (index,
+    outcome) to ``out``; it leaves through ``os._exit``, so nothing of the
+    parent (buffered output, ``atexit`` hooks) runs twice."""
+    code = 1
+    try:
+        with open(out, "wb") as fh:
+            for i in _pull(todo, parent):
+                outcome = _outcome(params, seed, checks[i])
+                if isinstance(outcome, Exception):
+                    outcome = _portable(outcome)
+                pickle.dump((i, outcome), fh)
+                fh.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(fd: int) -> Iterator[tuple[int, CheckResult | Exception]]:
+    """The (index, outcome) pairs a worker wrote, until it closed its pipe;
+    a pickle cut short by the worker's death ends them."""
+    with open(fd, "rb", closefd=False) as fh:
+        while True:
+            try:
+                yield pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                return
+
+
+def _exit_reason(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    return f"exit status {os.waitstatus_to_exitcode(status)}"
+
+
+def _fan_out(params: ModelParams, seed: int, checks: list, workers: int) -> tuple[list, int]:
+    """Outcomes of ``checks`` run by this process and up to ``workers - 1``
+    forked ones, which all pull indices from one pipe filled beforehand, and
+    the number of processes that ran them.  Every worker is killed and
+    reaped before this returns or raises."""
+    parent = os.getpid()
+    todo, fill = os.pipe()
+    os.write(fill, bytes(range(len(checks))))  # a byte per check, far below PIPE_BUF: the write never blocks
+    os.close(fill)
+    children: dict[int, int] = {}  # worker pid -> read end of its result pipe
+    statuses: dict[int, int] = {}
+    try:
+        for _ in range(workers - 1):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: the ones started share the checks
+                os.close(out_r)
+                os.close(out_w)
+                break
+            if pid == 0:
+                _work(params, seed, checks, todo, out_w, parent)
+            os.close(out_w)
+            children[pid] = out_r
+        outcomes: list = [None] * len(checks)
+        for i in _pull(todo, parent):
+            outcomes[i] = _outcome(params, seed, checks[i])
+        for pid, fd in children.items():
+            for i, outcome in _received(fd):
+                outcomes[i] = outcome
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    finally:
+        for pid, fd in children.items():
+            os.close(fd)
+            if pid not in statuses:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+        os.close(todo)
+    ended = "; ".join(f"worker {pid} {_exit_reason(status)}" for pid, status in statuses.items() if status)
+    for i, outcome in enumerate(outcomes):
+        if outcome is None:
+            outcomes[i] = RuntimeError(f"its worker ended without returning a result ({ended or 'no worker failed'})")
+    return outcomes, 1 + len(children)
 
 
 def worst_offender(results: list[CheckResult]) -> CheckResult | None:

@@ -107,13 +107,15 @@ def test_verify_exit_codes_and_seed_echo(tmp_path):
 
 def test_verify_times_each_check_unless_output_is_byte_stable(capsys):
     """Without --no-timestamp each check carries its wall time and the report
-    the model size; with it, neither, so the goldens keep their bytes.  The
-    rest of the report is the same."""
+    the model size and the number of processes the suite ran on; with it,
+    none of these, so the goldens keep their bytes.  The rest of the report
+    is the same."""
     assert main(["verify", *CTI_FLAGS, "--seed", "2"]) == 0
     timed = json.loads(capsys.readouterr().out)
     assert main(["verify", *CTI_FLAGS, "--seed", "2", "--no-timestamp"]) == 0
     stable = json.loads(capsys.readouterr().out)
     assert timed.pop("n_configurations") == 27 and "n_configurations" not in stable
+    assert isinstance(timed.pop("workers"), int) and "workers" not in stable
     seconds = [check.pop("seconds") for check in timed["checks"].values()]
     assert all(isinstance(s, float) and s >= 0 for s in seconds)
     timed.pop("timestamp")
