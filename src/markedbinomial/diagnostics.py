@@ -655,7 +655,15 @@ class SuiteResults(list):
 
 # Float tables of n*T*m entries a suite process may hold at its peak; the
 # suite forks no more workers than the available memory holds this many of.
+# Measured on two marks only (T=12: 346-374 MB per process, 102 MB a table).
 WORKER_TABLES = 4
+
+MEMINFO = "/proc/meminfo"
+PROC_CGROUP = "/proc/self/cgroup"
+CGROUP_ROOT = "/sys/fs/cgroup"
+# (directory under CGROUP_ROOT, limit file, usage file) of cgroup v2 and of v1's memory controller
+CGROUP_MEMORY_FILES = {2: ("", "memory.max", "memory.current"),
+                       1: ("memory", "memory.limit_in_bytes", "memory.usage_in_bytes")}
 
 
 def _thread_count() -> int | None:
@@ -663,6 +671,37 @@ def _thread_count() -> int | None:
         return len(os.listdir("/proc/self/task"))
     except OSError:
         return None
+
+
+def _read_int(path: str) -> int | None:
+    try:
+        with open(path) as fh:
+            return int(fh.read())
+    except (OSError, ValueError):  # absent, or "max": no limit here
+        return None
+
+
+def available_memory() -> int:
+    """Bytes this process may still take: the least of the kernel's
+    MemAvailable (free memory plus reclaimable page cache) and, for each
+    memory cgroup this process is in and each of its ancestors that sets a
+    limit, that limit less the cgroup's usage."""
+    with open(MEMINFO) as fh:
+        meminfo = dict(line.split(":", 1) for line in fh)
+    headroom = [int(meminfo["MemAvailable"].split()[0]) * 1024]  # in kB
+    with open(PROC_CGROUP) as fh:
+        for line in fh:
+            _, controllers, path = line.rstrip("\n").split(":", 2)
+            if controllers and "memory" not in controllers.split(","):
+                continue
+            directory, limit, usage = CGROUP_MEMORY_FILES[1 if controllers else 2]
+            parts = [part for part in path.split("/") if part]
+            for depth in range(len(parts) + 1):
+                here = os.path.join(CGROUP_ROOT, directory, *parts[:depth])
+                cap, used = _read_int(os.path.join(here, limit)), _read_int(os.path.join(here, usage))
+                if cap is not None and used is not None:
+                    headroom.append(cap - used)
+    return max(0, min(headroom))
 
 
 def suite_workers(params: ModelParams) -> int:
@@ -674,7 +713,7 @@ def suite_workers(params: ModelParams) -> int:
     if _thread_count() != 1:
         return 1
     table_bytes = 8 * params.n_configurations * params.horizon * params.n_marks
-    memory = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (WORKER_TABLES * table_bytes)
+    memory = available_memory() // (WORKER_TABLES * table_bytes)
     return max(1, min(len(os.sched_getaffinity(0)), len(CHECKS), memory))
 
 
@@ -687,11 +726,7 @@ def run_identity_suite(params: ModelParams, seed: int = 0) -> SuiteResults:
     space(params)
     basis_mod.build_basis(params)
     checks = list(CHECKS)
-    workers = suite_workers(params)
-    if workers == 1:  # lazily, so the first check that raises ends the suite
-        outcomes = (_outcome(params, seed, check) for check in checks)
-    else:
-        outcomes, workers = _fan_out(params, seed, checks, workers)
+    outcomes, workers = _fan_out(params, seed, checks, suite_workers(params))
     return SuiteResults([_result(name, outcome) for (name, _, _), outcome in zip(checks, outcomes)], workers)
 
 
@@ -770,7 +805,10 @@ def _fan_out(params: ModelParams, seed: int, checks: list, workers: int) -> tupl
     """Outcomes of ``checks`` run by this process and up to ``workers - 1``
     forked ones, which all pull indices from one pipe filled beforehand, and
     the number of processes that ran them.  Every worker is killed and
-    reaped before this returns or raises."""
+    reaped before this returns or raises.  With ``workers == 1`` it forks
+    nothing and this process runs every check.  (A ProcessPoolExecutor
+    would fail every pending check when one worker dies, naming checks that
+    ran fine, and its workers would outlive a killed parent.)"""
     parent = os.getpid()
     todo, fill = os.pipe()
     os.write(fill, bytes(range(len(checks))))  # a byte per check, far below PIPE_BUF: the write never blocks

@@ -4,6 +4,7 @@ given number of CPUs, and prints what ``test_fanout.py`` checks as JSON.
     OPENBLAS_NUM_THREADS=1 python tests/fanout_driver.py match 1 2 3 6
     OPENBLAS_NUM_THREADS=1 python tests/fanout_driver.py memory
     OPENBLAS_NUM_THREADS=1 python tests/fanout_driver.py fail raise|unpicklable|kill
+    OPENBLAS_NUM_THREADS=1 python tests/fanout_driver.py orphan LOG
 
 BLAS must be pinned to one thread, so that this process runs one OS thread
 and the suite forks its workers.
@@ -91,8 +92,7 @@ def match(cpu_counts: list[int]) -> dict:
 def memory() -> dict:
     """The suite with the memory estimate of one worker above what is available."""
     use_cpus(6)
-    available = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    diagnostics.WORKER_TABLES = available  # each (n, T, m) table has at least 8 bytes
+    diagnostics.WORKER_TABLES = diagnostics.available_memory()  # each (n, T, m) table has at least 8 bytes
     forks = []
     real_fork = os.fork
     os.fork = lambda: forks.append(1) or real_fork()
@@ -145,12 +145,41 @@ def fail(kind: str) -> dict:
                 "fds_restored": open_fds() == fds, "children_left": leftover_children()}
 
 
+def orphan(log_path: str) -> None:
+    """The suite on three processes and eight checks, where the parent is
+    SIGKILLed while each process holds one check; each check appends its
+    name and process id to ``log_path``.  A worker finishes its check once
+    the parent is gone and pulls no more."""
+    use_cpus(3)
+    parent = os.getpid()
+    log = os.open(log_path, os.O_WRONLY | os.O_APPEND)
+    with tempfile.TemporaryDirectory() as meeting:
+        def check(name):
+            def fn(ctx):
+                os.write(log, f"{name} {os.getpid()}\n".encode())
+                open(os.path.join(meeting, str(os.getpid())), "w").close()
+                deadline = time.monotonic() + 60
+                while len(os.listdir(meeting)) < 3 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                if os.getpid() == parent:
+                    os.kill(parent, signal.SIGKILL)
+                while os.getppid() == parent and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                return 0.0
+            return fn
+
+        diagnostics.CHECKS = [(f"check_{i}", 0.0, check(f"check_{i}")) for i in range(8)]
+        diagnostics.run_identity_suite(MODELS["REF3"])
+
+
 if __name__ == "__main__":
     scenario, *rest = sys.argv[1:]
     if scenario == "match":
         report = match([int(c) for c in rest])
     elif scenario == "memory":
         report = memory()
+    elif scenario == "orphan":
+        report = orphan(*rest)
     else:
         report = fail(*rest)
     print(json.dumps(report))

@@ -85,6 +85,19 @@ def test_a_failing_worker_exits_2_naming_its_check(kind, message):
     assert report["fds_restored"] and not report["children_left"]
 
 
+def test_workers_stop_pulling_checks_once_the_parent_is_gone(tmp_path):
+    """A parent SIGKILLed mid-suite leaves no worker running the remaining
+    checks: each finishes the check it holds and exits, so the driver's
+    stdout, which the workers inherit, closes at once."""
+    log = tmp_path / "ran.log"
+    log.touch()
+    proc = subprocess.run([*interpreter(), str(DRIVER), "orphan", str(log)], capture_output=True, text=True,
+                          env={**os.environ, **ONE_BLAS_THREAD}, timeout=120)
+    assert proc.returncode == -9, proc.stderr
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert len(ran) == 3 and len({pid for _, pid in ran}) == 3
+
+
 def test_a_threaded_caller_runs_the_suite_in_process(monkeypatch):
     """A process running more than one thread never forks, whatever its CPUs."""
     def no_fork():
@@ -110,11 +123,38 @@ def test_worker_count_is_the_least_of_cpus_checks_and_memory(monkeypatch, cpus, 
     table_bytes = 8 * REF3.n_configurations * REF3.horizon * REF3.n_marks
     monkeypatch.setattr(diagnostics, "_thread_count", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_AVPHYS_PAGES": avail_tables * table_bytes,
-                                                     "SC_PAGE_SIZE": 1}[name])
+    monkeypatch.setattr(diagnostics, "available_memory", lambda: avail_tables * table_bytes)
     assert diagnostics.suite_workers(REF3) == expected
     monkeypatch.setattr(diagnostics, "_thread_count", lambda: None)  # /proc unreadable: serial
     assert diagnostics.suite_workers(REF3) == 1
+
+
+@pytest.mark.parametrize("version, proc_cgroup", [(2, "0::/job/task\n"),
+                                                  (1, "5:cpu,cpuacct:/\n4:memory:/job/task\n0::/\n")])
+@pytest.mark.parametrize("job_tables, expected", [(3, 1), (9, 2), (100, 6)])
+def test_a_cgroup_limit_bounds_the_workers(monkeypatch, tmp_path, version, proc_cgroup, job_tables, expected):
+    """In a memory-limited container MemAvailable reports the host's memory;
+    the limit less the usage of the process's cgroup, or of an ancestor,
+    bounds the workers too.  Here the parent cgroup ``job`` holds
+    ``job_tables`` (n, T, m) tables of headroom, far below MemAvailable."""
+    table_bytes = 8 * REF3.n_configurations * REF3.horizon * REF3.n_marks
+    directory, limit, usage = diagnostics.CGROUP_MEMORY_FILES[version]
+    root = tmp_path / "sys"
+    job = root / directory / "job"
+    (job / "task").mkdir(parents=True)
+    (job / limit).write_text(f"{job_tables * table_bytes + 5000}\n")
+    (job / usage).write_text("5000\n")
+    (job / "task" / limit).write_text("max\n" if version == 2 else "9223372036854771712\n")
+    (job / "task" / usage).write_text("4000\n")
+    (tmp_path / "meminfo").write_text("MemTotal:       1073741824 kB\nMemAvailable:   1073741824 kB\n")
+    (tmp_path / "cgroup").write_text(proc_cgroup)
+    monkeypatch.setattr(diagnostics, "MEMINFO", str(tmp_path / "meminfo"))
+    monkeypatch.setattr(diagnostics, "PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(diagnostics, "CGROUP_ROOT", str(root))
+    monkeypatch.setattr(diagnostics, "_thread_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+    assert diagnostics.available_memory() == job_tables * table_bytes
+    assert diagnostics.suite_workers(REF3) == expected
 
 
 def test_verify_prints_the_same_bytes_for_any_blas_thread_count():
