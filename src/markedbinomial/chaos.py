@@ -219,11 +219,11 @@ class ChaosCoefficients:
     def csv_pieces(self) -> Iterator[str]:
         """The CSV text (order, support, value), values at 17 significant
         digits, as a header piece and then one piece per order."""
-        yield f"order,support,value\n0,,{_text17(np.array([self.f0]))[0]}\n"
+        yield f"order,support,value\n0,,{_text17(np.array([self.f0]))}\n"
         for n in self._present():
             lows, highs, values = self._label_cells(n)
             cells = [""] * (3 * len(lows))
-            cells[::3], cells[1::3], cells[2::3] = lows, highs, _text17(values)
+            cells[::3], cells[1::3], cells[2::3] = lows, highs, _text17(values).split("\n")
             yield "".join([f"{n},%s%s,%s\n"] * len(lows)) % tuple(cells)
 
     def csv_text(self) -> str:

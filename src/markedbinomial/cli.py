@@ -31,15 +31,13 @@ def _float17(v) -> str:
 
 # Floats formatted per call when a float array is rendered: the output is
 # written piece by piece, so emitting a large payload never holds more than
-# one such piece (and its Python floats) besides the payload itself.
+# one such piece (and its formatting temporaries) besides the payload itself.
 FLOAT_CHUNK = 2048
 
 
 def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
-    """A flat float array as a JSON list, chunk by chunk, each distinct
-    float of a chunk formatted once; non-finite entries render null."""
-    import numpy as np
-
+    """A flat float array as a JSON list, one piece per chunk; non-finite
+    entries render null."""
     from .space import _text17
 
     if not values.size:
@@ -48,13 +46,9 @@ def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
     sep = f",\n{pad}  "
     yield f"[\n{pad}  "
     for start in range(0, values.size, FLOAT_CHUNK):
-        chunk = values[start:start + FLOAT_CHUNK]
-        texts = _text17(chunk)
-        for i in np.flatnonzero(~np.isfinite(chunk)).tolist():
-            texts[i] = "null"
         if start:
             yield sep
-        yield sep.join(texts)
+        yield _text17(values[start:start + FLOAT_CHUNK], sep, null="null")
     yield f"\n{pad}]"
 
 
@@ -377,6 +371,19 @@ def _parse_claim(market: MarketParams, spec: str) -> PathFunctional:
 
 
 def cmd_hedge(args) -> int:
+    import numpy as np
+
+    # An overflow would print null or a wrong number: it is an error instead.
+    try:
+        with np.errstate(over="raise"):
+            payload = _hedge_payload(args)
+    except FloatingPointError as exc:
+        raise OverflowError(f"hedging overflows float64 ({exc}); scale --x and the claim down") from None
+    _emit(args, payload)
+    return 0
+
+
+def _hedge_payload(args) -> dict:
     from .hedging import (
         MarketParams,
         ls_oracle,
@@ -417,8 +424,7 @@ def cmd_hedge(args) -> int:
         else:
             payload["oracle_residual"] = oracle_residual
             payload["residual_gap"] = abs(residual - oracle_residual)
-    _emit(args, payload)
-    return 0
+    return payload
 
 
 def cmd_girsanov(args) -> int:

@@ -169,22 +169,202 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _text17(values: np.ndarray) -> list[str]:
-    """``%.17g`` text of every entry of a 1-D float array, each distinct
-    64-bit pattern formatted once.  Patterns, not float values, are compared,
-    since -0.0 == 0.0 prints differently; NaN and infinities print as
-    ``%.17g`` prints them.  The sort replaces np.unique for the reason
-    given at :func:`_distinct`."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    perm = np.argsort(bits)
-    ordered = bits[perm]
-    new = np.ones(ordered.shape, dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(perm.shape, dtype=np.intp)
-    inverse[perm] = np.cumsum(new) - 1
-    firsts = ordered[new].view(np.float64).tolist()
-    texts = np.array(("\n".join(["%.17g"] * len(firsts)) % tuple(firsts)).split("\n"), dtype=object)
-    return texts[inverse].tolist()
+# -- %.17g text in numpy ----------------------------------------------------------
+#
+# Every float an exact table prints goes through _text17.  An entry x != 0 is
+# |x| = N 10**(k-16) rounded, with k = floor(log10 |x|) and N the 17-digit integer
+# nearest |x| 10**(16-k); "%.17g" prints N's digits, trailing zeros stripped, in
+# fixed notation for -4 <= k < 17 and in exponent form otherwise.  N comes from a
+# double-double product (Dekker) with an exact error bound, and any entry whose
+# rounding that bound leaves open, or that is zero, subnormal, non-finite or
+# outside 10**TEXT_K_MIN <= |x| < 10**TEXT_K_MAX, is printed by Python itself.
+
+TEXT_K_MIN, TEXT_K_MAX = -99, 99  # decimal exponents formatted in numpy
+_SPLITTER = 134217729.0             # 2**27 + 1, Veltkamp's splitter for binary64
+# |computed - exact| fractional part of |x| 10**(16-k) is below 2**-46 (see
+# _round17); parts this close to 1/2 are rounded by Python
+_HALF_BAND = 2.0**-40
+
+# Byte columns of one entry's row, in 8-byte words.  Word 0 holds the sign
+# and "0.000" before digit 1 in its last byte, words 1-2 digits 2-17, word 3
+# the point in its last byte, words 4-5 digits 2-17 again, for the fraction
+# after the point, word 6 the exponent "e+dd"; the separator follows, unless
+# _row_bases moves it up to the end of a 17-digit text.
+_LEAD, _POINT, _FRAC, _EXP, _SEP = 7, 31, 32, 48, 56
+_WORD3 = 24  # where a separator of at most 8 bytes follows a 17-digit text with k < 0
+_LAYOUTS = 22  # k = -4 .. 16 in fixed notation, then the exponent form
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double into two halves of 26 and 27 bits."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@lru_cache(maxsize=1)
+def _power_table() -> np.ndarray:
+    """Rows (H, H_hi, H_lo, L) over q = 16 - k, k from TEXT_K_MAX down to
+    TEXT_K_MIN: H + L is 10**q to about 2**-106 relative, H = H_hi + H_lo its
+    split.  H and L are correctly rounded from Python ints (int / int is)."""
+    hi, lo = [], []
+    for q in range(16 - TEXT_K_MAX, 16 - TEXT_K_MIN + 1):
+        if q >= 0:
+            h = float(10**q)
+            lo.append(float(10**q - int(h)))
+        else:
+            d = 10**-q
+            h = 1 / d
+            a, b = h.as_integer_ratio()
+            lo.append((b - a * d) / (b * d))
+        hi.append(h)
+    hi = np.array(hi)
+    return np.stack([hi, *_split(hi), np.array(lo)])
+
+
+@lru_cache(maxsize=1)
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """(4-digit groups as 4-byte words, word 0 per first digit, exponent word
+    per k (all FF in fixed notation, where a separator may take its place),
+    layout offset per k, digit-count offset per 16-bit mask of nonzero
+    digits 2-17), indexed as _text17 uses them."""
+    quads = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    leads = np.full((10, 8), 0xFF)
+    leads[:, 7] = np.arange(10) + ord("0")
+    ks = range(TEXT_K_MIN - 1, TEXT_K_MAX + 2)
+    exps = b"".join([b"\xff" * 8 if -4 <= k <= 16 else ("e%+03d" % k).ljust(8, "\0").encode() for k in ks])
+    layout = np.array([(k + 4 if -4 <= k <= 16 else _LAYOUTS - 1) * 34 for k in ks])
+    # twice the mask's bit length, the digit count's offset in the row index
+    count = np.repeat(np.arange(0, 34, 2, dtype=np.uint8), [1] + [1 << b for b in range(16)])
+    return (quads.astype(np.uint8, order="C").view(np.uint32).ravel(), leads.astype(np.uint8).view(np.uint64).ravel(),
+            np.frombuffer(exps, np.uint64), layout, count)
+
+
+@lru_cache(maxsize=1)
+def _row_bases() -> tuple[np.ndarray, np.ndarray]:
+    """(rows, separator column of each row): one row per (layout, digit count
+    s, sign), then a fallback row, holding the fixed bytes where kept, FF
+    where a digit or exponent byte is kept and 0 where dropped.  The fallback
+    row holds a 1 in place of the text.  A separator goes right after the
+    text where the text ends at a word the digits leave free, as a 17-digit
+    text does in fixed notation, so the row's bytes stay one run."""
+    rows = np.zeros((_LAYOUTS * 17 * 2 + 1, _SEP), dtype=np.uint8)
+    sep_at = np.full(len(rows), _SEP)
+    rows[-1, 0] = 1
+    for layout in range(_LAYOUTS):
+        k = layout - 4
+        for s in range(1, 18):
+            i = (layout * 17 + s - 1) * 2
+            r = rows[i]
+            first = _LEAD
+            if layout == _LAYOUTS - 1:
+                r[_LEAD] = 0xFF
+                if s > 1:
+                    r[_POINT] = ord(".")
+                    r[_FRAC:_FRAC + s - 1] = 0xFF
+                r[_EXP:_SEP] = 0xFF
+            elif k < 0:
+                first = _LEAD + k - 1
+                r[first:_LEAD] = np.frombuffer(b"0.000"[:1 - k], np.uint8)
+                r[_LEAD:_LEAD + s] = 0xFF
+                if s == 17:
+                    sep_at[i:i + 2] = _WORD3
+            else:
+                r[_LEAD:_LEAD + k + 1] = 0xFF
+                if s > k + 1:
+                    r[_POINT] = ord(".")
+                    r[_FRAC + k:_FRAC + s - 1] = 0xFF
+                    if s == 17:
+                        sep_at[i:i + 2] = _EXP  # the exponent word holds FF in fixed notation
+            rows[i + 1] = r
+            rows[i + 1, first - 1] = ord("-")
+    return rows, sep_at
+
+
+@lru_cache(maxsize=16)
+def _row_templates(sep: str) -> np.ndarray:
+    """The rows of _row_bases with sep in place, each as one void scalar."""
+    bases, sep_at = _row_bases()
+    width = -(-(_SEP + len(sep)) // 8) * 8
+    rows = np.zeros((len(bases), width), dtype=np.uint8)
+    rows[:, :_SEP] = bases
+    sep_at = np.where((sep_at == _WORD3) & (len(sep) > 8), _SEP, sep_at)
+    rows[np.arange(len(rows))[:, None], sep_at[:, None] + np.arange(len(sep))] = np.frombuffer(sep.encode(), np.uint8)
+    return rows.view("V%d" % width).ravel()
+
+
+def _round17(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(N, low, high, unsure) for y = ax 10**(16-k): N = y rounded to an
+    integer, low where y < 10**16 and high where N >= 10**17 (k one too large
+    or too small, or a carry into 10**17), unsure where the computed
+    fractional part of y lies within _HALF_BAND of 1/2.
+
+    p + e = ax H exactly (Dekker's product), so y = p + lo + err with lo the
+    computed e + ax L.  Since p < 2**57, |e| <= 8 and |ax L| <= 16, each of the
+    three roundings behind lo + 1/2 errs by at most 2**-48, and the tail of
+    10**q beyond H + L adds at most 2**57 2**-106 = 2**-49: |err| < 2**-46.
+    Only +, -, * and floor are used, which are correctly rounded on every host."""
+    h, h_hi, h_lo, low_part = _power_table().take(TEXT_K_MAX - k, axis=1, mode="clip")
+    a_hi, a_lo = _split(ax)
+    p = ax * h
+    lo = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + ax * low_part
+    v = lo + 0.5
+    n = np.floor(v)
+    unsure = np.abs(v - n - 0.5) >= 0.5 - _HALF_BAND
+    return p.astype(np.int64) + n.astype(np.int64), lo < 1e16 - p, v >= 1e17 - p, unsure
+
+
+def _text17(values: np.ndarray, sep: str = "\n", null: str | None = None) -> str:
+    """``%.17g`` text of every entry of a 1-D float array, joined by ``sep``;
+    non-finite entries print as ``null`` when it is given.  Equal byte for
+    byte to ``sep.join(format(v, ".17g") for v in values)`` on every host:
+    the guess of k from np.log10, whose last bit varies with the SIMD level,
+    is checked exactly and corrected, and no text is formed per entry."""
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    n = x.size
+    if not n:
+        return ""
+    quads, leads, exps, layout_of, count_of = _text_tables()
+    rows = _row_templates(sep)
+    ax = np.abs(x)
+    fast = (ax >= 10.0**TEXT_K_MIN) & (ax < 10.0**TEXT_K_MAX)  # False for 0, NaN, inf, subnormals
+    ax[~fast] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.intp)
+    N, low, high, unsure = _round17(ax, k)
+    wrong = np.flatnonzero(low | high)
+    if wrong.size:
+        k[wrong] += high[wrong].astype(np.intp) - low[wrong]
+        N[wrong], low, high, unsure[wrong] = _round17(ax[wrong], k[wrong])
+        unsure[wrong] |= low | high
+    fast &= ~unsure
+    # digits 2-17 as four 4-digit groups, from N's two 8-digit halves
+    halves = np.empty((n, 2), dtype=np.int64)
+    np.floor_divide(N, 10**8, out=halves[:, 0])
+    np.subtract(N, halves[:, 0] * 10**8, out=halves[:, 1])
+    first = halves[:, 0] // 10**8
+    halves[:, 0] -= first * 10**8
+    groups = halves // 10**4
+    digits = quads.take(np.stack([groups, halves - groups * 10**4], axis=2), mode="clip").reshape(n, 4)
+    nonzero = np.packbits(digits.view(np.uint8).ravel() != ord("0"), bitorder="little").view(np.uint16)
+    case = layout_of.take(k - (TEXT_K_MIN - 1), mode="clip") + count_of.take(nonzero) + np.signbit(x)
+    case[~fast] = len(rows) - 1
+    text = rows.take(case).view(np.uint8).reshape(n, -1)
+    cells, pairs = text.view(np.uint64), digits.view(np.uint64)
+    cells[:, 0] &= leads.take(first, mode="clip")
+    for j in range(2):
+        cells[:, 1 + j] &= pairs[:, j]
+        cells[:, _FRAC // 8 + j] &= pairs[:, j]
+    cells[:, _EXP // 8] &= exps.take(k - (TEXT_K_MIN - 1), mode="clip")
+    flat = text.ravel()
+    kept = flat[flat != 0]
+    joined = kept[:kept.size - len(sep)].tobytes().decode("ascii")  # no separator after the last
+    if fast.all():
+        return joined
+    parts = joined.split("\1")
+    pieces = [parts[0]]
+    for v, part in zip(x[~fast].tolist(), parts[1:]):
+        pieces += [null if null is not None and not math.isfinite(v) else "%.17g" % v, part]
+    return "".join(pieces)
 
 
 def step_weights(params: ModelParams) -> np.ndarray:

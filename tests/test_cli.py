@@ -199,19 +199,25 @@ def _reference_json(obj, indent=0):
 
 def test_hedge_file_matches_a_per_element_rendering_at_t9(tmp_path):
     """The one-pass float rendering of a 6,561-atom payload is byte-identical
-    to formatting every number on its own; numbers are parsed back as floats
-    so that integral values such as 1 and -0 keep their rendering."""
+    to formatting every number on its own, on M1 (many repeated floats) and
+    on M3 and the signed market (nearly all distinct); numbers are parsed
+    back as floats so that integral values such as 1 and -0 keep their
+    rendering."""
     out = tmp_path / "hedge.json"
-    argv = ["hedge", "--a", "-0.1", "--b", "0.2", "--r", "0.025", "--lambda", "0.5", "--p", "0.5",
-            "--T", "9", "--claim", "call:K=1.05", "--x", "1.0", "--no-timestamp", "--out", str(out)]
-    assert main(argv) == 0
-    text = out.read_text(encoding="utf-8")
-    payload = json.loads(text, parse_int=float)
-    assert text == _reference_json(payload) + "\n"
-    assert len(payload["phi_star"]["9"]) == 3**8
-    market = MarketParams(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5, horizon=9, initial_capital=1.0)
-    strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
-    assert payload["phi_star"]["9"] == strategy.phi_prefixes[8].tolist()
+    for name in ("M1", "M3", "signed"):
+        argv = ["hedge", *MARKET_FLAGS[name], "--T", "9", "--claim", "call:K=1.05", "--x", "1.0",
+                "--no-timestamp", "--out", str(out)]
+        a, b, r, lam, p = (float(v) for v in MARKET_FLAGS[name][1::2])
+        market = MarketParams(a=a, b=b, r=r, jump_prob=lam, up_prob=p, horizon=9, initial_capital=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the signed market warns once per process
+            assert main(argv) == 0
+            strategy, _ = optimal_strategy(market, call_payoff(market, 1.05), 1.0)
+        text = out.read_text(encoding="utf-8")
+        payload = json.loads(text, parse_int=float)
+        assert text == _reference_json(payload) + "\n", name
+        assert len(payload["phi_star"]["9"]) == 3**8
+        assert payload["phi_star"]["9"] == strategy.phi_prefixes[8].tolist(), name
 
 
 def test_json_pieces_hold_at_most_one_float_chunk():
@@ -248,14 +254,14 @@ RENDER_CASES = {
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("case", list(RENDER_CASES))
 def test_float_rendering_matches_the_per_element_reference(case, offset):
-    """Each distinct bit pattern is formatted once, yet JSON and CSV text
-    equal formatting every value on its own (null in JSON and nan/inf in
-    CSV for non-finite values), around one chunk's length."""
+    """The vectorised rendering of a chunk, and JSON text, equal formatting
+    every value on its own (null in JSON and nan/inf in CSV for non-finite
+    values), around one chunk's length."""
     from markedbinomial.space import _text17
 
     values = RENDER_CASES[case](cli.FLOAT_CHUNK + offset)
     items = values.tolist()
-    assert _text17(values) == [format(v, ".17g") for v in items]
+    assert _text17(values).split("\n") == [format(v, ".17g") for v in items]
     assert dumps17({"v": values}) == _reference_json({"v": items})
     assert dumps17(values[:3]) == _reference_json(items[:3])
 
@@ -617,6 +623,29 @@ def test_hedge_keeps_its_result_when_the_cross_check_refuses(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["residual_risk"] == pytest.approx(2.25006e-9, rel=1e-5)
     assert "oracle_residual" not in payload and "residual_gap" not in payload
+
+
+def _hedge_subprocess(x: str) -> subprocess.CompletedProcess:
+    argv = ["hedge", *MARKET_FLAGS["M1"], "--T", "3", "--x", x, "--claim", "call:K=1.05", "--no-timestamp"]
+    return subprocess.run([sys.executable, "-m", "markedbinomial.cli", *argv], capture_output=True, text=True)
+
+
+def test_hedge_refuses_an_overflowing_capital():
+    """x = 1e160 squares past the float64 range: one error line naming the
+    overflow and exit 2, not a null residual and numpy's warnings."""
+    proc = _hedge_subprocess("1e160")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: hedging overflows float64")
+
+
+def test_hedge_keeps_a_large_finite_capital():
+    """x = 1e150 stays finite (x**2 = 1e300): exit 0, no warning, and the
+    residual risks print as numbers."""
+    proc = _hedge_subprocess("1e150")
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["residual_risk"] == payload["residual_risk_t_conditioning"] == 1.0000000000000002e+300
+    assert payload["market"]["x"] == 1e150
 
 
 @pytest.mark.parametrize("argv", [HEDGE_T3 + ["--x", "1.0"],

@@ -1,6 +1,9 @@
 import gc
 import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -460,3 +463,78 @@ def test_distinct_equals_np_unique(values):
     got = _distinct(values)
     assert got.dtype == values.dtype
     assert np.array_equal(got, np.unique(values))
+
+
+# -- %.17g text ------------------------------------------------------------------
+
+def _format_reference(x: np.ndarray) -> list[str]:
+    return [format(v, ".17g") for v in x.tolist()]
+
+
+def _text17_chunks(x: np.ndarray) -> list[str]:
+    return [t for start in range(0, x.size, 1 << 15) for t in space_mod._text17(x[start:start + (1 << 15)]).split("\n")]
+
+
+def _halfway_cases() -> list[float]:
+    """Doubles whose exact decimal expansion has 18 significant digits, the
+    last a 5: their 17-digit rounding is a tie, broken to even."""
+    from decimal import Decimal
+
+    cases = []
+    for digits in range(1, 17):
+        step = 2.0 ** -(18 - digits)
+        for odd in range(1, 400, 2):
+            for base in (10.0 ** (digits - 1), 9 * 10.0 ** (digits - 1)):
+                x = base + odd * step
+                if len(Decimal(x).as_tuple().digits) == 18:
+                    cases.append(x)
+    return cases
+
+
+def _edge_floats() -> np.ndarray:
+    """Signed zeros, NaN, infinities, the subnormal/normal boundary, every
+    power of ten with both neighbours, values whose 17 digits carry into
+    the next power, 17-digit ties, and both sides of %g's switch points."""
+    powers = [float(f"1e{q}") for q in range(-323, 309)]
+    carries = [float(f"9.99999999999999995e{q}") for q in range(-320, 308)]
+    carries += [float(f"9.999999999999999949e{q}") for q in range(-320, 308)]
+    base = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                     1e-4, 1e-5, 9.9999999999999995e-05, 1e16, 1e17, 99999999999999984.0, 123456789012345680.0,
+                     *powers, *carries, *_halfway_cases()])
+    around = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, 0.0)])
+    return np.concatenate([around, -around])
+
+
+def test_text17_equals_format_on_a_million_random_bit_patterns():
+    bits = np.random.default_rng(17).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    assert _text17_chunks(x) == _format_reference(x)
+
+
+def test_text17_equals_format_on_the_edge_set():
+    x = _edge_floats()
+    assert _text17_chunks(x) == _format_reference(x)
+    assert space_mod._text17(x[:9], ", ", null="null").split(", ") == [
+        "0", "null", "null", "4.9406564584124654e-324", "2.2250738585072009e-308", "2.2250738585072014e-308",
+        "0.0001", "1.0000000000000001e-05", "9.9999999999999991e-05"]
+
+
+def _host_has_avx512f() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(not _host_has_avx512f(), reason="the host has no AVX-512 loops to disable")
+def test_text17_equals_format_on_the_edge_set_without_avx512_loops():
+    """np.log10, whose guess of the decimal exponent is corrected exactly,
+    runs another loop without AVX-512: the text stays the same."""
+    code = ("import sys, numpy as np\n"
+            "from markedbinomial.space import _text17\n"
+            "x = np.frombuffer(sys.stdin.buffer.read())\n"
+            "sys.stdout.write(_text17(x))\n")
+    x = _edge_floats()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    proc = subprocess.run([sys.executable, "-c", code], input=x.tobytes(), capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode("ascii").split("\n") == _format_reference(x)
