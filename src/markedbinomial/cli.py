@@ -302,7 +302,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_stein_headrun(args) -> int:
     from . import stein as stein_mod
-    from .space import space
+    from .space import enumeration_cap, space
 
     n, m, p = args.n, args.m, args.p
     lam0 = stein_mod.head_run_lambda0(n, m, p)
@@ -312,8 +312,8 @@ def cmd_stein_headrun(args) -> int:
         "bound": stein_mod.head_run_bound(n, m, p),
         "variance_identity": stein_mod.head_run_variance_identity(n, m, p),
     }
-    U = stein_mod.head_run_functional(n, m, p)
-    if U.is_exact:
+    if stein_mod.head_run_params(n, m, p).n_configurations <= enumeration_cap():
+        U = stein_mod.head_run_functional(n, m, p)
         sp = space(U.params)
         mean = sp.expectation(U.table())
         var = sp.expectation(U.table() ** 2) - mean**2
@@ -458,9 +458,9 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 
 def _load_numpy_with_one_blas_thread() -> None:
-    """Load numpy with its BLAS on one thread, so the process keeps one OS
-    thread and the identity suite may fork its workers (see
-    ``diagnostics.suite_workers``); the printed residuals then do not depend
+    """Load numpy with its BLAS on one thread, before any command computes:
+    the process keeps one OS thread, so the identity suite may fork its
+    workers (see ``diagnostics.suite_workers``), and no printed float depends
     on the BLAS thread count.  The variables are restored once numpy has
     loaded.  A process that has loaded numpy already keeps its BLAS as is."""
     if "numpy" in sys.modules:
@@ -478,7 +478,6 @@ def _load_numpy_with_one_blas_thread() -> None:
 
 
 def cmd_verify(args) -> int:
-    _load_numpy_with_one_blas_thread()
     from .basis import build_basis
     from .diagnostics import run_identity_suite, worst_offender
 
@@ -587,6 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "fn", None):
         parser.print_usage(sys.stderr)
         return 2
+    _load_numpy_with_one_blas_thread()
     try:
         return args.fn(args)
     except Exception as exc:  # any failure is exit 2: exit 1 means only that verify found a violation

@@ -16,8 +16,10 @@ order of all exact tables in this package; it is fixed so that exported
 files are byte-stable.
 
 Exact computations (expectations, conditional expectations, operators)
-act on dense tables indexed by rank.  Beyond the enumeration cap only
-Monte Carlo sampling is available.
+act on dense tables indexed by rank; a functional is its table
+(``PathFunctional``).  Beyond the enumeration cap only Monte Carlo
+sampling is available: ``sample_digits`` draws batches of digit rows and
+``mc_expectation`` averages a function of such a batch.
 """
 from __future__ import annotations
 
@@ -535,76 +537,36 @@ def space(params: ModelParams) -> SampleSpace:
 
 
 class PathFunctional:
-    """A real functional of configurations.
+    """A real functional of configurations: its exact table, one read-only
+    value per configuration in rank order."""
 
-    Exact mode stores a dense table indexed by rank; Monte Carlo mode
-    stores a callable on digit vectors.  Exact tables are immutable.
-    """
-
-    def __init__(self, params: ModelParams, values: np.ndarray | None = None,
-                 fn: Callable[[np.ndarray], np.ndarray] | None = None):
-        if (values is None) == (fn is None):
-            raise ValueError("provide exactly one of values / fn")
+    def __init__(self, params: ModelParams, values: np.ndarray):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (params.n_configurations,):
+            raise ValueError(
+                f"exact table must have length {params.n_configurations}, got {values.shape}"
+            )
+        values = values.copy()
+        values.flags.writeable = False
         self.params = params
-        self.fn = fn
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.shape != (params.n_configurations,):
-                raise ValueError(
-                    f"exact table must have length {params.n_configurations}, got {values.shape}"
-                )
-            values = values.copy()
-            values.flags.writeable = False
         self.values = values
-
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def from_callable(cls, params: ModelParams, fn: Callable[[np.ndarray], np.ndarray]) -> "PathFunctional":
-        return cls(params, fn=fn)
 
     @classmethod
     def constant(cls, params: ModelParams, c: float) -> "PathFunctional":
         return cls(params, values=np.full(params.n_configurations, float(c)))
 
-    # -- mode handling -------------------------------------------------------
-    @property
-    def is_exact(self) -> bool:
-        return self.values is not None
-
     def table(self) -> np.ndarray:
-        if self.values is None:
-            raise ValueError("exact mode required")
         return self.values
 
     def __call__(self, config: Configuration) -> float:
-        if self.values is not None:
-            return float(self.values[config.rank])
-        return float(np.asarray(self.fn(np.asarray(config.digits, dtype=np.int8))))
-
-    # -- arithmetic (exact mode) ----------------------------------------------
-    def _binary(self, other, op) -> "PathFunctional":
-        if isinstance(other, PathFunctional):
-            other = other.table()
-        return PathFunctional(self.params, values=op(self.table(), other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __rsub__(self, other):
-        return PathFunctional(self.params, values=np.subtract(other, self.table()))
+        return float(self.values[config.rank])
 
     def __mul__(self, other):
-        return self._binary(other, np.multiply)
+        if isinstance(other, PathFunctional):
+            other = other.values
+        return PathFunctional(self.params, values=self.values * other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return PathFunctional(self.params, values=-self.table())
 
 
 # -- spec-level operations ----------------------------------------------------
@@ -793,17 +755,15 @@ def conditional_expectation(F: PathFunctional, t: int) -> PathFunctional:
     return PathFunctional(F.params, values=sp.conditional_expectation(F.table(), t))
 
 
-def mc_expectation(F: PathFunctional, n_samples: int, stream: int | UniformStream = 0) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of a callable-mode functional."""
-    digs = sample_digits(F.params, n_samples, stream)
-    if F.values is not None:
-        sp = space(F.params)
-        ranks = (digs.astype(np.int64) * sp.powers[None, :]).sum(axis=1)
-        vals = F.values[ranks]
-    else:
-        vals = np.asarray(F.fn(digs), dtype=float)   # batched evaluation
-        if vals.shape != (n_samples,):  # a per-path callable: call it row by row
-            vals = np.asarray([float(F.fn(row)) for row in digs])
+def mc_expectation(params: ModelParams, fn: Callable[[np.ndarray], np.ndarray], n_samples: int,
+                   stream: int | UniformStream = 0) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of a functional given as ``fn``, a
+    function of a batch of digit rows: it is called once, on the
+    (n_samples, T) int8 batch of ``sample_digits``, and must return one value
+    per path."""
+    vals = np.asarray(fn(sample_digits(params, n_samples, stream)), dtype=float)
+    if vals.shape != (n_samples,):
+        raise ValueError(f"fn must return one value per path, shape ({n_samples},), got {vals.shape}")
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 

@@ -465,16 +465,14 @@ def _head_run_values(digits: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def head_run_functional(n: int, m: int, p: float, rng_seed: int = 0) -> PathFunctional:
     """Number of clumps of success runs of length >= m starting in the
-    first n tosses; exact table when the space fits the cap, otherwise a
-    callable for Monte Carlo use."""
+    first n tosses, as an exact table.  Past the enumeration cap it raises
+    the cap's ValueError, as every exact builder does; Monte Carlo
+    (``space.mc_expectation`` on ``head_run_params(n, m, p)``) samples the
+    count from batches of digit rows instead."""
     from .space import PathFunctional, space
 
     params = head_run_params(n, m, p, rng_seed)
-    try:
-        sp = space(params)
-    except ValueError:
-        return PathFunctional.from_callable(params, lambda digits: _head_run_values(digits, n, m))
-    return PathFunctional(params, values=_head_run_values(sp.digits, n, m))
+    return PathFunctional(params, values=_head_run_values(space(params).digits, n, m))
 
 
 def _head_run_b1(n: int, m: int, p: float) -> float:

@@ -139,6 +139,18 @@ def test_stein_headrun_values_and_determinism():
     assert payload["exact_tv"] <= payload["bound"]
 
 
+@pytest.mark.parametrize("n, cap", [("10", "100"), ("30", None)], ids=["env_cap", "default_cap"])
+def test_stein_headrun_past_the_cap_prints_only_the_closed_forms(n, cap):
+    """Past the enumeration cap there is no exact table: the payload holds the
+    closed forms and the seed, and the command still succeeds."""
+    env = {k: v for k, v in os.environ.items() if k != "MBP_ENUM_CAP"} | ({"MBP_ENUM_CAP": cap} if cap else {})
+    proc = run_cli(["stein", "headrun", "--n", n, "--m", "2", "--p", "0.5", "--no-timestamp"], env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    assert list(payload) == ["n", "m", "p", "lambda0", "bound", "variance_identity", "seed"]
+    assert payload["lambda0"] == pytest.approx(0.25 * ((int(n) - 1) * 0.5 + 1.0))
+
+
 def test_stein_dna_payload():
     proc = run_cli(["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.2",
                     "--mu", "0.02", "--no-timestamp"])
@@ -311,6 +323,48 @@ def test_verify_output_is_byte_identical_to_the_golden_file(model, golden, capsy
     committed file byte for byte."""
     assert main(_verify_argv(model)) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+def test_hedge_output_does_not_depend_on_the_blas_thread_count():
+    """Every command loads numpy on one BLAS thread, so a hedge whose printed
+    floats come out of BLAS calls prints the same bytes for every thread
+    count asked for.  OpenBLAS caps the count at the CPUs present."""
+    argv = ["hedge", *MARKET_FLAGS["M3"], "--T", "11", "--claim", "call:K=1.05", "--x", "1.0", "--no-timestamp"]
+    outputs = set()
+    for threads in ("1", "2", "4"):
+        proc = run_cli(argv, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("model, params", [
+    (VERIFY_GOLDENS[0][0], ModelParams(3, (1.0, -1.0), 0.5, (0.5, 0.5))),
+    (VERIFY_GOLDENS[1][0], ModelParams(5, (1.0, 2.0, 3.0), 0.3, (0.5, 0.3, 0.2))),
+], ids=["cti", "inst2"])
+def test_verify_basis_csv_holds_the_basis_and_leaves_stdout_alone(model, params, tmp_path, capsys):
+    """`--basis-csv` writes M, M^-1 and kappa, one value a row, each of which
+    reads back to the basis's own float; the report is the one without it."""
+    import csv
+
+    from markedbinomial.basis import build_basis
+
+    path = tmp_path / "basis.csv"
+    assert main([*_verify_argv(model), "--basis-csv", str(path)]) == 0
+    with_csv = capsys.readouterr().out
+    assert main(_verify_argv(model)) == 0
+    assert with_csv == capsys.readouterr().out
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["block", "row", "col", "value"]
+    m, basis = params.n_marks, build_basis(params)
+    assert len(rows) == 2 * m * m + m
+    want = [("M", i, j, basis.matrix_m[i, j]) for i in range(m) for j in range(m)]
+    want += [("M_inv", i, j, basis.matrix_m_inv[i, j]) for i in range(m) for j in range(m)]
+    want += [("kappa", i, 0, basis.kappa[i]) for i in range(m)]
+    for (block, i, j, text), (name, want_i, want_j, value) in zip(rows, want):
+        assert (block, int(i), int(j)) == (name, want_i, want_j)
+        assert float(text) == value
 
 
 def _host_has_avx512f() -> bool:

@@ -12,6 +12,7 @@ from markedbinomial.cli import main
 
 REF3 = ModelParams(horizon=3, marks=(1.0, -1.0), jump_prob=0.5, mark_probs=(0.5, 0.5))
 REF5 = ModelParams(horizon=5, marks=(1.0, 2.0, 3.0), jump_prob=0.3, mark_probs=(0.5, 0.3, 0.2))
+ONE_MARK = ModelParams(horizon=5, marks=(1.0,), jump_prob=0.3, mark_probs=(1.0,))
 MASK = (1 << 64) - 1
 space_mod = importlib.import_module("markedbinomial.space")  # the package root's `space` is the function
 
@@ -124,6 +125,30 @@ def test_each_check_in_the_suite_reads_only_its_own_stream(params):
     suite = diagnostics.run_identity_suite(params, seed=2)
     alone = [float(fn(diagnostics._Context(params, 2, name))) for name, _, fn in diagnostics.CHECKS]
     assert [r.residual for r in suite] == alone
+
+
+def test_the_suite_passes_on_a_one_mark_model():
+    """With one mark the gradient is the add-one cost and the two number
+    operators agree: the singleton checks run their bodies, and all pass."""
+    suite = diagnostics.run_identity_suite(ONE_MARK, seed=3)
+    assert len(suite) == len(diagnostics.CHECKS)
+    assert [r.name for r in suite if not r.passed] == []
+
+
+@pytest.mark.parametrize("name, operator", [
+    ("gradient_add_one_singleton", "add_one_cost"),
+    ("singleton_l_operators", "tilde_number_operator"),
+])
+def test_singleton_checks_fail_on_an_operator_off_by_1e_9(name, operator, monkeypatch):
+    tolerance, fn = {n: (tol, fn) for n, tol, fn in diagnostics.CHECKS}[name]
+    assert fn(diagnostics._Context(ONE_MARK, 0, name)) <= tolerance
+    exact = getattr(malliavin, operator)
+
+    def perturbed(*args):
+        return PathFunctional(ONE_MARK, values=exact(*args).table() * (1 + 1e-9))
+
+    monkeypatch.setattr(malliavin, operator, perturbed)
+    assert fn(diagnostics._Context(ONE_MARK, 0, name)) > tolerance
 
 
 def test_check_order_changes_no_residual(monkeypatch):

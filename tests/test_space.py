@@ -363,10 +363,11 @@ def test_expectation(cti):
     assert expectation(PathFunctional(cti, values=indicator)) == pytest.approx(0.125, abs=1e-14)
 
 
-def test_expectation_requires_exact_mode(cti):
-    F = PathFunctional.from_callable(cti, lambda digits: float((digits > 0).sum()))
-    with pytest.raises(ValueError, match="exact mode required"):
-        expectation(F)
+def test_functional_at_a_configuration_reads_its_rank(cti, rng):
+    F = PathFunctional(cti, values=rng.normal(size=27))
+    assert sorted(vars(F)) == ["params", "values"]
+    for config in enumerate_configurations(cti):
+        assert F(config) == F.table()[config.rank]
 
 
 def test_conditional_expectation_endpoints(cti, rng):
@@ -428,17 +429,37 @@ def test_tower_property_random(cti, rng):
 
 
 def test_mc_expectation_callable(cti):
-    F = PathFunctional.from_callable(cti, lambda digits: float((digits > 0).sum()))
-    mean, se = mc_expectation(F, 20000, stream=1)
+    mean, se = mc_expectation(cti, lambda digits: (digits > 0).sum(axis=1), 20000, stream=1)
     assert abs(mean - 1.5) <= 4 * se
 
 
+def test_mc_expectation_calls_its_function_once_on_the_sampled_batch(cti):
+    batches = []
+
+    def first_digit(digits):
+        batches.append(digits)
+        return digits[:, 0]
+
+    mean, _ = mc_expectation(cti, first_digit, 100, stream=1)
+    assert len(batches) == 1
+    np.testing.assert_array_equal(batches[0], sample_digits(cti, 100, stream=1))
+    assert mean == batches[0][:, 0].mean()
+
+
+@pytest.mark.parametrize("fn", [
+    lambda digits: float((digits > 0).sum()),
+    lambda digits: (digits > 0).sum(axis=0),
+    lambda digits: (digits > 0)[:, :, None].sum(axis=1),
+], ids=["scalar", "per_step", "column"])
+def test_mc_expectation_refuses_a_function_without_one_value_per_path(cti, fn):
+    with pytest.raises(ValueError, match=r"one value per path, shape \(100,\)"):
+        mc_expectation(cti, fn, 100, stream=1)
+
+
 def test_mc_expectation_batched_error_propagates(cti):
-    """Only a batched result of the wrong shape falls back to per-row calls;
-    an error raised on the batch is the caller's to see."""
-    F = PathFunctional.from_callable(cti, lambda digits: 1.0 / (digits.ndim - 2) + digits.sum(axis=-1))
+    """An error raised on the batch is the caller's to see."""
     with pytest.raises(ZeroDivisionError):
-        mc_expectation(F, 100, stream=1)
+        mc_expectation(cti, lambda digits: 1.0 / (digits.ndim - 2) + digits.sum(axis=-1), 100, stream=1)
 
 
 def test_export_table_csv(tmp_path, cti):

@@ -431,11 +431,13 @@ def test_head_run_exact_bound_dominates_everywhere():
 
 
 def test_head_run_monte_carlo_mode(monkeypatch):
+    from markedbinomial.stein import _head_run_values
+
     monkeypatch.setenv("MBP_ENUM_CAP", "100")
-    U = head_run_functional(10, 2, 0.5, rng_seed=991)  # fresh params: skip the cache
-    assert not U.is_exact
+    with pytest.raises(ValueError, match="2048 configurations exceeds cap 100"):
+        head_run_functional(10, 2, 0.5, rng_seed=991)  # fresh params: skip the cache
     digits = np.ones(11, dtype=np.int8)
-    assert float(U.fn(digits)) == 1.0  # one clump starting at position 1
+    assert float(_head_run_values(digits, 10, 2)) == 1.0  # one clump starting at position 1
 
 
 def _head_run_float_formula(digits, n, m):
@@ -614,8 +616,9 @@ def test_exact_tv_properties(raw_a, raw_b):
 
 def test_head_run_monte_carlo_expectation(monkeypatch):
     from markedbinomial.space import mc_expectation
+    from markedbinomial.stein import _head_run_values
 
     monkeypatch.setenv("MBP_ENUM_CAP", "100")
-    U = head_run_functional(10, 2, 0.5, rng_seed=717)
-    mean, se = mc_expectation(U, 40000, stream=2)
+    params = head_run_params(10, 2, 0.5, rng_seed=717)
+    mean, se = mc_expectation(params, lambda digits: _head_run_values(digits, 10, 2), 40000, stream=2)
     assert abs(mean - 1.375) <= 4 * se
