@@ -33,16 +33,16 @@ the Monte Carlo estimator checks.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, sqrt
 
 import numpy as np
 
-from .basis import Point, build_basis, delta_r_table, delta_z_table, r_step_values
+from .basis import Point, build_basis, r_step_values, z_step_values
 from .chaos import chaos_order_tensor, coefficient_tensor, synthesize
-from .space import ModelParams, PathFunctional, SampleSpace, UniformStream, space, stream_key
+from .space import ModelParams, PathFunctional, SampleSpace, UniformStream, space, step_weights, stream_key
 
 
 def _step_major(params: ModelParams, alloc=np.empty) -> np.ndarray:
@@ -166,7 +166,7 @@ def _projection(params: ModelParams) -> np.ndarray:
     """w_d r_j(d) / kappa_j, shape (base, m): contracting the step axis of
     a table with column j gives D_(t,k^j).  Cached, so read-only."""
     rstep = r_step_values(params)
-    proj = space(params).step_weights[:, None] * rstep / build_basis(params).kappa[None, :]
+    proj = step_weights(params)[:, None] * rstep / build_basis(params).kappa[None, :]
     proj.flags.writeable = False
     return proj
 
@@ -420,13 +420,20 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
         pick = draws.fill_digits(counts, edges).astype(pick_type, copy=False)
         pick *= B
         pick += old_digits[start:stop, None, :]
-        sample = vals[new_digit[pick] @ sp.powers]
+        sample = vals[new_digit.take(pick) @ sp.powers]
         means[start:stop] = sample.mean(axis=1)
         errs[start:stop] = sample.std(axis=1, ddof=1) / sqrt(n_samples)
     return means, errs
 
 
 # -- Clark representation ---------------------------------------------------------------
+#
+# D_(t,k) acts on digit t alone, so D_(t,k) E[F | F_t] = E[D_(t,k) F | F_{t-1}]: the
+# integrand at step t is the gradient of the martingale M_t = E[F | F_t], a table of
+# B^t atoms, and never needs a whole-space table.  Ranks put digit 1 lowest, so
+# M_t's atom of digits 1..t is entry d * B^(t-1) + c with d = digit t: viewed as
+# (B, B^(t-1)), digit t is the slow axis, M_(t-1) is its step-weighted sum and
+# plane t is its contraction with the projection onto dR_(t,k).
 
 def _project_predictable(u: ProcessTable) -> ProcessTable:
     """u(.,(t,k)) := E[u(.,(t,k)) | F_{t-1}] for every (t, k), in place."""
@@ -437,39 +444,70 @@ def _project_predictable(u: ProcessTable) -> ProcessTable:
     return u
 
 
-def _clark_sum(F: PathFunctional, u: ProcessTable, increment: Callable[[int, float], np.ndarray]) -> PathFunctional:
-    """E[F] + sum_(t,k) u(.,(t,k)) increment(t, k), summed in (t, k) order."""
+def _clark_planes(F: PathFunctional, z: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """E[F] as a (1,) table and, for t = 1..T, the (m, B^(t-1)) plane whose
+    column c holds the Clark integrand at step t on the F_{t-1} atom c: in
+    R-coordinates E[D_(t,k^j) F | F_{t-1}], in Z-coordinates (``z``) its
+    combination sum_{j >= i} Minv[j, i] E[D_(t,k^j) F | F_{t-1}] at k^i.
+    One backward recursion from M_T = F through the shrinking prefix tables."""
     params = F.params
-    acc = np.full(params.n_configurations, space(params).expectation(F.table()))
-    for t in range(1, params.horizon + 1):
-        for k in params.marks:
-            acc += u.values[:, t - 1, params.mark_index(k)] * increment(t, k)
+    contract = _projection(params).T
+    if z:
+        contract = build_basis(params).matrix_m_inv.T @ contract
+    weights = step_weights(params)
+    martingale = F.table()
+    planes = []
+    for _ in range(params.horizon):
+        view = martingale.reshape(len(weights), -1)
+        planes.append(contract @ view)
+        martingale = weights @ view
+    planes.reverse()
+    return martingale, planes
+
+
+def _clark_table(F: PathFunctional, z: bool) -> ProcessTable:
+    """The Clark integrand spread over the step-major (n, T, m) table: step t
+    reads digits 1..t-1 alone, so each row of plane t repeats B^(T-t+1) times."""
+    params = F.params
+    sp = space(params)
+    values = _step_major(params)
+    for t, plane in enumerate(_clark_planes(F, z)[1], 1):
+        for j, row in enumerate(plane):
+            sp.step_view(values[:, t - 1, j], t)[:] = row
+    return ProcessTable(params, values)
+
+
+def _clark_synthesis(F: PathFunctional, z: bool) -> PathFunctional:
+    """E[F] + sum_(t,k) (Clark integrand) dR_(t,k), or dZ_(t,k) with ``z``:
+    one forward recursion acc_t[d, c] = acc_(t-1)[c] + sum_k plane_t[k, c] x_k(d)
+    on the same prefix tables, x_k(d) the dR (dZ) value of digit d, ending
+    at the whole table."""
+    params = F.params
+    increments = z_step_values(params) if z else r_step_values(params)
+    acc, planes = _clark_planes(F, z)
+    for plane in planes:
+        step = increments @ plane
+        step += acc
+        acc = step.reshape(-1)
     return PathFunctional(params, values=acc)
 
 
 def clark_integrand(F: PathFunctional) -> ProcessTable:
     """Predictable integrand E[D_(t,k) F | F_{t-1}]."""
-    return _project_predictable(gradient_process(F))
+    return _clark_table(F, z=False)
 
 
 def clark_reconstruct(F: PathFunctional) -> PathFunctional:
     """E[F] + sum_(t,k) E[D_(t,k)F | F_{t-1}] dR_(t,k); equals F."""
-    basis = build_basis(F.params)
-    return _clark_sum(F, clark_integrand(F), lambda t, k: delta_r_table(basis, t, k))
+    return _clark_synthesis(F, z=False)
 
 
 def clark_integrand_z(F: PathFunctional) -> ProcessTable:
     """Z-coordinates of the Clark integrand: at (t, k^i) the combination
     sum_{j >= i} Minv[j, i] E[D_(t,k^j) F | F_{t-1}]."""
-    params = F.params
-    basis = build_basis(params)
-    u = clark_integrand(F)
-    values = _step_major(params)
-    # on the (T, m, n) bases, step t is one (m, m) @ (m, n) product
-    np.matmul(basis.matrix_m_inv.T, u.values.transpose(1, 2, 0), out=values.transpose(1, 2, 0))
-    return ProcessTable(params, values)
+    return _clark_table(F, z=True)
 
 
 def clark_reconstruct_z(F: PathFunctional) -> PathFunctional:
     """E[F] + sum_(t,k) (Z-coordinate Clark integrand) dZ_(t,k); equals F."""
-    return _clark_sum(F, clark_integrand_z(F), lambda t, k: delta_z_table(F.params, t, k))
+    return _clark_synthesis(F, z=True)

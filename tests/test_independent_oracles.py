@@ -635,3 +635,32 @@ def test_poincare_check_peak_memory_stays_below_two_process_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * params.n_configurations * params.horizon * params.n_marks
+
+
+CLARK_LAWS = {  # the four mark laws of the process-table layout tests
+    1: ((1.5,), (1.0,), 0.3),
+    2: ((1.0, -1.0), (0.5, 0.5), 0.4),
+    3: ((-2.5, 0.5, 3.0), (0.3, 0.3, 0.4), 0.45),
+    4: ((1.0, -2.0, 3.0, 0.5), (0.1, 0.2, 0.3, 0.4), 0.5),
+}
+
+
+@pytest.mark.parametrize("n_marks", [1, 2, 3, 4])
+@pytest.mark.parametrize("horizon", range(1, 7))
+def test_clark_integrand_matches_the_projected_gradient_process(n_marks, horizon):
+    """The Clark integrand in both coordinates against the full-table route:
+    the gradient spread over the (n, T, m) table, each column projected on
+    F_{t-1} by a whole-table conditional expectation, then M^-1 for the
+    Z-coordinates; within 8 eps * max|u|."""
+    from markedbinomial import gradient_process
+    from markedbinomial.malliavin import _project_predictable, clark_integrand, clark_integrand_z
+
+    marks, Q, lam = CLARK_LAWS[n_marks]
+    params = ModelParams(horizon, marks, lam, Q)
+    F = PathFunctional(params, values=np.random.default_rng(10 * n_marks + horizon).normal(
+        size=params.n_configurations))
+    u = _project_predictable(gradient_process(F)).values
+    # Z-coordinate i is sum_j u(., (t, k^j)) Minv[j, i]
+    u_z = u @ build_basis(params).matrix_m_inv
+    for got, want in ((clark_integrand(F).values, u), (clark_integrand_z(F).values, u_z)):
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))

@@ -513,6 +513,24 @@ def test_clark_second_order(cti, rng):
         assert np.max(np.abs(acc - F.table())) <= 1e-10
 
 
+def test_clark_reconstruct_peak_memory_stays_below_one_process_table():
+    """At T=8 with 2 marks the traced peak of clark_reconstruct stays below
+    one (n, T, m) float table (0.84 MB): it reads prefix tables of the
+    martingale and never builds a process table."""
+    import tracemalloc
+
+    params = ModelParams(horizon=8, marks=(1.0, -1.0), jump_prob=0.4, mark_probs=(0.5, 0.5))
+    F = _rand(params, np.random.default_rng(8))
+    clark_reconstruct(F)  # warm the caches
+    tracemalloc.start()
+    try:
+        clark_reconstruct(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * params.n_configurations * params.horizon * params.n_marks
+
+
 def test_process_table_validation(cti):
     with pytest.raises(ValueError, match="shape"):
         ProcessTable(cti, np.zeros((27, 3)))
