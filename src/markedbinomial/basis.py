@@ -135,10 +135,8 @@ def _step_table(params: ModelParams, column: np.ndarray, t: int) -> np.ndarray:
     through the step-t view (rank (a * base + d) * base^(t-1) + c has digit
     t = d), with no gather through the digit table."""
     sp = space(params)
-    sp.check_time(t)
-    low = sp.base ** (t - 1)
     out = np.empty(sp.n)
-    out.reshape(sp.n // (sp.base * low), sp.base, low)[:] = column[:, None]
+    sp.step_view(out, t)[:] = column[:, None]
     return out
 
 

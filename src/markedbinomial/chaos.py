@@ -298,8 +298,7 @@ def multiple_integral(basis: OrthogonalBasis, f_n: Kernel, n: int, family: str =
     """
     params = basis.params
     if n == 0:
-        c = float(f_n.get((), 0.0)) if isinstance(f_n, dict) else float(f_n)
-        return PathFunctional.constant(params, c)
+        return PathFunctional.constant(params, f_n.get((), 0.0))
     if n > params.horizon:
         warnings.warn(f"order {n} exceeds horizon {params.horizon}; integral is zero")
         return PathFunctional.constant(params, 0.0)

@@ -111,9 +111,6 @@ def _json17(obj, indent: int = 0) -> Iterator[str]:
         if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
             yield from _floats17(obj, pad)
             return
-        if all(isinstance(v, (float, np.floating)) for v in obj):
-            yield from _floats17(np.array(obj, dtype=float), pad)
-            return
         obj = iter(obj)
     if isinstance(obj, Iterator):  # a list rendered element by element, so a generator is never held whole
         opener = "[\n"

@@ -32,6 +32,7 @@ from .space import (
     PathFunctional,
     UniformStream,
     digits_of_rank,
+    probability_table,
     rank_of_digits,
     space,
     stream_key,
@@ -585,7 +586,7 @@ def _girsanov_block(ctx: _Context) -> float:
     params, sp = ctx.params, ctx.sp
     target = ctx.canonical_target()
     dens = girsanov_mod.girsanov_density(params, target).table()
-    tgt_probs = space(target.as_params(params)).probabilities
+    tgt_probs = probability_table(target.as_params(params))
     worst = abs(sp.expectation(dens) - 1.0)
     rel = np.abs(dens * sp.probabilities - tgt_probs) / tgt_probs
     worst = max(worst, float(np.max(rel)))
@@ -597,7 +598,7 @@ def _girsanov_block(ctx: _Context) -> float:
         worst = max(worst, float(np.max(np.abs(sp.conditional_expectation(cur, t - 1) / prev - 1.0))))
         prev = cur
     F = ctx.random_functional()
-    direct = float(np.dot(space(target.as_params(params)).probabilities, F.table()))
+    direct = float(np.dot(tgt_probs, F.table()))
     worst = max(worst, abs(girsanov_mod.reweighted_expectation(F, target) - direct))
     return worst
 

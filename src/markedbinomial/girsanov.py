@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .space import ModelParams, PathFunctional, _refuse_oversized, space, step_products, step_weights
+from .space import ModelParams, PathFunctional, _refuse_oversized, probability_table, space, step_products, step_weights
 
 if TYPE_CHECKING:
     from .basis import Kernel
@@ -118,6 +118,5 @@ def girsanov_density_doleans(params: ModelParams, target: TargetMeasure) -> Path
 
 def reweighted_expectation(F: PathFunctional, target: TargetMeasure) -> float:
     """E[F L_T]; equals the expectation of F under the target law."""
-    sp = space(F.params)
     dens = girsanov_density(F.params, target).table()
-    return float(np.dot(sp.probabilities, F.table() * dens))
+    return float(np.dot(probability_table(F.params), F.table() * dens))

@@ -279,9 +279,9 @@ def tilde_divergence(u: ProcessTable) -> PathFunctional:
     charged = np.zeros(sp.n)
     compensator = np.zeros(sp.n)  # summed in (t, k) order: the same rounding on every memory layout of u
     for t in range(1, params.horizon + 1):
-        digit = sp.digits[:, t - 1]
         for j in range(params.n_marks):
-            charged += np.where(digit == j + 1, u.values[:, t - 1, j], 0.0)
+            # u(omega, (t, k^j)) is charged where digit t is j + 1
+            sp.step_view(charged, t)[:, j + 1] += sp.step_view(u.values[:, t - 1, j], t)[:, j + 1]
             compensator += lq[j] * u.values[:, t - 1, j]
     return PathFunctional(params, values=charged - compensator)
 
@@ -295,10 +295,11 @@ def mecke_check(u: ProcessTable) -> tuple[float, float]:
     lhs = 0.0
     rhs = 0.0
     for t in range(1, params.horizon + 1):
-        digit = sp.digits[:, t - 1]
         step = sp.step_view(u.values, t)
         for j in range(params.n_marks):
-            lhs += sp.expectation(np.where(digit == j + 1, u.values[:, t - 1, j], 0.0))
+            charged = np.zeros(sp.n)
+            sp.step_view(charged, t)[:, j + 1] = step[:, j + 1, :, t - 1, j]
+            lhs += sp.expectation(charged)
             forced = _spread(sp, step[:, j + 1, :, t - 1, j], t)
             rhs += lq[j] * sp.expectation(forced)
     return lhs, rhs

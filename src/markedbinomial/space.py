@@ -441,10 +441,9 @@ def digits_of_rank(rank: int, horizon: int, n_marks: int) -> tuple[int, ...]:
 class SampleSpace:
     """Dense enumeration engine for one ModelParams instance.
 
-    All arrays are immutable after construction (the per-step atom masses
-    of :meth:`conditional_expectation` are summed on first use and then
-    kept read-only); the instance is shared through :func:`space` and safe
-    for concurrent reads.
+    All arrays are immutable after construction and no state is kept
+    besides them; the instance is shared through :func:`space` and safe for
+    concurrent reads.
     """
 
     def __init__(self, params: ModelParams):
@@ -461,7 +460,6 @@ class SampleSpace:
         self.probabilities = probability_table(params)
         for arr in (self.powers, self.digits, self.step_weights):
             arr.flags.writeable = False
-        self._atom_mass: dict[int, np.ndarray] = {}
 
     # -- digit surgery ------------------------------------------------------
     def step_view(self, values: np.ndarray, t: int) -> np.ndarray:
@@ -499,21 +497,17 @@ class SampleSpace:
     def conditional_expectation(self, values: np.ndarray, t: int) -> np.ndarray:
         """E[F | F_t] as a dense table (constant on each F_t atom).
 
-        F_t atoms share digits 1..t, i.e. the rank residue mod base^t.
+        F_t atoms share digits 1..t, i.e. the rank residue mod base^t.  The
+        steps are independent, so given F_t the digits t+1..T follow their
+        own product law: each atom's value is the mean of F over them.
         """
         if not 0 <= t <= self.params.horizon:
             raise ValueError(f"time {t} out of range 0..{self.params.horizon}")
-        bt = int(self.base**t)
-        probs = self.probabilities.reshape((-1, bt)).T
-        vals = np.asarray(values, dtype=float).reshape((-1, bt)).T
+        tail = step_products([self.step_weights] * (self.params.horizon - t))
+        grid = np.asarray(values, dtype=float).reshape(len(tail), -1)
         # one contiguous row per atom, which numpy sums pairwise, not term by term
-        mass = self._atom_mass.get(t)
-        if mass is None:  # P(atom) depends on t alone: sum it once per space
-            mass = np.ascontiguousarray(probs).sum(axis=1)
-            mass.flags.writeable = False
-            self._atom_mass[t] = mass
-        atom_mean = np.multiply(vals, probs, order="C").sum(axis=1) / mass
-        return np.tile(atom_mean, self.n // bt)
+        atom_mean = np.multiply(grid.T, tail, order="C").sum(axis=1)
+        return np.tile(atom_mean, len(tail))
 
     def atom_ids(self, t: int) -> np.ndarray:
         """Atom label of F_t containing each configuration (0..base^t - 1)."""

@@ -249,13 +249,13 @@ def compound_stein_solve(target: CompoundTarget, A: Iterable[int] | np.ndarray,
     weighted = np.arange(1, kmax + 1) * target.mark_pmf
     total = l_max + SOLVE_EXTENSION
     psi = np.zeros(total + kmax + 2)
+    conv = np.zeros(total + 1)  # conv[l]: the sum psi[l] is solved from, kept for the residual
     for l in range(total, 0, -1):
         h = (1.0 if l <= l_max and mask[l] else 0.0) - p_a
-        acc = float(np.dot(weighted, psi[l + 1 : l + 1 + kmax]))
-        psi[l] = (target.lam0 * acc - h) / l
+        conv[l] = np.dot(weighted, psi[l + 1 : l + 1 + kmax])
+        psi[l] = (target.lam0 * conv[l] - h) / l
     ls = np.arange(1, l_max + 1)
-    conv = np.array([float(np.dot(weighted, psi[l + 1 : l + 1 + kmax])) for l in ls])
-    res = target.lam0 * conv - ls * psi[1 : l_max + 1] - (mask[1:].astype(float) - p_a)
+    res = target.lam0 * conv[1 : l_max + 1] - ls * psi[1 : l_max + 1] - (mask[1:].astype(float) - p_a)
     return psi[: l_max + 1].copy(), float(np.max(np.abs(res)))
 
 
@@ -277,14 +277,13 @@ def exact_tv(pmf_a: Sequence[float], pmf_b: Sequence[float]) -> float:
 
 def functional_pmf(F: PathFunctional) -> np.ndarray:
     """Law of a Z+-valued exact functional as a pmf table."""
-    from .space import space
+    from .space import probability_table
 
-    sp = space(F.params)
     vals = F.table()
     rounded = np.rint(vals)
     if np.max(np.abs(vals - rounded)) > Z_PLUS_TOL or np.min(rounded) < 0:
         raise ValueError("functional is not Z+-valued")
-    return np.bincount(rounded.astype(int), weights=sp.probabilities)
+    return np.bincount(rounded.astype(int), weights=probability_table(F.params))
 
 
 # -- Poisson approximation bound ---------------------------------------------------------
@@ -423,7 +422,7 @@ def compound_poisson_bound_details(F: PathFunctional | ModelParams, target: Comp
     best = -1.0
     best_mask = None
     for mask in family:
-        psi, _ = compound_stein_solve(target, np.nonzero(mask)[0], l_max)
+        psi, _ = compound_stein_solve(target, np.asarray(mask, dtype=bool), l_max)
         psi_pad = np.concatenate([psi, np.zeros(kmax + 1)])
         term1 = 0.0
         for k, qk in zip(marks, q):

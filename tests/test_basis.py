@@ -4,6 +4,7 @@ import pytest
 from markedbinomial import (
     Configuration,
     ModelParams,
+    OrthogonalBasis,
     build_basis,
     convert_coeffs_r_to_z,
     convert_order1_z_to_r,
@@ -100,6 +101,35 @@ def test_convert_r_to_z_order1_cti(cti):
     g = convert_coeffs_r_to_z(basis, {((1, -1.0),): 1.0})
     assert g[((1, -1.0),)] == pytest.approx(1.0)
     assert g[((1, 1.0),)] == pytest.approx(1.0 / 3.0)
+
+
+def test_convert_r_to_z_skips_a_zero_support_but_checks_it(cti):
+    basis = build_basis(cti)
+    g = convert_coeffs_r_to_z(basis, {((1, -1.0), (2, -1.0)): 0.0, ((2, 1.0),): 1.5})
+    assert g == {((2, 1.0),): 1.5}
+    with pytest.raises(ValueError, match="strictly increasing"):
+        convert_coeffs_r_to_z(basis, {((2, 1.0), (1, 1.0)): 0.0})
+
+
+def test_orthogonal_basis_refuses_an_inconsistent_change_of_basis(cti):
+    basis = build_basis(cti)
+    M, Minv, kappa = (np.array(a) for a in (basis.matrix_m, basis.matrix_m_inv, basis.kappa))
+    upper = M.copy()
+    upper[0, 1] = 0.5
+    off = Minv.copy()
+    off[1, 0] += 1e-9
+    for args, message in [
+        ((np.eye(3), Minv, kappa), "m x m"),
+        ((M, np.eye(3), kappa), "m x m"),
+        ((upper, Minv, kappa), "lower triangular"),
+        ((2.0 * M, Minv, kappa), "unit diagonal"),
+        ((M, off, kappa), "identity"),
+        ((M, Minv, np.array([kappa[0], 0.0])), "positive"),
+        ((M, Minv, -kappa), "positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            OrthogonalBasis(cti, *args)
+    OrthogonalBasis(cti, M, Minv, kappa)  # the arrays themselves are consistent
 
 
 def test_convert_roundtrip_order1(cti, rng):

@@ -161,6 +161,25 @@ def test_kernel_inner_matches_the_per_point_mark_index_reference(inst2, rng, mar
     assert kernel_inner(basis, recast(f), recast(g), 2) == factorial(2) * acc
 
 
+def test_kernel_inner_skips_a_support_of_one_kernel_only(cti):
+    basis = build_basis(cti)
+    f = {((1, 1.0),): 2.0, ((2, 1.0),): 5.0}
+    g = {((1, 1.0),): 3.0, ((3, -1.0),): 7.0}
+    assert kernel_inner(basis, f, g, 1) == kernel_inner(basis, g, f, 1) == 2.0 * 3.0 * basis.kappa[0]
+
+
+def test_order0_integral_is_the_constant_of_its_kernel(cti):
+    basis = build_basis(cti)
+    np.testing.assert_array_equal(multiple_integral(basis, {(): 2.5}, 0).table(), np.full(27, 2.5))
+    np.testing.assert_array_equal(multiple_integral(basis, {}, 0).table(), np.zeros(27))
+
+
+def test_kernel_outside_the_orders_is_empty(cti, rng):
+    coeffs = stroock_decompose(PathFunctional(cti, values=rng.normal(size=27)))
+    assert coeffs.kernel(1) and coeffs.kernel(3)
+    assert coeffs.kernel(0) == {} and coeffs.kernel(4) == {}
+
+
 def test_kernel_inner_rejects_a_mark_outside_the_model(inst2):
     basis = build_basis(inst2)
     kernel = {((1, 1.0), (2, 5.0)): 1.0}

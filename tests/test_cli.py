@@ -56,6 +56,18 @@ def test_dumps17_renders_17_significant_digits():
     assert json.loads(text) == {"x": 0.1, "n": 3, "flag": True, "none": None}
 
 
+def test_dumps17_renders_a_float_list_as_its_array():
+    items = [0.1, float("nan"), -0.0, 1 / 3, float("inf"), 5e-324]
+    for indent in (0, 2):
+        assert dumps17(items, indent) == dumps17(np.array(items), indent)
+        assert dumps17({"k": items}, indent) == dumps17({"k": np.array(items)}, indent)
+
+
+def test_dumps17_renders_an_empty_dict():
+    assert dumps17({}) == "{}"
+    assert dumps17({"k": {}}) == '{\n  "k": {}\n}'
+
+
 @pytest.mark.parametrize("seq", [
     [0.1, float("nan"), float("inf"), -float("inf"), np.float64(1 / 3), np.float32(0.1), -0.0],
     np.array([1e-300, 2.5, np.nan]),
@@ -74,8 +86,8 @@ def test_dumps17_renders_17_significant_digits():
     np.array([3, -1, 0]),
 ])
 def test_dumps17_flat_float_lists_match_the_general_path(seq):
-    """A list of floats only is rendered in one pass; the text equals the
-    element-by-element rendering of the general path, nested or not."""
+    """A float array is rendered in one pass; its text equals the
+    element-by-element rendering of the same list, nested or not."""
     for indent in (0, 2):
         pad = "  " * indent
         items = [f"{pad}  {dumps17(v, indent + 1)}" for v in list(seq)]

@@ -405,18 +405,28 @@ def test_conditional_expectation_is_accurate_on_every_atom_at_t11(functional, rn
         assert error <= 2e-15, f"t={t}: {error:.2e}"
 
 
-def test_atom_masses_are_kept_per_space_and_die_with_it(cti, rng):
-    """The per-step atom masses live on the instance: a second call reuses
-    them bit for bit, and they hold no space alive past its last reference."""
+def test_sample_space_keeps_no_state(cti, rng, monkeypatch):
+    """Conditional expectations at every t, and the identity suite on the
+    shared space, leave a space's attributes as they were: the same names
+    bound to the same read-only arrays.  A space dies with its last
+    reference."""
+    from markedbinomial import diagnostics
+
+    monkeypatch.setattr(diagnostics, "suite_workers", lambda params: 1)  # the checks run in this process
     sp = space.__wrapped__(cti)  # a private instance, outside the shared cache
+    spaces = (sp, space(cti))
+    before = [dict(vars(s)) for s in spaces]
     values = rng.normal(size=sp.n)
-    first = [sp.conditional_expectation(values, t) for t in range(4)]
-    for t in range(4):
-        np.testing.assert_array_equal(sp.conditional_expectation(values, t), first[t])
-    assert sorted(sp._atom_mass) == [0, 1, 2, 3]
-    assert not any(mass.flags.writeable for mass in sp._atom_mass.values())
+    for t in range(cti.horizon + 1):
+        sp.conditional_expectation(values, t)
+    assert all(r.passed for r in diagnostics.run_identity_suite(cti, seed=1))
+    for s, was in zip(spaces, before):
+        now = vars(s)
+        assert now.keys() == was.keys()
+        assert all(now[name] is was[name] for name in was)
+        assert not any(v.flags.writeable for v in now.values() if isinstance(v, np.ndarray))
     ref = weakref.ref(sp)
-    del sp
+    del sp, spaces
     gc.collect()
     assert ref() is None
 
@@ -530,6 +540,11 @@ def test_text17_equals_format_on_a_million_random_bit_patterns():
     bits = np.random.default_rng(17).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
     x = bits.view(np.float64)
     assert _text17_chunks(x) == _format_reference(x)
+
+
+def test_text17_of_an_empty_array_is_empty():
+    assert space_mod._text17(np.array([])) == ""
+    assert space_mod._text17(np.array([]), ", ", null="null") == ""
 
 
 def test_text17_equals_format_on_the_edge_set():
