@@ -51,7 +51,15 @@ from .basis import (
     r_step_values,
     z_step_values,
 )
-from .space import ModelParams, PathFunctional, UniformStream, _text17, space, step_products
+from .space import (
+    ModelParams,
+    PathFunctional,
+    UniformStream,
+    _refuse_oversized,
+    _text17,
+    step_products,
+    step_weights,
+)
 
 # Coefficients at or below this fraction of the largest one are rounding
 # dust from the transform; kernels read out of the tensor leave them out.
@@ -64,7 +72,7 @@ def _kernel_tensor(params: ModelParams, kernel: Kernel, n: int) -> np.ndarray:
     points with times strictly increasing in 1..T and marks of the model."""
     if not 1 <= n <= params.horizon:
         raise ValueError(f"order {n} outside 1..{params.horizon}")
-    sp = space(params)
+    _refuse_oversized(params)
     try:
         points = np.array(list(kernel), dtype=float).reshape(len(kernel), n, 2)
     except (TypeError, ValueError):
@@ -80,8 +88,8 @@ def _kernel_tensor(params: ModelParams, kernel: Kernel, n: int) -> np.ndarray:
         if bad.any():
             raise ValueError(f"{message}: {list(kernel)[int(np.argmax(bad))]}")
     digits = matches.argmax(axis=2) + 1
-    ranks = (digits * sp.powers[times.astype(np.int64) - 1]).sum(axis=1)
-    flat = np.zeros(sp.n)
+    ranks = (digits * _powers(params)[times.astype(np.int64) - 1]).sum(axis=1)
+    flat = np.zeros(params.n_configurations)
     flat[ranks] = factorial(n) * np.fromiter(kernel.values(), dtype=float, count=len(kernel))
     return flat
 
@@ -99,12 +107,13 @@ class ChaosCoefficients:
     """
 
     def __init__(self, params: ModelParams, f0: float, orders: dict[int, Kernel] | None = None):
+        _refuse_oversized(params)
         flat = np.zeros(params.n_configurations)
         for n, kernel in (orders or {}).items():
             flat += _kernel_tensor(params, kernel, n)
         flat[0] = f0
         self.params = params
-        self.tensor = flat.reshape((space(params).base,) * params.horizon, order="F")
+        self.tensor = flat.reshape((params.n_marks + 1,) * params.horizon, order="F")
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -138,7 +147,7 @@ class ChaosCoefficients:
         block = self._blocks.get(n)
         if block is not None:
             return block
-        params, sp = self.params, space(self.params)
+        params, powers = self.params, _powers(self.params)
         ranks = np.flatnonzero(self._kept_order == n)
         # Two supports of one order first differ at the earliest step where
         # their digits differ; there a jump comes before no jump, and a lower
@@ -149,8 +158,8 @@ class ChaosCoefficients:
         key = np.zeros(ranks.shape, dtype=np.int64)
         rest = ranks
         for t in range(params.horizon):
-            rest, digit = np.divmod(rest, sp.base)
-            key += (step_code * sp.powers[params.horizon - 1 - t])[digit]
+            rest, digit = np.divmod(rest, params.n_marks + 1)
+            key += (step_code * powers[params.horizon - 1 - t])[digit]
         ranks = ranks[np.argsort(key)]
         block = self._blocks[n] = (ranks, self.tensor.reshape(-1, order="F")[ranks] / float(factorial(n)))
         return block
@@ -160,7 +169,7 @@ class ChaosCoefficients:
             return {}
         params = self.params
         ranks, values = self._block(n)
-        digits = space(params).digits[ranks]
+        digits = ranks[:, None] // _powers(params) % (params.n_marks + 1)
         rows, steps = np.nonzero(digits)
         times = steps.reshape(-1, n)
         kidx = digits[rows, steps].reshape(-1, n) - 1
@@ -194,7 +203,7 @@ class ChaosCoefficients:
             return out
 
         high = labels(range(split + 1, params.horizon + 1))
-        return (space(params).base ** split, np.array(labels(range(1, split + 1)), dtype=object),
+        return ((params.n_marks + 1) ** split, np.array(labels(range(1, split + 1)), dtype=object),
                 np.array([high, [f";{label}" if label else "" for label in high]], dtype=object))
 
     def _label_cells(self, n: int) -> tuple[list[str], list[str], np.ndarray]:
@@ -240,12 +249,11 @@ class ChaosCoefficients:
 def _transform_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """(analysis W, synthesis V) for one time step; index 0 is the constant."""
     basis = build_basis(params)
-    sp = space(params)
-    B = sp.base
+    B = params.n_marks + 1
     V = np.ones((B, B))
     V[:, 1:] = r_step_values(params)
     kap = np.concatenate([[1.0], basis.kappa])
-    W = (sp.step_weights[:, None] * V / kap[None, :]).T
+    W = (step_weights(params)[:, None] * V / kap[None, :]).T
     V.flags.writeable = False
     W.flags.writeable = False
     return W, V
@@ -259,7 +267,7 @@ def _apply_per_step(params: ModelParams, table: np.ndarray, matrix: np.ndarray) 
     X = np.asarray(table, dtype=float).reshape(-1, order="F")
     for _ in range(params.horizon):
         X = (X.reshape(-1, matrix.shape[1]) @ matrix.T).T.reshape(-1)
-    return X.reshape((space(params).base,) * params.horizon, order="F")
+    return X.reshape((params.n_marks + 1,) * params.horizon, order="F")
 
 
 def coefficient_tensor(F: PathFunctional) -> np.ndarray:
@@ -275,13 +283,26 @@ def synthesize(params: ModelParams, coeffs: np.ndarray) -> PathFunctional:
     return PathFunctional(params, values=np.ascontiguousarray(table))
 
 
+def _powers(params: ModelParams) -> np.ndarray:
+    """Place values B^(t-1) of the rank's digits t = 1..T, as int64."""
+    return (params.n_marks + 1) ** np.arange(params.horizon, dtype=np.int64)
+
+
 @lru_cache(maxsize=64)
 def chaos_order_tensor(params: ModelParams) -> np.ndarray:
     """Chaos order (number of non-constant slots) of every coefficient, laid
     out in rank order like the tensors the transform returns, so products
-    with them keep that layout and synthesize reads them without a copy."""
-    sp = space(params)
-    order = (sp.digits > 0).sum(axis=1).reshape((sp.base,) * params.horizon, order="F")
+    with them keep that layout and synthesize reads them without a copy.
+    Built step by step with no digit table: the ranks d * B^t + c with
+    d >= 1 have order order(c) + 1."""
+    _refuse_oversized(params)
+    B = params.n_marks + 1
+    order = np.zeros(params.n_configurations, dtype=np.int64)
+    size = 1
+    for _ in range(params.horizon):
+        np.add(order[:size], 1, out=order[size : B * size].reshape(B - 1, size))
+        size *= B
+    order = order.reshape((B,) * params.horizon, order="F")
     order.flags.writeable = False
     return order
 
@@ -386,8 +407,8 @@ def doleans_exponential(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:
     1 + sum_n J_n(h tensor n) / n!, which the tests check termwise.
     """
     params = basis.params
-    sp = space(params)
-    g = _kernel_tensor(params, convert_coeffs_r_to_z(basis, h), 1)[sp.powers[:, None] * np.arange(1, sp.base)]
+    slots = _powers(params)[:, None] * np.arange(1, params.n_marks + 1)
+    g = _kernel_tensor(params, convert_coeffs_r_to_z(basis, h), 1)[slots]
     factors = 1.0 + g @ z_step_values(params).T   # (T, 1+m): row t-1 holds step t's factor per digit
     return PathFunctional(params, values=step_products(factors))
 
@@ -397,9 +418,8 @@ def doleans_series(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:
     the coefficient of prod dR over a support is the product of h over it, so
     the tensor is the outer product over steps of (1, h(t, k^1), ..., h(t, k^m))."""
     params = basis.params
-    sp = space(params)
-    factors = np.ones((params.horizon, sp.base))
-    factors[:, 1:] = _kernel_tensor(params, h, 1)[sp.powers[:, None] * np.arange(1, sp.base)]
+    factors = np.ones((params.horizon, params.n_marks + 1))
+    factors[:, 1:] = _kernel_tensor(params, h, 1)[_powers(params)[:, None] * np.arange(1, params.n_marks + 1)]
     tensor = factors[0]
     for row in factors[1:]:
         tensor = np.multiply.outer(tensor, row)

@@ -262,18 +262,18 @@ def cmd_simulate(args) -> int:
 def _named_functional(params: ModelParams, name: str) -> PathFunctional:
     import numpy as np
 
-    from .space import PathFunctional, space
+    from .space import PathFunctional, _refuse_oversized, space
 
-    sp = space(params)
+    _refuse_oversized(params)  # an indicator builds no sample space, which would refuse
     if name == "count":
-        return PathFunctional(params, values=sp.jump_count())
+        return PathFunctional(params, values=space(params).jump_count())
     if name == "compound":
-        return PathFunctional(params, values=sp.compound_sum())
+        return PathFunctional(params, values=space(params).compound_sum())
     if name.startswith("indicator="):
-        rank = int(name.split("=", 1)[1])
-        if not 0 <= rank < sp.n:
-            raise ValueError(f"indicator rank {rank} outside 0..{sp.n - 1}")
-        vals = np.zeros(sp.n)
+        rank, count = int(name.split("=", 1)[1]), params.n_configurations
+        if not 0 <= rank < count:
+            raise ValueError(f"indicator rank {rank} outside 0..{count - 1}")
+        vals = np.zeros(count)
         vals[rank] = 1.0
         return PathFunctional(params, values=vals)
     raise ValueError(f"unknown functional {name!r} (use count, compound or indicator=<rank>)")

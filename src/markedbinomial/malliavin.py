@@ -414,11 +414,11 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
     old_digits = sp.digits.view(np.uint8)  # digits are nonnegative
     means = np.empty(sp.n)
     errs = np.empty(sp.n)
+    # counts reach B = m + 1, which int8 holds only below 128 marks; one buffer serves every block
+    counts = np.empty((min(block, sp.n), n_samples, params.horizon), dtype=np.uint8)
     for start in range(0, sp.n, block):
         stop = min(start + block, sp.n)
-        # counts reach B = m + 1, which int8 holds only below 128 marks
-        counts = np.empty((stop - start, n_samples, params.horizon), dtype=np.uint8)
-        pick = draws.fill_digits(counts, edges).astype(pick_type, copy=False)
+        pick = draws.fill_digits(counts[: stop - start], edges).astype(pick_type, copy=False)
         pick *= B
         pick += old_digits[start:stop, None, :]
         sample = vals[new_digit.take(pick) @ sp.powers]

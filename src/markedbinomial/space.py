@@ -592,6 +592,9 @@ _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 # Draws formed per pass: a fill's integer temporaries are a few blocks.
 DRAW_BLOCK = 1 << 13
+# Draws counted per pass of fill_digits, whose temporaries are 25 bytes a draw:
+# longer passes than a fill's, since each pass costs a dozen numpy calls.
+DIGIT_BLOCK = 1 << 16
 
 
 def _mix64(z: int) -> int:
@@ -640,7 +643,7 @@ class UniformStream:
 
     @staticmethod
     def _steps(size: int) -> np.ndarray:
-        steps = np.arange(1, min(DRAW_BLOCK, size) + 1, dtype=np.uint64)
+        steps = np.arange(1, size + 1, dtype=np.uint64)
         steps *= np.uint64(_GAMMA)
         return steps
 
@@ -650,7 +653,7 @@ class UniformStream:
         if out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError("a stream fills a C-contiguous float64 array")
         flat = out.reshape(-1)
-        steps = self._steps(flat.size)
+        steps = self._steps(min(DRAW_BLOCK, flat.size))
         z = np.empty_like(steps)
         for start in range(0, flat.size, DRAW_BLOCK):
             dest = flat[start : start + DRAW_BLOCK]
@@ -668,23 +671,29 @@ class UniformStream:
     def fill_digits(self, out: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Write into the int8 or uint8 array ``out``, in its memory order, the
         number of ``edges`` at or below each of the next ``out.size`` draws on
-        [0, 1), ``DRAW_BLOCK`` at a time.  u * 2^-53 >= e exactly when
-        u >= ceil(e * 2^53), whose scaling and ceiling are exact, so each
-        count is exact and no float is formed per draw."""
+        [0, 1), ``DIGIT_BLOCK`` at a time.  u * 2^-53 >= e exactly when
+        u >= c = ceil(e * 2^53), whose scaling and ceiling are exact, and the
+        raw output z = u * 2^11 + (its low 11 bits) reaches c * 2^11 exactly
+        then; an edge at or above 1 (c >= 2^53) counts no draw.  So each count
+        is exact, and no float and no shifted word is formed per draw."""
         if out.dtype not in (np.int8, np.uint8) or not out.flags.c_contiguous:
             raise ValueError("digits fill a C-contiguous int8 or uint8 array")
-        thresholds = np.ceil(np.asarray(edges, dtype=np.float64) * 2.0**53).astype(np.uint64)
+        scaled = np.ceil(np.asarray(edges, dtype=np.float64) * 2.0**53)
+        thresholds = scaled[scaled < 2.0**53].astype(np.uint64) << np.uint64(11)
         flat = out.reshape(-1)
-        steps = self._steps(flat.size)
-        z, scratch, hit = np.empty_like(steps), np.empty_like(steps), np.empty(steps.shape, dtype=bool)
-        for start in range(0, flat.size, DRAW_BLOCK):
-            dest = flat[start : start + DRAW_BLOCK]
-            count = len(dest)
-            top = self._outputs(z[:count], scratch[:count], steps, start)
-            np.right_shift(top, 11, out=top)  # the top 53 bits, unsigned
-            dest.fill(0)
-            for threshold in thresholds:
-                dest += np.greater_equal(top, threshold, out=hit[:count])
+        if not thresholds.size:
+            flat.fill(0)
+        else:
+            steps = self._steps(min(DIGIT_BLOCK, flat.size))
+            z, scratch, hit = np.empty_like(steps), np.empty_like(steps), np.empty(steps.shape, dtype=bool)
+            for start in range(0, flat.size, DIGIT_BLOCK):
+                dest = flat[start : start + DIGIT_BLOCK]
+                count = len(dest)
+                top = self._outputs(z[:count], scratch[:count], steps, start)
+                # a flag is one byte, 0 or 1: written through a bool view, added as out's type
+                np.greater_equal(top, thresholds[0], out=dest.view(bool))
+                for threshold in thresholds[1:]:
+                    dest += np.greater_equal(top, threshold, out=hit[:count]).view(out.dtype)
         self.position += flat.size
         return out
 

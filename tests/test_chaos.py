@@ -196,6 +196,18 @@ def test_chaos_order_tensor_is_cached_and_read_only(inst2):
     assert orders.dtype == (np.indices((4,) * 5) > 0).sum(axis=0).dtype
 
 
+@pytest.mark.parametrize("horizon", range(1, 8))
+@pytest.mark.parametrize("n_marks", range(1, 5))
+def test_chaos_order_tensor_counts_the_nonzero_digits(n_marks, horizon):
+    """The step recursion gives the digit-count reference entry for entry, in
+    the transform's F order, as a read-only int64 table."""
+    params = ModelParams(horizon, tuple(range(1, n_marks + 1)), 0.3, (1.0 / n_marks,) * n_marks, rng_seed=919)
+    orders = chaos_order_tensor(params)
+    want = (space(params).digits > 0).sum(axis=1)
+    assert orders.shape == (n_marks + 1,) * horizon and orders.dtype == np.int64 and not orders.flags.writeable
+    assert np.array_equal(orders.reshape(-1, order="F"), want)
+
+
 def test_conditional_truncation(cti, rng):
     basis = build_basis(cti)
     sp = space(cti)

@@ -815,6 +815,58 @@ def test_girsanov_builds_no_sample_space():
     assert _sample_spaces_after([*GIRSANOV_CTI, "--no-timestamp"]) == 0
 
 
+DECOMPOSE_T4 = ["decompose", "--T", "4", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5", "--no-timestamp"]
+
+
+def _spy_on_sample_spaces(monkeypatch, refuse: bool) -> list:
+    """Params of every SampleSpace built from now on; with ``refuse`` the build raises."""
+    from markedbinomial.space import SampleSpace
+
+    built, init = [], SampleSpace.__init__
+
+    def spy(self, params):
+        built.append(params)
+        if refuse:
+            raise AssertionError("a sample space was built")
+        init(self, params)
+
+    monkeypatch.setattr(SampleSpace, "__init__", spy)
+    return built
+
+
+def test_decompose_of_an_indicator_builds_no_sample_space(monkeypatch, capsys):
+    """An indicator's table, transform and read-out need the model's one-step
+    law only: both formats succeed with SampleSpace refusing to build, the CSV
+    with the golden bytes, and a model past the cap is still refused in one
+    line.  The seeds are ones no other test uses, so no space is cached."""
+    built = _spy_on_sample_spaces(monkeypatch, refuse=True)
+    argv = [*DECOMPOSE_T4, "--functional", "indicator=50", "--seed", "920"]
+    golden = (DATA / "decompose_indicator50_T4.csv").read_text(encoding="utf-8")
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr() == (golden, "")
+    assert main([*argv, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert err == "" and len(payload["coefficients"]) == len(golden.splitlines()) - 2
+    assert format(payload["mean"], ".17g") == golden.splitlines()[1].split(",")[2]
+    monkeypatch.setenv("MBP_ENUM_CAP", "80")
+    for fmt in ("csv", "json"):
+        assert main([*argv, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: enumeration too large: 81 configurations exceeds cap 80 "
+                                     "(T=4, 2 marks); only Monte Carlo mode is available\n")
+    assert built == []
+
+
+@pytest.mark.parametrize("functional, seed", [("count", "921"), ("compound", "922")])
+def test_decompose_of_count_and_compound_reads_the_sample_space(functional, seed, monkeypatch, capsys):
+    """The jump count and the compound sum are read off the digit table."""
+    built = _spy_on_sample_spaces(monkeypatch, refuse=False)
+    assert main([*DECOMPOSE_T4, "--functional", functional, "--seed", seed]) == 0
+    capsys.readouterr()
+    assert [params.rng_seed for params in built] == [int(seed)]
+
+
 def _sample_spaces_after(argv) -> int:
     """Size of the sample-space cache after ``main(argv)`` ran in a fresh interpreter."""
     code = (

@@ -92,6 +92,39 @@ def test_digits_count_the_edges_at_or_below_each_draw_exactly():
     assert digits.ravel().tolist() == want and want[5] == 2
 
 
+def _raw_outputs(key, start, count):
+    """Outputs start .. start + count - 1 of SplitMix64 from ``key``, in wrapping uint64 arithmetic."""
+    z = np.uint64(key) + np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+@pytest.mark.parametrize("size", ["below", "at", "above"])
+def test_digits_count_as_the_top_53_bits_against_the_scaled_edges(dtype, size):
+    """Counting on the raw output against thresholds shifted left by 11 bits
+    gives, bit for bit, the sum over edges of (output >> 11) >= ceil(e * 2^53),
+    for edges 0 (counts every draw), 1 and the float above 1 (count none) and
+    an edge equal to a draw whose low 11 bits are 0 (its output equals the
+    shifted threshold), in one pass, exactly one and more than one, from a
+    stream already 3 draws in.  The edges come first in one order and last in
+    the other, as the first comparison is made apart from the others."""
+    count = {"below": 1000, "at": space_mod.DIGIT_BLOCK, "above": 2 * space_mod.DIGIT_BLOCK + 5}[size]
+    key = diagnostics.stream_key(3, "edges")
+    raw = _raw_outputs(key, 3, count)
+    assert raw[:4].tolist() == [splitmix64(key, i) for i in range(3, 7)]
+    assert raw[790] & np.uint64(2047) == 0
+    edges = np.array([float(raw[790] >> np.uint64(11)) * 2.0**-53, 0.0, 0.3, 1.0, np.nextafter(1.0, 2.0)])
+    want = sum(((raw >> np.uint64(11)) >= np.uint64(c)).astype(int) for c in np.ceil(edges * 2.0**53))
+    assert want.min() == 1 and want.max() == 3 and want[790] == 3
+    for ordered in (edges, edges[::-1]):
+        stream = diagnostics.UniformStream(key)
+        stream.fill_digits(np.empty(3, dtype=dtype), ordered)
+        digits = stream.fill_digits(np.empty(count, dtype=dtype), ordered)
+        assert digits.dtype == dtype and np.array_equal(digits, want) and stream.position == count + 3
+
+
 def test_random_process_fills_the_step_major_table_in_memory_order():
     ctx = diagnostics._Context(REF3, 5, "mecke")
     u = ctx.random_process()

@@ -1,4 +1,5 @@
 import math
+import importlib
 
 import numpy as np
 import pytest
@@ -408,6 +409,26 @@ def test_mehler_is_the_same_for_every_block_size(inst2, rng, monkeypatch):
         runs.append(ou_mehler_mc(F, 0.8, 30, stream=2))
     for a, b in zip(*runs):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("marks, probs", [((1.5,), (1.0,)), ((1.0, -1.0), (0.5, 0.5)),
+                                          ((2.0, -0.5, 1.0), (0.2, 0.5, 0.3))], ids=["1mark", "2marks", "3marks"])
+def test_mehler_is_the_same_for_every_digit_pass(marks, probs, rng, monkeypatch):
+    """Short digit passes of the stream and short Mehler blocks, neither a
+    multiple of the other, give the bits of the default ones: a pass reads
+    the stream's draws by position and a reused counts buffer keeps none
+    of the previous block."""
+    from markedbinomial import malliavin
+
+    space_mod = importlib.import_module("markedbinomial.space")  # the root's `space` is the function
+    params = ModelParams(4, marks, 0.45, probs, rng_seed=7)
+    F = _rand(params, rng)
+    want = ou_mehler_mc(F, 0.6, 9, stream=4)
+    monkeypatch.setattr(space_mod, "DIGIT_BLOCK", 7)
+    monkeypatch.setattr(malliavin, "MEHLER_BLOCK_DRAWS", 5 * 9 * params.horizon)
+    got = ou_mehler_mc(F, 0.6, 9, stream=4)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_mehler_draws_leave_numpy_random_unloaded():
