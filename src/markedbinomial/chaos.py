@@ -55,6 +55,7 @@ from .space import (
     ModelParams,
     PathFunctional,
     UniformStream,
+    _rank_powers,
     _refuse_oversized,
     _text17,
     step_products,
@@ -88,7 +89,7 @@ def _kernel_tensor(params: ModelParams, kernel: Kernel, n: int) -> np.ndarray:
         if bad.any():
             raise ValueError(f"{message}: {list(kernel)[int(np.argmax(bad))]}")
     digits = matches.argmax(axis=2) + 1
-    ranks = (digits * _powers(params)[times.astype(np.int64) - 1]).sum(axis=1)
+    ranks = (digits * _rank_powers(params)[times.astype(np.int64) - 1]).sum(axis=1)
     flat = np.zeros(params.n_configurations)
     flat[ranks] = factorial(n) * np.fromiter(kernel.values(), dtype=float, count=len(kernel))
     return flat
@@ -147,7 +148,7 @@ class ChaosCoefficients:
         block = self._blocks.get(n)
         if block is not None:
             return block
-        params, powers = self.params, _powers(self.params)
+        params, powers = self.params, _rank_powers(self.params)
         ranks = np.flatnonzero(self._kept_order == n)
         # Two supports of one order first differ at the earliest step where
         # their digits differ; there a jump comes before no jump, and a lower
@@ -169,7 +170,7 @@ class ChaosCoefficients:
             return {}
         params = self.params
         ranks, values = self._block(n)
-        digits = ranks[:, None] // _powers(params) % (params.n_marks + 1)
+        digits = ranks[:, None] // _rank_powers(params) % (params.n_marks + 1)
         rows, steps = np.nonzero(digits)
         times = steps.reshape(-1, n)
         kidx = digits[rows, steps].reshape(-1, n) - 1
@@ -283,9 +284,9 @@ def synthesize(params: ModelParams, coeffs: np.ndarray) -> PathFunctional:
     return PathFunctional(params, values=np.ascontiguousarray(table))
 
 
-def _powers(params: ModelParams) -> np.ndarray:
-    """Place values B^(t-1) of the rank's digits t = 1..T, as int64."""
-    return (params.n_marks + 1) ** np.arange(params.horizon, dtype=np.int64)
+def _point_ranks(params: ModelParams) -> np.ndarray:
+    """(T, m) ranks j * B^(t-1) of the one-point supports (t, k^j)."""
+    return _rank_powers(params)[:, None] * np.arange(1, params.n_marks + 1)
 
 
 @lru_cache(maxsize=64)
@@ -407,8 +408,7 @@ def doleans_exponential(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:
     1 + sum_n J_n(h tensor n) / n!, which the tests check termwise.
     """
     params = basis.params
-    slots = _powers(params)[:, None] * np.arange(1, params.n_marks + 1)
-    g = _kernel_tensor(params, convert_coeffs_r_to_z(basis, h), 1)[slots]
+    g = _kernel_tensor(params, convert_coeffs_r_to_z(basis, h), 1)[_point_ranks(params)]
     factors = 1.0 + g @ z_step_values(params).T   # (T, 1+m): row t-1 holds step t's factor per digit
     return PathFunctional(params, values=step_products(factors))
 
@@ -419,7 +419,7 @@ def doleans_series(basis: OrthogonalBasis, h: Kernel) -> PathFunctional:
     the tensor is the outer product over steps of (1, h(t, k^1), ..., h(t, k^m))."""
     params = basis.params
     factors = np.ones((params.horizon, params.n_marks + 1))
-    factors[:, 1:] = _kernel_tensor(params, h, 1)[_powers(params)[:, None] * np.arange(1, params.n_marks + 1)]
+    factors[:, 1:] = _kernel_tensor(params, h, 1)[_point_ranks(params)]
     tensor = factors[0]
     for row in factors[1:]:
         tensor = np.multiply.outer(tensor, row)

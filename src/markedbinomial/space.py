@@ -421,6 +421,11 @@ def probability_table(params: ModelParams) -> np.ndarray:
     return probabilities
 
 
+def _rank_powers(params: ModelParams) -> np.ndarray:
+    """Place values B^(t-1) of digits t = 1..T in the rank, as int64."""
+    return (params.n_marks + 1) ** np.arange(params.horizon, dtype=np.int64)
+
+
 def rank_of_digits(digits: Sequence[int], n_marks: int) -> int:
     base = 1 + n_marks
     rank = 0
@@ -452,7 +457,7 @@ class SampleSpace:
         self.base = params.n_marks + 1
         self.n = count = params.n_configurations
         T, B = params.horizon, self.base
-        self.powers = B ** np.arange(T, dtype=np.int64)
+        self.powers = _rank_powers(params)
         self.digits = np.empty((count, T), dtype=np.int8)
         for t in range(T):  # digit t + 1 of rank (a * B + d) * B^t + c is d
             self.digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
