@@ -1,5 +1,5 @@
-import math
 import importlib
+import math
 
 import numpy as np
 import pytest
