@@ -18,14 +18,13 @@ Cov(dZ_k, dZ_l) = -lambda^2 Q_k Q_l) and only verified by enumeration.
 """
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .space import Configuration, ModelParams, space
+from .space import Configuration, ModelParams, _text17, space
 
 Point = tuple[int, float]           # (time step, mark value)
 Kernel = dict[tuple[Point, ...], float]   # order-n kernel on time-ordered supports
@@ -57,16 +56,14 @@ class OrthogonalBasis:
             arr.flags.writeable = False
 
     def export_csv(self, path: str | os.PathLike) -> None:
-        """Basis dump (M, M^-1, kappa) for the verify CLI report."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["block", "row", "col", "value"])
-            for name, mat in (("M", self.matrix_m), ("M_inv", self.matrix_m_inv)):
-                for i in range(mat.shape[0]):
-                    for j in range(mat.shape[1]):
-                        writer.writerow([name, i, j, repr(float(mat[i, j]))])
-            for i, k in enumerate(self.kappa):
-                writer.writerow(["kappa", i, 0, repr(float(k))])
+        """Basis dump (M, M^-1, kappa) for the verify CLI report: rows
+        (block, row, col, value), values at 17 significant digits."""
+        m = self.params.n_marks
+        rows = "".join(f"{name},{i},{j},%s\n" for name in ("M", "M_inv") for i in range(m) for j in range(m))
+        rows += "".join(f"kappa,{i},0,%s\n" for i in range(m))
+        values = np.concatenate([self.matrix_m.ravel(), self.matrix_m_inv.ravel(), self.kappa])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("block,row,col,value\n" + rows % tuple(_text17(values).split("\n")))
 
 
 def step_covariance(params: ModelParams) -> np.ndarray:

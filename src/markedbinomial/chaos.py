@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 import os
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cached_property, lru_cache
 from itertools import combinations, product, repeat
 from math import factorial
@@ -61,6 +61,9 @@ from .space import (
     step_products,
     step_weights,
 )
+
+# Rows rendered per `%` call when a coefficient table is written: no piece grows with the table.
+ROW_CHUNK = 2048
 
 # Coefficients at or below this fraction of the largest one are rounding
 # dust from the transform; kernels read out of the tensor leave them out.
@@ -104,7 +107,8 @@ class ChaosCoefficients:
     read of order n selects that order's retained ranks through
     :func:`chaos_order_tensor`, sorts only them and keeps the sorted block,
     so ``kernel(1)`` never touches the other orders.  ``kernel(n)``,
-    ``orders``, ``rows()`` and the CSV all read these blocks.
+    ``orders``, ``rows()`` and the written tables (``row_pieces``) all read
+    these blocks.
     """
 
     def __init__(self, params: ModelParams, f0: float, orders: dict[int, Kernel] | None = None):
@@ -191,15 +195,16 @@ class ChaosCoefficients:
         r in two parts: ``low[r % B^s]`` its points on steps 1..s and
         ``high[j, r // B^s]`` those on steps s+1..T, led by the ';' that
         joins them to a non-empty low part when j = 1.  A label joins 't:k'
-        points with ';', marks rendered with format 'g'."""
+        points with ';', marks printed as ``ModelParams.mark_texts``."""
         params = self.params
         split = params.horizon // 2
+        marks = params.mark_texts
 
         def labels(steps: range) -> list[str]:
             # index sum_i d_i B^i over the steps, the first one least significant
             out = [""]
             for t in steps:
-                points = [f"{t}:{k:g}" for k in params.marks]
+                points = [f"{t}:{k}" for k in marks]
                 out = out + [f"{prev};{point}" if prev else point for point in points for prev in out]
             return out
 
@@ -215,29 +220,35 @@ class ChaosCoefficients:
         high, low = np.divmod(ranks, size)
         return low_table[low].tolist(), high_table[(low > 0).astype(np.intp), high].tolist(), values
 
-    def iter_rows(self) -> Iterator[tuple[int, str, float]]:
-        """The rows of :meth:`rows` one at a time, labelled one order at a time."""
-        yield 0, "", self.f0
-        for n in self._present():
-            lows, highs, values = self._label_cells(n)
-            yield from zip(repeat(n), map(operator.add, lows, highs), values.tolist())
-
     def rows(self) -> list[tuple[int, str, float]]:
         """(order, support label, kernel value), the constant first."""
-        return list(self.iter_rows())
+        rows = [(0, "", self.f0)]
+        for n in self._present():
+            lows, highs, values = self._label_cells(n)
+            rows += zip(repeat(n), map(operator.add, lows, highs), values.tolist())
+        return rows
+
+    def row_pieces(self, row: Callable[[int], str], sep: str = "", null: str | None = None) -> Iterator[str]:
+        """The rows of orders n >= 1 as text, one piece per ``ROW_CHUNK``
+        rows or fewer: ``row(n)`` is the ``%`` template of an order-n row,
+        filled with the two parts of its support label and its value at 17
+        significant digits (``null`` if given and the value is not finite).
+        Rows are joined by ``sep``, which also leads every piece but the first."""
+        lead = ""
+        for n in self._present():
+            lows, highs, values = self._label_cells(n)
+            for start in range(0, len(lows), ROW_CHUNK):
+                texts = _text17(values[start:start + ROW_CHUNK], null=null).split("\n")
+                cells = [""] * (3 * len(texts))
+                cells[::3], cells[1::3], cells[2::3] = lows[start:start + ROW_CHUNK], highs[start:start + ROW_CHUNK], texts
+                yield lead + sep.join([row(n)] * len(texts)) % tuple(cells)
+                lead = sep
 
     def csv_pieces(self) -> Iterator[str]:
         """The CSV text (order, support, value), values at 17 significant
-        digits, as a header piece and then one piece per order."""
+        digits, as a header piece and then the pieces of ``row_pieces``."""
         yield f"order,support,value\n0,,{_text17(np.array([self.f0]))}\n"
-        for n in self._present():
-            lows, highs, values = self._label_cells(n)
-            cells = [""] * (3 * len(lows))
-            cells[::3], cells[1::3], cells[2::3] = lows, highs, _text17(values).split("\n")
-            yield "".join([f"{n},%s%s,%s\n"] * len(lows)) % tuple(cells)
-
-    def csv_text(self) -> str:
-        return "".join(self.csv_pieces())
+        yield from self.row_pieces(lambda n: f"{n},%s%s,%s\n")
 
     def export_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ unreadable or unwritable file, resource limit), reported as one
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -36,20 +37,15 @@ FLOAT_CHUNK = 2048
 
 
 def _floats17(values: np.ndarray, pad: str) -> Iterator[str]:
-    """A flat float array as a JSON list, one piece per chunk; non-finite
-    entries render null."""
+    """The elements of a flat float array (see ``_json17``), one piece per
+    chunk; non-finite entries render null."""
     from .space import _text17
 
-    if not values.size:
-        yield "[]"
-        return
-    sep = f",\n{pad}  "
-    yield f"[\n{pad}  "
+    sep = f",\n{pad}"
     for start in range(0, values.size, FLOAT_CHUNK):
         if start:
             yield sep
         yield _text17(values[start:start + FLOAT_CHUNK], sep, null="null")
-    yield f"\n{pad}]"
 
 
 # Integers formatted per piece when integer rows are rendered.
@@ -59,60 +55,56 @@ INT_CHUNK = 1 << 16
 class IntRows:
     """A list of integer rows of one length, given as consecutive 2-D blocks
     of rows, or, for rows too long to hold whole, as one iterable of
-    consecutive 1-D pieces per row.  ``_json17`` renders it as it renders the
-    same list of lists, block by block or piece by piece, so the rows are
-    never held together."""
+    consecutive 1-D pieces per row.  It renders its own elements (see
+    ``_json17``) as the same list of lists, one ``%`` template per block or
+    piece with a ``%d`` per entry, so the rows are never held together."""
 
     def __init__(self, blocks: Iterable[np.ndarray]):
         self.blocks = blocks
 
+    def __call__(self, pad: str) -> Iterator[str]:
+        import numpy as np
 
-def _int_rows(blocks: Iterable[np.ndarray], pad: str) -> Iterator[str]:
-    """An ``IntRows`` list as JSON: one ``%`` template per block or piece,
-    with a ``%d`` per entry, in place of a recursion per integer."""
-    import numpy as np
-
-    first, sep, entry = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}    %d"
-    opener = first
-    for block in blocks:
-        if not isinstance(block, np.ndarray):  # one row, piece by piece
-            yield opener + "["
-            for i, piece in enumerate(block):
-                yield ("," if i else "") + ",".join([entry] * len(piece)) % tuple(piece.tolist())
-            yield f"\n{pad}  ]"
-            opener = sep
-        elif len(block):
-            row = "[" + ",".join([entry] * block.shape[1]) + f"\n{pad}  ]"
-            yield opener + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-            opener = sep
-    yield "[]" if opener == first else f"\n{pad}]"
+        sep, entry = f",\n{pad}", f"\n{pad}  %d"
+        lead = ""
+        for block in self.blocks:
+            if not isinstance(block, np.ndarray):  # one row, piece by piece
+                yield lead + "["
+                for i, piece in enumerate(block):
+                    yield ("," if i else "") + ",".join([entry] * len(piece)) % tuple(piece.tolist())
+                yield f"\n{pad}]"
+                lead = sep
+            elif len(block):
+                row = "[" + ",".join([entry] * block.shape[1]) + f"\n{pad}]"
+                yield lead + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+                lead = sep
 
 
 def _json17(obj, indent: int = 0) -> Iterator[str]:
-    """The pieces of ``dumps17(obj, indent)``, in order."""
+    """The pieces of ``dumps17(obj, indent)``, in order.  A callable is a list
+    that renders its own elements: given their indent, it yields their text
+    joined by ``",\\n"`` and that indent, in pieces (none if it is empty)."""
     import numpy as np
 
     pad = "  " * indent
-    if isinstance(obj, IntRows):
-        yield from _int_rows(obj.blocks, pad)
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        obj = functools.partial(_floats17, obj)
+    if callable(obj):
+        opener = f"[\n{pad}  "
+        for piece in obj(f"{pad}  "):
+            yield opener + piece
+            opener = ""
+        yield "[]" if opener else f"\n{pad}]"
         return
     if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
         opener = "{\n"
         for k, v in obj.items():
             yield f"{opener}{pad}  {json.dumps(str(k))}: "
             yield from _json17(v, indent + 1)
             opener = ",\n"
-        yield f"\n{pad}}}"
+        yield "{}" if opener == "{\n" else f"\n{pad}}}"
         return
     if isinstance(obj, (list, tuple, np.ndarray)):
-        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-            yield from _floats17(obj, pad)
-            return
-        obj = iter(obj)
-    if isinstance(obj, Iterator):  # a list rendered element by element, so a generator is never held whole
         opener = "[\n"
         for v in obj:
             yield f"{opener}{pad}  "
@@ -288,12 +280,14 @@ def cmd_decompose(args) -> int:
     if args.format == "csv":
         _write(args, coeffs.csv_pieces())
         return 0
-    _emit(args, {
-        "functional": args.functional,
-        "mean": coeffs.f0,
-        "coefficients": ({"order": n, "support": label, "value": v}
-                         for n, label, v in itertools.islice(coeffs.iter_rows(), 1, None)),
-    })
+
+    def rows(pad: str) -> Iterator[str]:
+        # a label holds digits, signs, points, 'e', ':' and ';' only, which JSON keeps as they are
+        def row(n: int) -> str:
+            return f'{{\n{pad}  "order": {n},\n{pad}  "support": "%s%s",\n{pad}  "value": %s\n{pad}}}'
+        return coeffs.row_pieces(row, f",\n{pad}", null="null")
+
+    _emit(args, {"functional": args.functional, "mean": coeffs.f0, "coefficients": rows})
     return 0
 
 
@@ -441,8 +435,8 @@ def cmd_girsanov(args) -> int:
     factor_resid = float(np.max(np.abs(dens * probs - tgt_probs) / tgt_probs))
     payload = {
         "target": {"lambda": target.jump_prob, "Q": list(target.mark_probs)},
-        "drift": {f"{k:g}": drift[((1, k),)] for k in params.marks},
-        "varphi": {f"{k:g}": varphi[k] for k in params.marks},
+        "drift": {text: drift[((1, k),)] for text, k in zip(params.mark_texts, params.marks)},
+        "varphi": {text: varphi[k] for text, k in zip(params.mark_texts, params.marks)},
         "density_mean": float(np.dot(probs, dens)),
         "factorization_rel_residual": factor_resid,
     }

@@ -23,7 +23,6 @@ sampling is available: ``sample_digits`` draws batches of digit rows and
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -99,6 +98,13 @@ class ModelParams:
     @property
     def mean_mark(self) -> float:
         return float(sum(k * q for k, q in zip(self.marks, self.mark_probs)))
+
+    @property
+    def mark_texts(self) -> list[str]:
+        """The marks as output labels and keys print them: ``%.{p}g`` with the
+        smallest p >= 6 at which they print distinct (at p = 17 all floats do)."""
+        p = next((p for p in range(6, 17) if len({f"{k:.{p}g}" for k in self.marks}) == self.n_marks), 17)
+        return [f"{k:.{p}g}" for k in self.marks]
 
     def mark_index(self, k: float) -> int:
         """0-based index of mark value k in the user-supplied order."""
@@ -774,13 +780,3 @@ def mc_expectation(params: ModelParams, fn: Callable[[np.ndarray], np.ndarray], 
         raise ValueError(f"fn must return one value per path, shape ({n_samples},), got {vals.shape}")
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
-
-def export_table_csv(F: PathFunctional, path: str | os.PathLike) -> None:
-    """Dump an exact table as CSV rows (rank, probability, value)."""
-    sp = space(F.params)
-    vals = F.table()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "probability", "value"])
-        for rank in range(sp.n):
-            writer.writerow([rank, repr(float(sp.probabilities[rank])), repr(float(vals[rank]))])

@@ -355,10 +355,9 @@ def test_hedge_output_does_not_depend_on_the_blas_thread_count():
     (VERIFY_GOLDENS[1][0], ModelParams(5, (1.0, 2.0, 3.0), 0.3, (0.5, 0.3, 0.2))),
 ], ids=["cti", "inst2"])
 def test_verify_basis_csv_holds_the_basis_and_leaves_stdout_alone(model, params, tmp_path, capsys):
-    """`--basis-csv` writes M, M^-1 and kappa, one value a row, each of which
-    reads back to the basis's own float; the report is the one without it."""
-    import csv
-
+    """`--basis-csv` writes M, M^-1 and kappa, one value a row with `\\n`
+    line ends, each value as `%.17g` prints it, so it reads back to the
+    basis's own float; the report is the one without it."""
     from markedbinomial.basis import build_basis
 
     path = tmp_path / "basis.csv"
@@ -366,17 +365,18 @@ def test_verify_basis_csv_holds_the_basis_and_leaves_stdout_alone(model, params,
     with_csv = capsys.readouterr().out
     assert main(_verify_argv(model)) == 0
     assert with_csv == capsys.readouterr().out
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == ["block", "row", "col", "value"]
+    text = path.read_bytes().decode("utf-8")
+    assert "\r" not in text and text.endswith("\n")
+    header, *rows = text[:-1].split("\n")
+    assert header == "block,row,col,value"
     m, basis = params.n_marks, build_basis(params)
     assert len(rows) == 2 * m * m + m
     want = [("M", i, j, basis.matrix_m[i, j]) for i in range(m) for j in range(m)]
     want += [("M_inv", i, j, basis.matrix_m_inv[i, j]) for i in range(m) for j in range(m)]
     want += [("kappa", i, 0, basis.kappa[i]) for i in range(m)]
-    for (block, i, j, text), (name, want_i, want_j, value) in zip(rows, want):
-        assert (block, int(i), int(j)) == (name, want_i, want_j)
-        assert float(text) == value
+    for row, (name, i, j, value) in zip(rows, want):
+        assert row == f"{name},{i},{j},{value:.17g}"
+        assert float(row.rsplit(",", 1)[1]) == value
 
 
 def _host_has_avx512f() -> bool:
@@ -416,22 +416,57 @@ def test_decompose_csv_is_byte_identical_to_the_golden_file(model, functional, g
 
 
 def test_decompose_csv_at_t11_matches_a_per_element_rendering(tmp_path):
-    """The T=11 indicator table, about 3 MB, equals formatting every value
-    of `rows()` on its own."""
+    """The T=11 indicator table, about 3 MB as CSV, equals formatting every
+    value of `rows()` on its own, and its JSON equals the list of row dicts
+    rendered element by element."""
     from markedbinomial import ModelParams, PathFunctional, stroock_decompose
 
-    out = tmp_path / "decompose.csv"
     rank = 12345
-    argv = ["decompose", "--T", "11", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5",
-            "--functional", f"indicator={rank}", "--format", "csv", "--out", str(out)]
-    assert main(argv) == 0
+    for fmt in ("csv", "json"):
+        argv = ["decompose", "--T", "11", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5",
+                "--functional", f"indicator={rank}", "--format", fmt, "--no-timestamp",
+                "--out", str(tmp_path / f"decompose.{fmt}")]
+        assert main(argv) == 0
     params = ModelParams(11, (1.0, -1.0), 0.4, (0.5, 0.5))
     indicator = np.zeros(params.n_configurations)
     indicator[rank] = 1.0
     rows = stroock_decompose(PathFunctional(params, values=indicator)).rows()
     reference = "order,support,value\n" + "".join(f"{n},{label},{v:.17g}\n" for n, label, v in rows)
-    assert out.read_text(encoding="utf-8") == reference
+    assert (tmp_path / "decompose.csv").read_text(encoding="utf-8") == reference
+    payload = {"functional": f"indicator={rank}", "mean": rows[0][2],
+               "coefficients": [{"order": n, "support": label, "value": v} for n, label, v in rows[1:]],
+               "seed": 0}
+    assert (tmp_path / "decompose.json").read_text(encoding="utf-8") == dumps17(payload) + "\n"
     assert len(rows) > 50_000
+
+
+def test_decompose_pieces_hold_at_most_one_row_chunk(monkeypatch):
+    """`decompose` writes its table in pieces of at most `chaos.ROW_CHUNK`
+    rows, in both formats, with chunks ending inside and at the end of an
+    order, so no piece grows with the table; the text is the per-element
+    rendering's."""
+    from markedbinomial import PathFunctional, chaos
+
+    monkeypatch.setattr(chaos, "ROW_CHUNK", 5)
+    params = ModelParams(4, (2.0, -0.5, 1.0), 0.3, (0.2, 0.5, 0.3))
+    F = PathFunctional(params, values=np.random.default_rng(4).normal(size=params.n_configurations))
+    rows = chaos.stroock_decompose(F).rows()
+    monkeypatch.setattr(cli, "_named_functional", lambda p, name: F)
+    written = {}
+    monkeypatch.setattr(cli, "_write", lambda args, pieces: written.setdefault(args.format, list(pieces)))
+    argv = ["decompose", "--T", "4", "--marks=2,-0.5,1", "--lambda", "0.3", "--Q", "0.2,0.5,0.3",
+            "--functional", "dense", "--no-timestamp", "--format"]
+    assert main([*argv, "csv"]) == main([*argv, "json"]) == 0
+    assert "".join(written["csv"]) == "order,support,value\n" + "".join(f"{n},{label},{v:.17g}\n"
+                                                                       for n, label, v in rows)
+    payload = {"functional": "dense", "mean": rows[0][2],
+               "coefficients": [{"order": n, "support": label, "value": v} for n, label, v in rows[1:]],
+               "seed": 0}
+    assert "".join(written["json"]) == dumps17(payload) + "\n"
+    # the CSV's first piece holds its header and the constant
+    for pieces, row_mark in ((written["csv"][1:], "\n"), (written["json"], '"order"')):
+        counts = [piece.count(row_mark) for piece in pieces]
+        assert max(counts) == 5 and sum(counts) == len(rows) - 1, row_mark
 
 
 def test_girsanov_payload():
@@ -444,6 +479,24 @@ def test_girsanov_payload():
     assert payload["varphi"]["1"] == pytest.approx(0.5)
     assert payload["density_mean"] == pytest.approx(1.0, abs=1e-12)
     assert payload["factorization_rel_residual"] <= 1e-13
+
+
+CLOSE_MARKS = ["--marks=1.0000001,1.00000011", "--lambda", "0.4", "--Q", "0.5,0.5"]
+
+
+def test_marks_alike_at_six_digits_keep_distinct_labels(capsys):
+    """Marks that `%g` prints alike are printed with the fewest significant
+    digits that tell them apart, in `girsanov`'s keys and in `decompose`'s
+    support labels, so no key or row is lost or duplicated."""
+    assert main(["girsanov", "--T", "2", *CLOSE_MARKS, "--lambda-target", "0.5", "--Q-target", "0.6,0.4",
+                 "--no-timestamp"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["drift"]) == list(payload["varphi"]) == ["1.0000001", "1.00000011"]
+    assert main(["decompose", "--T", "1", *CLOSE_MARKS, "--format", "csv"]) == 0
+    assert [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[2:]] == ["1:1.0000001", "1:1.00000011"]
+    assert main(["decompose", "--T", "1", *CLOSE_MARKS, "--no-timestamp"]) == 0
+    supports = [row["support"] for row in json.loads(capsys.readouterr().out)["coefficients"]]
+    assert supports == ["1:1.0000001", "1:1.00000011"]
 
 
 def test_simulate_deterministic_and_csv():
@@ -576,6 +629,8 @@ FOOTPRINTS = {
     "decompose": (["decompose", *CTI_FLAGS], {"space", "basis", "chaos"}),
     "girsanov": (GIRSANOV_CTI, {"space", "girsanov"}),
     "verify": (["verify", *CTI_FLAGS], {"space", "basis", "chaos", "malliavin", "girsanov", "diagnostics"}),
+    "verify_basis_csv": (["verify", *CTI_FLAGS, "--basis-csv", os.devnull],
+                         {"space", "basis", "chaos", "malliavin", "girsanov", "diagnostics"}),
     "stein_headrun": (["stein", "headrun", "--n", "10", "--m", "2", "--p", "0.5"], {"space", "stein"}),
     "stein_dna": (["stein", "dna", "--n", "50", "--h", "5", "--alpha", "0.7", "--mu", "0.02"], {"stein"}),
 }
@@ -607,8 +662,10 @@ def test_each_command_loads_only_the_engine_modules_it_runs(argv, engine):
 @pytest.mark.parametrize("argv", [argv for argv, _ in FOOTPRINTS.values()], ids=list(FOOTPRINTS))
 def test_no_command_loads_a_random_number_module(argv):
     """The identity suite and `simulate` draw from a counter stream, not from
-    numpy.random, which would pull in `secrets` and OpenSSL's `_hashlib`."""
-    assert _modules_after(argv, "{'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)") == []
+    numpy.random, which would pull in `secrets` and OpenSSL's `_hashlib`.
+    Every table is written through `_text17`, so no command loads `csv`,
+    `--basis-csv` included."""
+    assert _modules_after(argv, "{'numpy.random', 'secrets', '_hashlib', 'csv', '_csv'} & set(sys.modules)") == []
 
 
 PUBLIC_NAMES = """
@@ -883,9 +940,9 @@ def _sample_spaces_after(argv) -> int:
 
 
 def test_decompose_json_streams_its_rows(tmp_path):
-    """At T=11 (78,731 rows) the JSON payload is emitted row by row, never
-    held as a list of rows and dicts: it peaks within 5 MB of the CSV table
-    (27 MB above it while every row was listed first)."""
+    """At T=11 (78,731 rows) the JSON payload is emitted a chunk of rows at
+    a time, never held as a list of rows and dicts: it peaks within 5 MB of
+    the CSV table (27 MB above it while every row was listed first)."""
     model = ["decompose", "--T", "11", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5",
              "--functional", "indicator=76", "--no-timestamp"]  # two jumps of each mark
     peaks = {}

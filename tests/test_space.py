@@ -28,7 +28,6 @@ from markedbinomial.basis import build_basis, delta_r_table
 from markedbinomial.space import (
     _distinct,
     digits_of_rank,
-    export_table_csv,
     mc_expectation,
     probability_table,
     rank_of_digits,
@@ -470,18 +469,6 @@ def test_mc_expectation_batched_error_propagates(cti):
     """An error raised on the batch is the caller's to see."""
     with pytest.raises(ZeroDivisionError):
         mc_expectation(cti, lambda digits: 1.0 / (digits.ndim - 2) + digits.sum(axis=-1), 100, stream=1)
-
-
-def test_export_table_csv(tmp_path, cti):
-    sp = space(cti)
-    F = PathFunctional(cti, values=sp.jump_count())
-    path = tmp_path / "table.csv"
-    export_table_csv(F, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "rank,probability,value"
-    assert len(lines) == 28
-    rank, prob, value = lines[1].split(",")
-    assert rank == "0" and float(prob) == pytest.approx(0.125) and float(value) == 0.0
 
 
 @pytest.mark.parametrize("values", [
