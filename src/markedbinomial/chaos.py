@@ -59,6 +59,7 @@ from .space import (
     _refuse_oversized,
     _text17,
     step_products,
+    step_sums,
     step_weights,
 )
 
@@ -305,16 +306,10 @@ def chaos_order_tensor(params: ModelParams) -> np.ndarray:
     """Chaos order (number of non-constant slots) of every coefficient, laid
     out in rank order like the tensors the transform returns, so products
     with them keep that layout and synthesize reads them without a copy.
-    Built step by step with no digit table: the ranks d * B^t + c with
-    d >= 1 have order order(c) + 1."""
+    It is the step-order sum of rows (0, 1, ..., 1), an int64 table."""
     _refuse_oversized(params)
     B = params.n_marks + 1
-    order = np.zeros(params.n_configurations, dtype=np.int64)
-    size = 1
-    for _ in range(params.horizon):
-        np.add(order[:size], 1, out=order[size : B * size].reshape(B - 1, size))
-        size *= B
-    order = order.reshape((B,) * params.horizon, order="F")
+    order = step_sums([[0] + [1] * params.n_marks] * params.horizon).reshape((B,) * params.horizon, order="F")
     order.flags.writeable = False
     return order
 

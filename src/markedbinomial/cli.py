@@ -254,13 +254,11 @@ def cmd_simulate(args) -> int:
 def _named_functional(params: ModelParams, name: str) -> PathFunctional:
     import numpy as np
 
-    from .space import PathFunctional, _refuse_oversized, space
+    from .space import PathFunctional, _refuse_oversized, compound_sum, jump_count
 
-    _refuse_oversized(params)  # an indicator builds no sample space, which would refuse
-    if name == "count":
-        return PathFunctional(params, values=space(params).jump_count())
-    if name == "compound":
-        return PathFunctional(params, values=space(params).compound_sum())
+    _refuse_oversized(params)  # no functional builds a sample space, which would refuse
+    if name in ("count", "compound"):
+        return PathFunctional(params, values=(jump_count if name == "count" else compound_sum)(params))
     if name.startswith("indicator="):
         rank, count = int(name.split("=", 1)[1]), params.n_configurations
         if not 0 <= rank < count:

@@ -31,6 +31,7 @@ from .space import (
     ModelParams,
     PathFunctional,
     UniformStream,
+    compound_sum,
     digits_of_rank,
     probability_table,
     rank_of_digits,
@@ -109,7 +110,7 @@ def _compensated_martingale(ctx: _Context) -> float:
     worst = 0.0
     prev = np.zeros(sp.n)
     for t in range(1, params.horizon + 1):
-        ybar = sp.compound_sum(t) - params.jump_prob * t * params.mean_mark
+        ybar = compound_sum(params, t) - params.jump_prob * t * params.mean_mark
         cond = sp.conditional_expectation(ybar - prev, t - 1)
         worst = max(worst, float(np.max(np.abs(cond))))
         prev = ybar

@@ -13,7 +13,7 @@ equals the exponential functional of the drift kernel
 
 (expressed in Z-coordinates), and also takes the compound form
 ((1-lam~)/(1-lam))^T prod over jumps of (1 + varphi(mark)), whose logs are
-summed over the digit table; the density is a step-order product of ratios.
+summed over digit rows; the density is a step-order product of ratios.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .space import ModelParams, PathFunctional, _refuse_oversized, probability_table, space, step_products, step_weights
+from .space import ModelParams, PathFunctional, _prefix_rows, digit_rows, probability_table, step_products, step_weights
 
 if TYPE_CHECKING:
     from .basis import Kernel
@@ -74,12 +74,8 @@ def girsanov_density(params: ModelParams, target: TargetMeasure, t: int | None =
     product of the one-step ratios w~_d / w_d on steps 1..t, with rows of
     ones after t (L_0 = 1 on the trivial F_0).  Only the two laws' one-step
     weights are read, so no sample space is built."""
-    t = params.horizon if t is None else t
-    if not 0 <= t <= params.horizon:
-        raise ValueError(f"time {t} out of range 0..{params.horizon}")
-    _refuse_oversized(params)
     ratio = step_weights(target.as_params(params)) / step_weights(params)
-    return PathFunctional(params, values=step_products([ratio] * t + [np.ones_like(ratio)] * (params.horizon - t)))
+    return PathFunctional(params, values=step_products(_prefix_rows(params, t, ratio, 1.0)))
 
 
 def girsanov_varphi(params: ModelParams, target: TargetMeasure) -> dict[float, float]:
@@ -95,13 +91,10 @@ def girsanov_varphi(params: ModelParams, target: TargetMeasure) -> dict[float, f
 
 def girsanov_density_varphi(params: ModelParams, target: TargetMeasure) -> PathFunctional:
     """Compound form ((1-lam~)/(1-lam))^T * prod over jumps (1 + varphi(V_s))."""
-    sp = space(params)
     varphi = girsanov_varphi(params, target)
     log_base = params.horizon * np.log((1.0 - target.jump_prob) / (1.0 - params.jump_prob))
-    log_factor = np.concatenate(
-        [[0.0], [np.log1p(varphi[k]) for k in params.marks]]
-    )
-    vals = np.exp(log_base + log_factor[sp.digits].sum(axis=1))
+    log_factor = np.array([0.0] + [np.log1p(varphi[k]) for k in params.marks])
+    vals = np.exp(log_base + log_factor[digit_rows(params)].sum(axis=1))
     return PathFunctional(params, values=vals)
 
 

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .space import ModelParams, PathFunctional, probability_table, space, step_products, step_weights
+from .space import ModelParams, PathFunctional, probability_table, step_products, step_weights
 
 
 @dataclass(frozen=True)
@@ -466,10 +466,9 @@ def random_claim(market: MarketParams, rng: np.random.Generator) -> PathFunction
 
 
 def pgf_ratio_enumerated(market: MarketParams, s: float) -> float:
-    """E[s^(S_t / S_{t-1})] by enumeration of one step."""
-    sp = space(replace(market, horizon=1).model_params())
+    """E[s^(S_t / S_{t-1})] by enumeration of one step, whose rank order is its digit order."""
     ratios = np.array([1.0, 1.0 + market.b, 1.0 + market.a])
-    return float(np.dot(sp.probabilities, s ** ratios[sp.digits[:, 0]]))
+    return float(np.dot(step_weights(market.model_params()), s**ratios))
 
 
 def pgf_ratio_trinomial(market: MarketParams, s: float) -> float:

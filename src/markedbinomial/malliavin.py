@@ -42,7 +42,7 @@ import numpy as np
 
 from .basis import Point, build_basis, r_step_values, z_step_values
 from .chaos import chaos_order_tensor, coefficient_tensor, synthesize
-from .space import ModelParams, PathFunctional, SampleSpace, UniformStream, space, step_weights, stream_key
+from .space import ModelParams, PathFunctional, SampleSpace, UniformStream, digit_rows, space, step_weights, stream_key
 
 
 def _step_major(params: ModelParams, alloc=np.empty) -> np.ndarray:
@@ -411,17 +411,19 @@ def ou_mehler_mc(F: PathFunctional, tau: float, n_samples: int,
     # entry p * B + d is the new digit for count p and old digit d: d if p = 0, else p - 1
     new_digit = np.concatenate([np.arange(B), np.repeat(np.arange(B), B)]).astype(np.int8)
     pick_type = np.uint8 if new_digit.size <= 256 else np.intp
-    old_digits = sp.digits.view(np.uint8)  # digits are nonnegative
     means = np.empty(sp.n)
     errs = np.empty(sp.n)
-    # counts reach B = m + 1, which int8 holds only below 128 marks; one buffer serves every block
+    # counts reach B = m + 1, which int8 holds only below 128 marks; one buffer of each serves every block
     counts = np.empty((min(block, sp.n), n_samples, params.horizon), dtype=np.uint8)
+    gathered = np.empty(counts.shape)  # the new digits as floats, for ranks by a BLAS gemv: exact below 2^53
     for start in range(0, sp.n, block):
         stop = min(start + block, sp.n)
         pick = draws.fill_digits(counts[: stop - start], edges).astype(pick_type, copy=False)
         pick *= B
-        pick += old_digits[start:stop, None, :]
-        sample = vals[new_digit.take(pick) @ sp.powers]
+        pick += digit_rows(params, start, stop).view(np.uint8)[:, None, :]  # digits are nonnegative
+        np.copyto(gathered[: stop - start], new_digit.take(pick))
+        ranks = gathered[: stop - start].reshape(-1, params.horizon) @ sp.powers.astype(np.float64)
+        sample = vals.take(ranks.astype(np.intp)).reshape(stop - start, n_samples)
         means[start:stop] = sample.mean(axis=1)
         errs[start:stop] = sample.std(axis=1, ddof=1) / sqrt(n_samples)
     return means, errs

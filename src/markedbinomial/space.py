@@ -34,7 +34,7 @@ import numpy as np
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "MBP_ENUM_CAP"
 
-# Digit tables are int8, so digits 0..m must fit below 128.
+# Digit rows (sample_digits, digit_rows) are int8, so digits 0..m must fit below 128.
 MAX_MARKS = 127
 
 
@@ -393,28 +393,33 @@ def _refuse_oversized(params: ModelParams) -> None:
         )
 
 
-def step_products(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """Rank-ordered table of prod_t rows[t-1][digit t], one row of factors per
-    step: T outer products in step order, so every entry is formed as
-    w_T * (... * (w_1 * 1.0)).  Only elementwise IEEE multiplies touch it, and
-    its bits are the same on every host and SIMD level.
-
-    One buffer of B^T entries holds every level: the table of steps 1..t
-    lies in its last B^t entries, and step t + 1 writes the blocks of digits
-    0..B-2 in front of it before it scales the table itself as the block of
-    digit B-1."""
-    rows = [np.asarray(row, dtype=np.float64) for row in rows]
+def _step_table(rows: Iterable[np.ndarray], combine: np.ufunc, identity) -> np.ndarray:
+    """Rank-ordered table of w_T o (... o (w_1 o identity)), w_t = rows[t-1][digit t], o = ``combine``,
+    of the rows' type promoted with the identity's; elementwise IEEE only, so the same bits on every
+    host.  One buffer holds every level: the table of steps 1..t lies in its last B^t entries, and
+    step t + 1 writes the blocks of digits 0..B-2 in front of it, then updates it as digit B-1's."""
+    rows = [np.asarray(row) for row in rows]
     base = len(rows[0]) if rows else 1
-    table = np.empty(base ** len(rows))
-    table[-1:] = 1.0
+    table = np.empty(base ** len(rows), dtype=np.result_type(type(identity), *rows))
+    table[-1:] = identity
     size = 1
     for row in rows:
         level = table[table.size - size * base :].reshape(base, size)
         for digit in range(base - 1):
-            np.multiply(row[digit], level[-1], out=level[digit])
-        level[-1] *= row[-1]
+            combine(row[digit], level[-1], out=level[digit])
+        combine(level[-1], row[-1], out=level[-1])
         size *= base
     return table
+
+
+def step_products(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Float64 table of prod_t rows[t-1][digit t] in step order (see _step_table)."""
+    return _step_table(rows, np.multiply, np.float64(1.0))
+
+
+def step_sums(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Table of sum_t rows[t-1][digit t] in step order, int64 for integer rows (see _step_table)."""
+    return _step_table(rows, np.add, np.int64(0))
 
 
 @lru_cache(maxsize=64)
@@ -461,15 +466,11 @@ class SampleSpace:
         _refuse_oversized(params)  # a cached probability table skips the builder's own check
         self.params = params
         self.base = params.n_marks + 1
-        self.n = count = params.n_configurations
-        T, B = params.horizon, self.base
+        self.n = params.n_configurations
         self.powers = _rank_powers(params)
-        self.digits = np.empty((count, T), dtype=np.int8)
-        for t in range(T):  # digit t + 1 of rank (a * B + d) * B^t + c is d
-            self.digits.reshape(count // B ** (t + 1), B, B**t, T)[..., t] = np.arange(B, dtype=np.int8)[:, None]
         self.step_weights = step_weights(params)
         self.probabilities = probability_table(params)
-        for arr in (self.powers, self.digits, self.step_weights):
+        for arr in (self.powers, self.step_weights):
             arr.flags.writeable = False
 
     # -- digit surgery ------------------------------------------------------
@@ -494,8 +495,8 @@ class SampleSpace:
         """Rank map omega -> omega with digit t (1-based) forced to ``digit``
         (index-arithmetic reference that :meth:`step_view` is checked against)."""
         self.check_time(t)
-        cur = self.digits[:, t - 1].astype(np.int64)
-        return np.arange(self.n, dtype=np.int64) + (digit - cur) * self.powers[t - 1]
+        ranks = np.arange(self.n, dtype=np.int64)
+        return ranks + (digit - ranks // self.powers[t - 1] % self.base) * self.powers[t - 1]
 
     def check_time(self, t: int):
         if not 1 <= t <= self.params.horizon:
@@ -524,21 +525,40 @@ class SampleSpace:
         """Atom label of F_t containing each configuration (0..base^t - 1)."""
         return (np.arange(self.n, dtype=np.int64) % (self.base**t)).astype(np.int64)
 
-    # -- counting / compound processes --------------------------------------
-    def jump_count(self, t: int | None = None) -> np.ndarray:
-        t = self.params.horizon if t is None else t
-        return (self.digits[:, :t] > 0).sum(axis=1).astype(float)
-
-    def compound_sum(self, t: int | None = None) -> np.ndarray:
-        t = self.params.horizon if t is None else t
-        mark_of_digit = np.concatenate([[0.0], np.asarray(self.params.marks)])
-        return mark_of_digit[self.digits[:, :t]].sum(axis=1)
-
 
 @lru_cache(maxsize=64)
 def space(params: ModelParams) -> SampleSpace:
     """Shared, cached enumeration engine for ``params``."""
     return SampleSpace(params)
+
+
+def digit_rows(params: ModelParams, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Fresh int8 digit rows of ranks start..stop-1 (stop clipped to the count): digit t is (rank // B^(t-1)) % B."""
+    _refuse_oversized(params)
+    quotient = np.arange(start, params.n_configurations if stop is None else min(stop, params.n_configurations))
+    rows = np.empty((len(quotient), params.horizon), dtype=np.int8)
+    for t in range(params.horizon):
+        np.divmod(quotient, params.n_marks + 1, out=(quotient, rows[:, t]))
+    return rows
+
+
+def _prefix_rows(params: ModelParams, t: int | None, row, identity: float) -> list[np.ndarray]:
+    """``row`` on steps 1..t (default T), rows of ``identity`` after: a step table of digits 1..t."""
+    t = params.horizon if t is None else t
+    if not 0 <= t <= params.horizon:
+        raise ValueError(f"time {t} out of range 0..{params.horizon}")
+    _refuse_oversized(params)
+    return [np.asarray(row)] * t + [np.full(params.n_marks + 1, identity)] * (params.horizon - t)
+
+
+def jump_count(params: ModelParams, t: int | None = None) -> np.ndarray:
+    """N_t, the number of jumps in steps 1..t, as a float table."""
+    return step_sums(_prefix_rows(params, t, [0.0] + [1.0] * params.n_marks, 0.0))
+
+
+def compound_sum(params: ModelParams, t: int | None = None) -> np.ndarray:
+    """Y_t, the sum of the marks of the jumps in steps 1..t."""
+    return step_sums(_prefix_rows(params, t, [0.0, *params.marks], 0.0))
 
 
 class PathFunctional:
@@ -578,8 +598,7 @@ class PathFunctional:
 
 def enumerate_configurations(params: ModelParams) -> list[Configuration]:
     """All configurations in rank order; count = (1+m)^T (cap enforced)."""
-    sp = space(params)
-    return [Configuration(tuple(row), params) for row in sp.digits.tolist()]
+    return [Configuration(tuple(row), params) for row in digit_rows(params).tolist()]
 
 
 def config_probability(params: ModelParams, config: Configuration) -> float:

@@ -71,7 +71,10 @@ def stein_constants(lam0: float) -> tuple[float, float, float]:
 
 
 def poisson_pmf(lam0: float, k_max: int) -> np.ndarray:
-    """P(Poi(lam0) = k) for k = 0..k_max, as e^-lam0 * prod_{j<=k} lam0 / j."""
+    """P(Poi(lam0) = k) for k = 0..k_max, as e^-lam0 * prod_{j<=k} lam0 / j; refused
+    where e^-lam0 is below the smallest normal float, as lam0^k / k! then overflows."""
+    if math.exp(-lam0) < np.finfo(float).tiny:
+        raise ValueError(f"lam0 = {lam0:g} is too large: e^-lam0 is below the smallest normal float")
     return math.exp(-lam0) * np.cumprod(np.concatenate([[1.0], lam0 / np.arange(1, k_max + 1)]))
 
 
@@ -184,8 +187,7 @@ class CompoundTarget:
     def __post_init__(self):
         if self.lam0 <= 0:
             raise ValueError(f"lam0 must be positive, got {self.lam0}")
-        if math.exp(-self.lam0) < np.finfo(float).tiny:
-            raise ValueError(f"lam0 = {self.lam0:g} is too large: e^-lam0 is below the smallest normal float")
+        poisson_pmf(self.lam0, 0)  # refuses, before any table, a lam0 whose e^-lam0 (the Panjer start) is subnormal
         self.mark_pmf = np.asarray(self.mark_pmf, dtype=float)
         if np.any(self.mark_pmf < 0):
             raise ValueError("mark pmf entries must be nonnegative")
@@ -349,24 +351,15 @@ def default_set_family(length: int, extra_diff: tuple[np.ndarray, np.ndarray]) -
 
 
 def _first_chaos_step_law(F: PathFunctional) -> ModelParams:
-    """Validate F = sum_j V_j dN_j on its space and return the params."""
-    from .malliavin import add_one_cost
+    """Validate F = sum_j V_j dN_j, the compound sum, on its space and return the params."""
+    from .space import compound_sum
 
     params = F.params
     marks_rounded = [round(k) for k in params.marks]
     if any(abs(k - r) > 1e-12 or r < 1 for k, r in zip(params.marks, marks_rounded)):
         raise ValueError("unsupported functional form: marks must be positive integers")
-    vals = F.table()
-    if abs(vals[0]) > 1e-9:
-        raise ValueError("unsupported functional form: F(no jumps) must be 0")
-    for t in range(1, params.horizon + 1):
-        for k in params.marks:
-            d = add_one_cost(F, (t, k)).table()
-            if np.max(np.abs(d - k)) > 1e-9:
-                raise ValueError(
-                    "unsupported functional form: add-one cost is not the mark value "
-                    "(F must be a first-chaos compound sum)"
-                )
+    if np.max(np.abs(F.table() - compound_sum(params))) > 1e-9:
+        raise ValueError("unsupported functional form: F must be the first-chaos compound sum of the marks")
     return params
 
 
@@ -468,10 +461,10 @@ def head_run_functional(n: int, m: int, p: float, rng_seed: int = 0) -> PathFunc
     the cap's ValueError, as every exact builder does; Monte Carlo
     (``space.mc_expectation`` on ``head_run_params(n, m, p)``) samples the
     count from batches of digit rows instead."""
-    from .space import PathFunctional, space
+    from .space import PathFunctional, digit_rows
 
     params = head_run_params(n, m, p, rng_seed)
-    return PathFunctional(params, values=_head_run_values(space(params).digits, n, m))
+    return PathFunctional(params, values=_head_run_values(digit_rows(params), n, m))
 
 
 def _head_run_b1(n: int, m: int, p: float) -> float:

@@ -25,3 +25,17 @@ def inst2() -> ModelParams:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20231115)
+
+
+def _reference_digits(params: ModelParams) -> np.ndarray:
+    """(n, T) int8 digit table in rank order, read off np.indices of the
+    (B,)*T grid: in C order its last axis varies fastest, so reversed, the
+    axes give digits 1..T.  It shares no code with the package's digit rows."""
+    T, B = params.horizon, params.n_marks + 1
+    return np.ascontiguousarray(np.indices((B,) * T, dtype=np.int8).reshape(T, -1)[::-1].T)
+
+
+@pytest.fixture(scope="session")
+def digit_table():
+    """The reference digit table of a model, as a function of its params."""
+    return _reference_digits

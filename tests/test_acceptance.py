@@ -22,7 +22,7 @@ from markedbinomial.diagnostics import run_identity_suite
 from markedbinomial.girsanov import girsanov_density_doleans, girsanov_density_varphi
 from markedbinomial.hedging import pgf_ratio_enumerated, pgf_ratio_trinomial, random_claim
 from markedbinomial.malliavin import clark_reconstruct, ou_mehler_mc, ou_spectral
-from markedbinomial.space import space
+from markedbinomial.space import jump_count, space
 from markedbinomial.stein import (
     compound_stein_solve,
     dna_functional,
@@ -101,7 +101,7 @@ def test_criterion_3_mehler_vs_spectral(cti):
     basis = mbp.build_basis(cti)
     gen = np.random.default_rng(303)
     functionals = [
-        mbp.PathFunctional(cti, values=sp.jump_count()),
+        mbp.PathFunctional(cti, values=jump_count(cti)),
         mbp.PathFunctional(cti, values=delta_r_table(basis, 1, 1.0) * delta_r_table(basis, 2, 1.0)),
         mbp.PathFunctional(cti, values=gen.normal(size=27)),
     ]

@@ -18,7 +18,7 @@ from markedbinomial import (
 )
 from markedbinomial.basis import delta_r_table
 from markedbinomial.chaos import chaos_order_tensor, covariance_from_coeffs, doleans_series, random_kernel
-from markedbinomial.space import space
+from markedbinomial.space import jump_count, space
 
 
 def test_order1_integral_is_increment(cti):
@@ -81,8 +81,7 @@ def test_stroock_product_kernel_value(cti):
 
 def test_stroock_jump_count_roundtrip(cti):
     basis = build_basis(cti)
-    sp = space(cti)
-    F = PathFunctional(cti, values=sp.jump_count())
+    F = PathFunctional(cti, values=jump_count(cti))
     coeffs = stroock_decompose(F)
     assert coeffs.f0 == pytest.approx(1.5, abs=1e-12)
     back = reconstruct(basis, coeffs)
@@ -187,10 +186,10 @@ def test_kernel_inner_rejects_a_mark_outside_the_model(inst2):
         kernel_inner(basis, kernel, kernel, 2)
 
 
-def test_chaos_order_tensor_is_cached_and_read_only(inst2):
+def test_chaos_order_tensor_is_cached_and_read_only(inst2, digit_table):
     orders = chaos_order_tensor(inst2)
     assert orders is chaos_order_tensor(inst2) and not orders.flags.writeable
-    np.testing.assert_array_equal(orders.reshape(-1, order="F"), np.count_nonzero(space(inst2).digits, axis=1))
+    np.testing.assert_array_equal(orders.reshape(-1, order="F"), np.count_nonzero(digit_table(inst2), axis=1))
     # laid out like the transform's tensors, with the dtype of the np.indices count
     assert orders.flags.f_contiguous
     assert orders.dtype == (np.indices((4,) * 5) > 0).sum(axis=0).dtype
@@ -198,14 +197,21 @@ def test_chaos_order_tensor_is_cached_and_read_only(inst2):
 
 @pytest.mark.parametrize("horizon", range(1, 8))
 @pytest.mark.parametrize("n_marks", range(1, 5))
-def test_chaos_order_tensor_counts_the_nonzero_digits(n_marks, horizon):
-    """The step recursion gives the digit-count reference entry for entry, in
-    the transform's F order, as a read-only int64 table."""
+def test_chaos_order_tensor_counts_the_nonzero_digits(n_marks, horizon, digit_table):
+    """The step-order sum gives the digit-count reference entry for entry, in
+    the transform's F order, as a read-only int64 table, with the bytes of
+    the recursion it replaced: rank d * B^t + c with d >= 1 has order(c) + 1."""
     params = ModelParams(horizon, tuple(range(1, n_marks + 1)), 0.3, (1.0 / n_marks,) * n_marks, rng_seed=919)
     orders = chaos_order_tensor(params)
-    want = (space(params).digits > 0).sum(axis=1)
+    want = (digit_table(params) > 0).sum(axis=1)
     assert orders.shape == (n_marks + 1,) * horizon and orders.dtype == np.int64 and not orders.flags.writeable
     assert np.array_equal(orders.reshape(-1, order="F"), want)
+    B, size = n_marks + 1, 1
+    recursion = np.zeros(params.n_configurations, dtype=np.int64)
+    for _ in range(horizon):
+        np.add(recursion[:size], 1, out=recursion[size : B * size].reshape(B - 1, size))
+        size *= B
+    assert orders.reshape(-1, order="F").tobytes() == recursion.tobytes()
 
 
 def test_conditional_truncation(cti, rng):
@@ -246,8 +252,7 @@ def test_coefficients_validation(cti):
 
 
 def test_coefficients_csv_export(tmp_path, cti):
-    sp = space(cti)
-    coeffs = stroock_decompose(PathFunctional(cti, values=sp.jump_count()))
+    coeffs = stroock_decompose(PathFunctional(cti, values=jump_count(cti)))
     path = tmp_path / "coeffs.csv"
     coeffs.export_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -366,17 +371,16 @@ def test_csv_text_matches_the_per_element_rendering(f0, fill):
 
 
 
-def _sorted_rows(params, tensor):
+def _sorted_rows(params, tensor, digits):
     """Sort-everything reference read-out: (order, support, kernel value)
     of every retained non-constant coefficient, supports built point by
-    point from the digits and every row sorted by (order, support)."""
-    sp = space(params)
+    point from the digit table and every row sorted by (order, support)."""
     flat = tensor.reshape(-1, order="F")
     tol = 1e-13 * max(1e-300, float(np.max(np.abs(flat))))
     rows = []
-    for rank in range(1, sp.n):
+    for rank in range(1, params.n_configurations):
         if abs(flat[rank]) > tol:
-            support = tuple((t + 1, params.marks[d - 1]) for t, d in enumerate(sp.digits[rank].tolist()) if d)
+            support = tuple((t + 1, params.marks[d - 1]) for t, d in enumerate(digits[rank].tolist()) if d)
             rows.append((len(support), support, float(flat[rank]) / factorial(len(support))))
     return sorted(rows, key=lambda row: row[:2])
 
@@ -400,13 +404,13 @@ def _dense_tensor(params, seed):
 
 @pytest.mark.parametrize("law", range(len(_READOUT_LAWS)))
 @pytest.mark.parametrize("horizon", [1, 2, 3, 5])
-def test_kernel_of_fresh_coefficients_matches_a_sort_everything_reference(law, horizon):
+def test_kernel_of_fresh_coefficients_matches_a_sort_everything_reference(law, horizon, digit_table):
     """Each order read first on fresh coefficients (so no other order's
     block exists yet) gives the reference's items in the reference's order."""
     marks, Q, lam = _READOUT_LAWS[law]
     params = ModelParams(horizon, marks, lam, Q)
     tensor = _dense_tensor(params, 10 * law + horizon)
-    reference = _sorted_rows(params, tensor)
+    reference = _sorted_rows(params, tensor, digit_table(params))
     for n in range(1, horizon + 1):
         kernel = ChaosCoefficients.from_tensor(params, tensor).kernel(n)
         assert list(kernel.items()) == [(support, v) for order, support, v in reference if order == n]
@@ -417,7 +421,7 @@ def test_kernel_of_fresh_coefficients_matches_a_sort_everything_reference(law, h
 @pytest.mark.parametrize("law", range(len(_READOUT_LAWS)))
 @pytest.mark.parametrize("horizon", [1, 2, 3, 5])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_rows_and_decompose_match_the_per_element_rendering(law, horizon, fmt, monkeypatch, capsys):
+def test_rows_and_decompose_match_the_per_element_rendering(law, horizon, fmt, monkeypatch, capsys, digit_table):
     """`rows()` and `mbp decompose` on a dense random functional equal the
     reference rows with each label joined and each value formatted on its
     own, for negative, non-integer and tiny marks; at T=1 the low label
@@ -429,7 +433,7 @@ def test_rows_and_decompose_match_the_per_element_rendering(law, horizon, fmt, m
     params = ModelParams(horizon, marks, lam, Q)
     F = PathFunctional(params, values=np.random.default_rng(10 * law + horizon).normal(size=params.n_configurations))
     coeffs = stroock_decompose(F)
-    rows = [(0, "", coeffs.f0)] + [(n, _label(support), v) for n, support, v in _sorted_rows(params, coeffs.tensor)]
+    rows = [(0, "", coeffs.f0)] + [(n, _label(support), v) for n, support, v in _sorted_rows(params, coeffs.tensor, digit_table(params))]
     assert coeffs.rows() == rows
     monkeypatch.setattr(cli, "_named_functional", lambda p, name: F)
     argv = ["decompose", "--T", str(horizon), "--marks=" + ",".join(map(repr, marks)), "--lambda", repr(lam),

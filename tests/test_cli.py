@@ -875,17 +875,15 @@ def test_girsanov_builds_no_sample_space():
 DECOMPOSE_T4 = ["decompose", "--T", "4", "--marks=1,-1", "--lambda", "0.4", "--Q", "0.5,0.5", "--no-timestamp"]
 
 
-def _spy_on_sample_spaces(monkeypatch, refuse: bool) -> list:
-    """Params of every SampleSpace built from now on; with ``refuse`` the build raises."""
+def _spy_on_sample_spaces(monkeypatch) -> list:
+    """Params of every SampleSpace built from now on, whose build raises."""
     from markedbinomial.space import SampleSpace
 
-    built, init = [], SampleSpace.__init__
+    built = []
 
     def spy(self, params):
         built.append(params)
-        if refuse:
-            raise AssertionError("a sample space was built")
-        init(self, params)
+        raise AssertionError("a sample space was built")
 
     monkeypatch.setattr(SampleSpace, "__init__", spy)
     return built
@@ -896,7 +894,7 @@ def test_decompose_of_an_indicator_builds_no_sample_space(monkeypatch, capsys):
     law only: both formats succeed with SampleSpace refusing to build, the CSV
     with the golden bytes, and a model past the cap is still refused in one
     line.  The seeds are ones no other test uses, so no space is cached."""
-    built = _spy_on_sample_spaces(monkeypatch, refuse=True)
+    built = _spy_on_sample_spaces(monkeypatch)
     argv = [*DECOMPOSE_T4, "--functional", "indicator=50", "--seed", "920"]
     golden = (DATA / "decompose_indicator50_T4.csv").read_text(encoding="utf-8")
     assert main([*argv, "--format", "csv"]) == 0
@@ -916,12 +914,14 @@ def test_decompose_of_an_indicator_builds_no_sample_space(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("functional, seed", [("count", "921"), ("compound", "922")])
-def test_decompose_of_count_and_compound_reads_the_sample_space(functional, seed, monkeypatch, capsys):
-    """The jump count and the compound sum are read off the digit table."""
-    built = _spy_on_sample_spaces(monkeypatch, refuse=False)
+def test_decompose_of_count_and_compound_builds_no_sample_space(functional, seed, monkeypatch, capsys):
+    """The jump count and the compound sum are step-order sums of one-step
+    rows, so, as for an indicator, no sample space is built for them."""
+    built = _spy_on_sample_spaces(monkeypatch)
     assert main([*DECOMPOSE_T4, "--functional", functional, "--seed", seed]) == 0
-    capsys.readouterr()
-    assert [params.rng_seed for params in built] == [int(seed)]
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["functional"] == functional
+    assert built == []
 
 
 def _sample_spaces_after(argv) -> int:

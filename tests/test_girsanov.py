@@ -14,7 +14,7 @@ from markedbinomial import (
     reweighted_expectation,
 )
 from markedbinomial.girsanov import girsanov_density_doleans, girsanov_density_varphi
-from markedbinomial.space import space
+from markedbinomial.space import compound_sum, jump_count, space
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +99,26 @@ def test_varphi_route_matches(cti, tilted, inst2):
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
+@pytest.mark.parametrize("marks, Q", [((1.0, -1.0), (0.5, 0.5)), ((0.3, -1.7, 2.1), (0.2, 0.3, 0.5))])
+def test_varphi_route_is_the_whole_table_gather(marks, Q, digit_table):
+    """At T=9 the compound form has the bits of exp(log base + the log factors
+    gathered through a whole digit table and summed along each row), so
+    reading its digit rows in place of a stored table moved nothing."""
+    params = ModelParams(9, marks, 0.35, Q)
+    target = TargetMeasure(0.5, Q[::-1])
+    varphi = girsanov_varphi(params, target)
+    log_base = params.horizon * np.log((1.0 - target.jump_prob) / (1.0 - params.jump_prob))
+    log_factor = np.concatenate([[0.0], [np.log1p(varphi[k]) for k in marks]])
+    want = np.exp(log_base + log_factor[digit_table(params)].sum(axis=1))
+    assert girsanov_density_varphi(params, target).table().tobytes() == want.tobytes()
+
+
 def test_reweighted_expectation_examples(cti, tilted):
-    sp = space(cti)
-    n3 = PathFunctional(cti, values=sp.jump_count())
+    n3 = PathFunctional(cti, values=jump_count(cti))
     assert reweighted_expectation(n3, TargetMeasure(0.3, (0.5, 0.5))) == pytest.approx(0.9, abs=1e-12)
     const = PathFunctional.constant(cti, 3.25)
     assert reweighted_expectation(const, tilted) == pytest.approx(3.25, abs=1e-12)
-    y3 = PathFunctional(cti, values=sp.compound_sum())
+    y3 = PathFunctional(cti, values=compound_sum(cti))
     assert reweighted_expectation(y3, tilted) == pytest.approx(0.75, abs=1e-12)
 
 

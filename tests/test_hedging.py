@@ -23,7 +23,7 @@ from markedbinomial.hedging import (
     pgf_ratio_trinomial,
     random_claim,
 )
-from markedbinomial.space import probability_table, space, step_products
+from markedbinomial.space import jump_count, probability_table, space, step_products
 
 
 MARTINGALE = dict(a=-0.1, b=0.2, r=0.025, jump_prob=0.5, up_prob=0.5)
@@ -87,11 +87,11 @@ def test_price_paths_no_jump_and_all_up():
     assert paths.riskless[1] == pytest.approx(1.025)
 
 
-def test_discounted_increment_factorization():
+def test_discounted_increment_factorization(digit_table):
     market = mk()
-    sp = space(market.model_params())
+    digits = digit_table(market.model_params())
     paths = price_paths(market)
-    eta = np.where(sp.digits == 1, market.b, np.where(sp.digits == 2, market.a, 0.0))
+    eta = np.where(digits == 1, market.b, np.where(digits == 2, market.a, 0.0))
     for t in range(1, 4):
         expected = paths.discounted[:, t - 1] * (eta[:, t - 1] - market.r) / (1 + market.r)
         assert np.max(np.abs(paths.increments[:, t - 1] - expected)) <= 1e-14
@@ -141,10 +141,10 @@ def test_martingale_diagnostics_match_conditional_moments(kw):
 @pytest.mark.parametrize("kw", [MARTINGALE, DRIFTED, dict(a=-0.3, b=0.5, r=0.01, jump_prob=0.3, up_prob=0.7)],
                          ids=["M1", "M2", "M3"])
 @pytest.mark.parametrize("horizon", range(1, 7))
-def test_price_paths_equal_the_cumulative_product(kw, horizon):
+def test_price_paths_equal_the_cumulative_product(kw, horizon, digit_table):
     market = mk(horizon=horizon, **kw)
     sp = space(market.model_params())
-    growth = np.array([1.0, 1.0 + market.b, 1.0 + market.a])[sp.digits]
+    growth = np.array([1.0, 1.0 + market.b, 1.0 + market.a])[digit_table(market.model_params())]
     price = np.concatenate([np.ones((sp.n, 1)), np.cumprod(growth, axis=1)], axis=1)
     discounted = price / np.cumprod([1.0] + [1.0 + market.r] * horizon)
     paths = price_paths(market)
@@ -459,7 +459,7 @@ def test_kunita_watanabe_decomposition_properties(param_set):
     params = market.model_params()
     sp = space(params)
     paths = price_paths(market)
-    F = PathFunctional(params, values=(sp.jump_count() == 0).astype(float))
+    F = PathFunctional(params, values=(jump_count(params) == 0).astype(float))
     kw = kunita_watanabe(market, F)
     total = kw.f0 + (kw.xi * paths.increments).sum(axis=1) + kw.l_process[:, -1]
     assert np.max(np.abs(total - F.table())) <= 1e-10

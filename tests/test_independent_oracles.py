@@ -38,16 +38,16 @@ from markedbinomial.malliavin import ProcessTable, ou_spectral
 from markedbinomial.space import space
 
 
-def test_ou_semigroup_equals_explicit_transition_matrix(cti, rng):
+def test_ou_semigroup_equals_explicit_transition_matrix(cti, rng, digit_table):
     """The spectral semigroup must equal the explicit digit-resampling
     Markov kernel P_tau[w, w'] = prod_t [e^-tau 1{d_t = d'_t} + (1-e^-tau) w_{d'_t}]."""
-    sp = space(cti)
+    sp, digits = space(cti), digit_table(cti)
     for tau in (0.3, 1.2):
         keep = np.exp(-tau)
         step_kernel = keep * np.eye(sp.base) + (1 - keep) * np.tile(sp.step_weights, (sp.base, 1))
         transition = np.ones((sp.n, sp.n))
         for t in range(cti.horizon):
-            transition = transition * step_kernel[np.ix_(sp.digits[:, t], sp.digits[:, t])]
+            transition = transition * step_kernel[np.ix_(digits[:, t], digits[:, t])]
         F = rng.normal(size=sp.n)
         expected = transition @ F
         got = ou_spectral(PathFunctional(cti, values=F), tau).table()
@@ -160,19 +160,19 @@ def test_divergence_duality_on_complete_basis(cti, rng):
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-def test_conditional_expectation_against_dict_groupby(inst2, rng):
+def test_conditional_expectation_against_dict_groupby(inst2, rng, digit_table):
     """Group configurations by their time prefix with plain dictionaries."""
-    sp = space(inst2)
+    sp, digits = space(inst2), digit_table(inst2)
     F = rng.normal(size=sp.n)
     for t in (0, 2, 4):
         num: dict = {}
         den: dict = {}
         for rank in range(sp.n):
-            key = tuple(sp.digits[rank, :t])
+            key = tuple(digits[rank, :t])
             num[key] = num.get(key, 0.0) + sp.probabilities[rank] * F[rank]
             den[key] = den.get(key, 0.0) + sp.probabilities[rank]
         expected = np.array(
-            [num[tuple(sp.digits[r, :t])] / den[tuple(sp.digits[r, :t])] for r in range(sp.n)]
+            [num[tuple(digits[r, :t])] / den[tuple(digits[r, :t])] for r in range(sp.n)]
         )
         got = sp.conditional_expectation(F, t)
         assert np.max(np.abs(got - expected)) <= 1e-13
@@ -180,7 +180,7 @@ def test_conditional_expectation_against_dict_groupby(inst2, rng):
 
 @pytest.mark.parametrize("instance", ["cti", "inst2"])
 @pytest.mark.parametrize("perturb", [None, "new-value", "moved-mass"])
-def test_dr_law_check_against_dict_groupby(request, instance, perturb, monkeypatch):
+def test_dr_law_check_against_dict_groupby(request, instance, perturb, monkeypatch, digit_table):
     """The dr_identically_distributed residual equals the largest gap between
     the t=1 law and each later law, each tabulated by a dictionary group-by
     over the rounded values, also when a later table takes a value the t=1
@@ -188,15 +188,15 @@ def test_dr_law_check_against_dict_groupby(request, instance, perturb, monkeypat
     from markedbinomial import basis as basis_mod, diagnostics
 
     params = request.getfixturevalue(instance)
-    sp = space(params)
+    sp, digits = space(params), digit_table(params)
     exact = basis_mod.delta_r_table
 
     def table(basis, t, k):
         values = exact(basis, t, k).copy()
         if t == 2 and perturb == "new-value":  # one new atom that outweighs each atom it drains
-            values[sp.digits[:, 1] <= 1] = 123.0
+            values[digits[:, 1] <= 1] = 123.0
         if t == 2 and perturb == "moved-mass":
-            values[sp.digits[:, 1] == 0] = values[sp.digits[:, 1] == 1][0]
+            values[digits[:, 1] == 0] = values[digits[:, 1] == 1][0]
         return values
 
     monkeypatch.setattr(basis_mod, "delta_r_table", table)
@@ -276,12 +276,12 @@ def test_lemma_check_fails_when_either_side_is_off_by_a_millionth(side, monkeypa
     assert residual > tolerance
 
 
-def test_probabilities_against_explicit_product(cti):
+def test_probabilities_against_explicit_product(cti, digit_table):
     sp = space(cti)
     lam = cti.jump_prob
     for rank in range(sp.n):
         prob = 1.0
-        for digit in sp.digits[rank]:
+        for digit in digit_table(cti)[rank]:
             prob *= (1 - lam) if digit == 0 else lam * cti.mark_probs[digit - 1]
         assert sp.probabilities[rank] == pytest.approx(prob, rel=1e-14)
 
@@ -403,14 +403,14 @@ HEDGING_MARKETS = {
 }
 
 
-def _dense_hedging(market, F, x):
+def _dense_hedging(market, F, x, digits):
     """The Foellmer-Schweizer construction on full rank-indexed tables: prices
     by a cumulative product over the digits, every conditional expectation
     through SampleSpace.conditional_expectation."""
     sp = space(market.model_params())
     T, n = market.horizon, sp.n
     cond = sp.conditional_expectation
-    growth = np.array([1.0, 1.0 + market.b, 1.0 + market.a])[sp.digits]
+    growth = np.array([1.0, 1.0 + market.b, 1.0 + market.a])[digits]
     price = np.concatenate([np.ones((n, 1)), np.cumprod(growth, axis=1)], axis=1)
     riskless = (1.0 + market.r) ** np.arange(T + 1)
     inc = np.diff(price / riskless, axis=1)
@@ -448,7 +448,7 @@ def _dense_hedging(market, F, x):
 @pytest.mark.filterwarnings("ignore:minimal martingale measure is signed")
 @pytest.mark.parametrize("market_name", sorted(HEDGING_MARKETS))
 @pytest.mark.parametrize("horizon", range(1, 7))
-def test_hedging_recursion_matches_the_dense_reference(market_name, horizon, rng):
+def test_hedging_recursion_matches_the_dense_reference(market_name, horizon, rng, digit_table):
     """Agreement within 1e-12 (1 + K_T) relative, K_T the mean-variance
     tradeoff: each step divides by 1 - theta E[dS~ | F] = 1 / (1 + K_1), so
     rounding grows with it.  K_T is at most 0.5 on M1-M3 and 3,091 on the
@@ -457,7 +457,7 @@ def test_hedging_recursion_matches_the_dense_reference(market_name, horizon, rng
     market = MarketParams(horizon=horizon, **HEDGING_MARKETS[market_name])
     tol = 1e-12 * (1.0 + martingale_diagnostics(market)[1][-1])
     for F, x in ((call_payoff(market, 1.05), 1.0), (random_claim(market, rng), 0.5)):
-        expected = _dense_hedging(market, F, x)
+        expected = _dense_hedging(market, F, x, digit_table(market.model_params()))
         mmm = minimal_martingale_measure(market)
         kw = kunita_watanabe(market, F)
         strategy, residual = optimal_strategy(market, F, x)

@@ -33,7 +33,7 @@ from markedbinomial import (
 from markedbinomial.basis import delta_r_table
 from markedbinomial.chaos import random_kernel
 from markedbinomial.malliavin import clark_integrand_z, clark_reconstruct_z, gradient_via_chaos
-from markedbinomial.space import space
+from markedbinomial.space import jump_count, space
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +53,7 @@ def test_add_one_cost_constant(cti):
 
 
 def test_add_one_cost_jump_count(cti):
-    sp = space(cti)
-    F = PathFunctional(cti, values=sp.jump_count())
+    F = PathFunctional(cti, values=jump_count(cti))
     for t in (1, 2, 3):
         for k in cti.marks:
             assert np.all(add_one_cost(F, (t, k)).table() == 1.0)
@@ -82,11 +81,10 @@ def test_add_one_cost_first_order_kernel_singleton(singleton, rng):
         assert np.allclose(d, h[((t, 1.0),)], atol=1e-13)
 
 
-def test_remove_one_cost(cti):
-    sp = space(cti)
-    F = PathFunctional(cti, values=sp.jump_count())
+def test_remove_one_cost(cti, digit_table):
+    F = PathFunctional(cti, values=jump_count(cti))
     out = remove_one_cost(F, (2, -1.0)).table()
-    present = sp.digits[:, 1] == 2
+    present = digit_table(cti)[:, 1] == 2
     assert np.all(out[present] == 1.0)
     assert np.all(out[~present] == 0.0)
     assert np.all(remove_one_cost(PathFunctional.constant(cti, 1.0), (1, 1.0)).table() == 0.0)
@@ -109,14 +107,13 @@ def test_product_rules(cti, rng):
             assert np.max(np.abs(lhs_m - rhs_m)) <= 1e-12
 
 
-def test_tilde_grad(cti, rng):
+def test_tilde_grad(cti, rng, digit_table):
     F = _rand(cti, rng)
-    sp = space(cti)
     assert np.all(tilde_grad(PathFunctional.constant(cti, 1.0), (1, 1.0)).table() == 0.0)
     assert np.all(bar_grad(PathFunctional.constant(cti, 1.0), 1).table() == 0.0)
     # forcing a jump that is already there changes nothing
     out = tilde_grad(F, (2, 1.0)).table()
-    already = sp.digits[:, 1] == 1
+    already = digit_table(cti)[:, 1] == 1
     assert np.all(out[already] == 0.0)
 
 
@@ -257,7 +254,7 @@ def test_tilde_divergence(cti, rng):
     ones = ProcessTable.zeros(cti)
     ones.values[:] = 1.0
     out = tilde_divergence(ones).table()
-    expected = sp.jump_count() - 0.5 * 3
+    expected = jump_count(cti) - 0.5 * 3
     assert np.max(np.abs(out - expected)) <= 1e-14
     assert np.all(tilde_divergence(ProcessTable.zeros(cti)).table() == 0.0)
     u = ProcessTable.zeros(cti)
@@ -375,8 +372,7 @@ def test_ou_contractivity(cti, rng):
 
 
 def test_mehler_mc_reproducible_and_unbiased(cti):
-    sp = space(cti)
-    F = PathFunctional(cti, values=sp.jump_count())
+    F = PathFunctional(cti, values=jump_count(cti))
     tau = 1.0
     means1, errs1 = ou_mehler_mc(F, tau, 4000, stream=3)
     means2, _ = ou_mehler_mc(F, tau, 4000, stream=3)
@@ -443,7 +439,7 @@ def test_mehler_draws_leave_numpy_random_unloaded():
         "for info in pkgutil.iter_modules(mb.__path__):\n"
         "    importlib.import_module(f'markedbinomial.{info.name}')\n"
         "p = mb.ModelParams(horizon=3, marks=(1.0, -1.0), jump_prob=0.5, mark_probs=(0.5, 0.5))\n"
-        "mb.ou_mehler_mc(mb.PathFunctional(p, values=mb.space(p).jump_count()), 0.5, 10)\n"
+        "mb.ou_mehler_mc(mb.PathFunctional(p, values=importlib.import_module('markedbinomial.space').jump_count(p)), 0.5, 10)\n"
         "print(sorted(name for name in sys.modules if name.startswith('markedbinomial.')))\n"
         "print('numpy.random' in sys.modules)\n"
     )
@@ -455,7 +451,7 @@ def test_mehler_draws_leave_numpy_random_unloaded():
 
 
 @pytest.mark.parametrize("name", ["cti", "inst2"])
-def test_mehler_per_digit_law(name, request):
+def test_mehler_per_digit_law(name, request, digit_table):
     """For F = 1{d_t = d} the Mehler step gives P_tau F = e^-tau F + (1 - e^-tau) w_d:
     a digit is kept with probability e^-tau and otherwise redrawn from the one-step law."""
     params = request.getfixturevalue(name)
@@ -464,7 +460,7 @@ def test_mehler_per_digit_law(name, request):
     keep = math.exp(-tau)
     for t in (1, 2, params.horizon):
         for d in range(sp.base):
-            F = (sp.digits[:, t - 1] == d).astype(float)
+            F = (digit_table(params)[:, t - 1] == d).astype(float)
             means, errs = ou_mehler_mc(PathFunctional(params, values=F), tau, 1000, stream=t * sp.base + d)
             exact = keep * F + (1.0 - keep) * sp.step_weights[d]
             assert np.all(errs > 0)
@@ -679,13 +675,13 @@ def _mehler_counts(params, tau, n_samples, stream):
     return np.array(counts).reshape(params.n_configurations, n_samples, params.horizon)
 
 
-def _mehler_reference(F, tau, n_samples, stream):
+def _mehler_reference(F, tau, n_samples, stream, digits):
     """The Mehler estimator on the stream's draws, with the new digit chosen
-    by np.where over the whole (configurations, samples, T) draw."""
+    by np.where over the whole (configurations, samples, T) draw from the
+    digit table ``digits``."""
     params = F.params
-    sp = space(params)
     pick = _mehler_counts(params, tau, n_samples, stream)
-    sample = F.table()[np.where(pick == 0, sp.digits[:, None, :], pick - 1) @ sp.powers]
+    sample = F.table()[np.where(pick == 0, digits[:, None, :], pick - 1) @ space(params).powers]
     return sample.mean(axis=1), sample.std(axis=1, ddof=1) / math.sqrt(n_samples)
 
 
@@ -696,7 +692,8 @@ def _mehler_reference(F, tau, n_samples, stream):
 ])
 @pytest.mark.parametrize("tau", [0.0, 3.0])
 @pytest.mark.parametrize("block_draws", [7 * 12 * 4, 2**18])
-def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, block_draws, rng, monkeypatch):
+def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, block_draws, rng, monkeypatch,
+                                                         digit_table):
     """The digit lookup table reproduces every bit of the np.where choice on
     the stream's draws, with one block or several, on a nonzero stream."""
     from markedbinomial import malliavin
@@ -705,12 +702,33 @@ def test_mehler_lookup_is_bit_equal_to_the_where_formula(marks, probs, tau, bloc
     params = ModelParams(4 if len(marks) < 4 else 2, marks, 0.45, probs, rng_seed=11)
     F = _rand(params, rng)
     got = ou_mehler_mc(F, tau, 12, stream=5)
-    want = _mehler_reference(F, tau, 12, stream=5)
+    want = _mehler_reference(F, tau, 12, stream=5, digits=digit_table(params))
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def test_mehler_with_127_marks_redraws_into_the_last_cell(rng):
+@pytest.mark.parametrize("horizon", [3, 9])
+def test_mehler_float_ranks_equal_integer_ranks(horizon, rng, digit_table):
+    """Ranks formed by a float64 gemv of the new digits with the place values
+    are exact below 2^53: means and errors equal, bit for bit, those of int64
+    ranks from an integer matmul over the whole reference digit table, on the
+    same draws of the counter stream."""
+    from markedbinomial.space import UniformStream, stream_key
+
+    params = ModelParams(horizon, (-1.0, 1.0), 0.4, (0.5, 0.5), rng_seed=7)
+    F, tau, n_samples = _rand(params, rng), 0.3, 20
+    keep = math.exp(-tau)
+    edges = keep + (1.0 - keep) * np.concatenate([[0.0], np.cumsum(space(params).step_weights[:-1])])
+    draws = UniformStream(stream_key(params.rng_seed, "mehler stream 2"))
+    counts = draws.fill_digits(np.empty((params.n_configurations, n_samples, horizon), dtype=np.uint8), edges)
+    ranks = np.where(counts == 0, digit_table(params)[:, None, :], counts.astype(np.int64) - 1) @ space(params).powers
+    sample = F.table()[ranks]
+    means, errs = ou_mehler_mc(F, tau, n_samples, stream=2)
+    assert np.array_equal(means, sample.mean(axis=1))
+    assert np.array_equal(errs, sample.std(axis=1, ddof=1) / math.sqrt(n_samples))
+
+
+def test_mehler_with_127_marks_redraws_into_the_last_cell(rng, digit_table):
     """With 127 marks a count reaches B = 128, one past int8: a redraw of the
     last digit must still land on that digit."""
     marks = tuple(float(k) for k in range(1, 128))
@@ -719,7 +737,7 @@ def test_mehler_with_127_marks_redraws_into_the_last_cell(rng):
     counts = _mehler_counts(params, 5.0, 4, 0)
     assert counts.max() == 128
     F = _rand(params, rng)
-    for g, w in zip(ou_mehler_mc(F, 5.0, 4, stream=0), _mehler_reference(F, 5.0, 4, 0)):
+    for g, w in zip(ou_mehler_mc(F, 5.0, 4, stream=0), _mehler_reference(F, 5.0, 4, 0, digit_table(params))):
         assert g.tobytes() == w.tobytes()
 
 

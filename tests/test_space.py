@@ -27,13 +27,17 @@ from markedbinomial import (
 from markedbinomial.basis import build_basis, delta_r_table
 from markedbinomial.space import (
     _distinct,
+    compound_sum,
+    digit_rows,
     digits_of_rank,
+    jump_count,
     mc_expectation,
     probability_table,
     rank_of_digits,
     rng_stream,
     sample_digits,
     step_products,
+    step_sums,
     step_weights,
 )
 
@@ -53,12 +57,14 @@ def test_enumeration_in_rank_order(cti):
 
 
 @pytest.mark.parametrize("horizon, marks", [(9, (1.0, -1.0)), (5, (1.0, 2.0, 3.0))])
-def test_digit_table_is_the_mixed_radix_expansion(horizon, marks):
+def test_digit_table_is_the_mixed_radix_expansion(horizon, marks, digit_table):
+    """The whole space's digit rows are the reference table, as a fresh int8
+    table; the sample space keeps no digit table of its own."""
     params = ModelParams(horizon, marks, 0.3, tuple([1.0 / len(marks)] * len(marks)))
-    sp = space(params)
-    ranks = np.arange(sp.n, dtype=np.int64)
-    assert sp.digits.dtype == np.int8 and not sp.digits.flags.writeable
-    np.testing.assert_array_equal(sp.digits, (ranks[:, None] // sp.powers) % sp.base)
+    rows = digit_rows(params)
+    assert rows.dtype == np.int8 and rows.flags.writeable
+    np.testing.assert_array_equal(rows, digit_table(params))
+    assert not hasattr(space(params), "digits")
 
 
 def _gathered_probabilities(params: ModelParams) -> np.ndarray:
@@ -125,24 +131,82 @@ def test_step_products_multiply_the_digit_gather_column_by_column(n_marks, horiz
 
 def test_step_products_fill_one_table():
     """Each level is built in the tail of the output itself, so the product
-    never holds the last level beside the full table (1.33 tables at base 3)."""
-    rows = [np.array([0.5, 0.25, 0.25])] * 11
-    tracemalloc.start()
-    try:
-        table = step_products(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.size == 3**11 and peak <= 1.05 * table.nbytes
+    never holds the last level beside the full table (1.33 tables at base 3);
+    nor does step_sums, which walks the same buffer."""
+    for step_table, row in ((step_products, [0.5, 0.25, 0.25]), (step_sums, [0, 1, 1])):
+        rows = [np.array(row)] * 11
+        tracemalloc.start()
+        try:
+            table = step_table(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.size == 3**11 and peak <= 1.05 * table.nbytes
+
+
+@pytest.mark.parametrize("integer", [True, False])
+@pytest.mark.parametrize("n_marks, horizon", [(m, T) for m in range(1, 4) for T in range(1, 7)])
+def test_step_sums_add_the_rows_in_step_order(n_marks, horizon, integer):
+    """Entry r is the sum over steps of rows[t-1][digit t of r], added in step
+    order from 0 per rank in Python: bit for bit, int64 for integer rows and
+    float64 for float rows."""
+    base = n_marks + 1
+    gen = np.random.default_rng(10 * n_marks + horizon)
+    rows = gen.integers(-9, 10, size=(horizon, base)) if integer else gen.normal(size=(horizon, base))
+    want = []
+    for rank in range(base**horizon):
+        acc = 0 if integer else 0.0
+        for t, d in enumerate(digits_of_rank(rank, horizon, n_marks)):
+            acc = acc + rows[t][d].item()
+        want.append(acc)
+    got = step_sums(list(rows))
+    assert got.dtype == (np.int64 if integer else np.float64)
+    assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes()
+
+
+@pytest.mark.parametrize("marks", [(1.0, -1.0), (1.0, 2.0, 3.0), (-2.0, 5.0)])
+def test_jump_count_and_compound_sum_equal_the_digit_gather_at_every_t(marks, digit_table):
+    """N_t and Y_t for t = 0..T are the reference digit table's counts and
+    gathered mark sums over steps 1..t, bit for bit (integer marks sum
+    exactly in any order); no sample space is built, and t outside 0..T is
+    refused."""
+    params = ModelParams(6, marks, 0.3, (1.0 / len(marks),) * len(marks))
+    digits = digit_table(params)
+    mark_of_digit = np.concatenate([[0.0], marks])
+    space.cache_clear()
+    for t in range(params.horizon + 1):
+        count, total = jump_count(params, t), compound_sum(params, t)
+        assert count.dtype == total.dtype == np.float64
+        assert count.tobytes() == (digits[:, :t] > 0).sum(axis=1).astype(float).tobytes()
+        assert total.tobytes() == mark_of_digit[digits[:, :t]].sum(axis=1).tobytes()
+    assert jump_count(params).tobytes() == jump_count(params, params.horizon).tobytes()
+    assert compound_sum(params).tobytes() == compound_sum(params, params.horizon).tobytes()
+    assert space.cache_info().currsize == 0
+    for t in (-1, params.horizon + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            compound_sum(params, t)
+
+
+@pytest.mark.parametrize("horizon, marks", [(1, (1.0,)), (4, (1.0, -1.0)), (3, (1.0, 2.0, 3.0)), (7, (2.0,))])
+def test_digit_rows_of_a_slice_are_the_digits_of_its_ranks(horizon, marks):
+    """Every slice start..stop-1, empty ones and ones past the count included,
+    holds the digits of its ranks in order, as digits_of_rank gives them."""
+    params = ModelParams(horizon, marks, 0.4, (1.0 / len(marks),) * len(marks))
+    count = params.n_configurations
+    for start in range(count + 1):
+        for stop in (start, start + 1, start + 5, count, count + 3):
+            rows = digit_rows(params, start, stop)
+            assert rows.dtype == np.int8 and rows.shape == (max(0, min(stop, count) - start), horizon)
+            assert rows.tolist() == [list(digits_of_rank(r, horizon, len(marks))) for r in range(start, min(stop, count))]
 
 
 def test_models_past_127_marks_are_refused():
-    """Digit tables are int8: 127 marks still give exact tables, while at
+    """Digit rows are int8: 127 marks still give exact tables, while at
     128 the top digit would wrap to -128 and be read as mark 1."""
     params = ModelParams(horizon=1, marks=tuple(range(1, 128)), jump_prob=0.5, mark_probs=(1 / 127,) * 127)
     sp = space(params)
-    assert sp.digits.max() == 127
-    assert sp.expectation(sp.compound_sum()) == pytest.approx(32.0, abs=1e-12)
+    assert digit_rows(params).max() == 127
+    assert sp.expectation(compound_sum(params)) == pytest.approx(32.0, abs=1e-12)
     with pytest.raises(ValueError, match="at most 127 marks"):
         ModelParams(horizon=1, marks=tuple(range(1, 129)), jump_prob=0.5, mark_probs=(1 / 128,) * 128)
 
@@ -205,7 +269,7 @@ def test_params_from_file_is_strict(tmp_path, body, message):
 
 
 @pytest.mark.parametrize("name", ["cti", "inst2"])
-def test_step_view_matches_rank_map(name, request):
+def test_step_view_matches_rank_map(name, request, digit_table):
     """Entry [a, d, c] of the step-t view is the row that ranks_with_digit
     maps row (a, d', c) to for every d', with trailing axes carried along."""
     params = request.getfixturevalue(name)
@@ -218,13 +282,13 @@ def test_step_view_matches_rank_map(name, request):
             forced = table[sp.ranks_with_digit(t, digit)]
             spread = np.broadcast_to(view[:, digit : digit + 1], view.shape).reshape(table.shape)
             assert np.array_equal(spread, forced)
-            assert np.array_equal(view[:, digit].reshape(-1, 2, 3), table[sp.digits[:, t - 1] == digit])
+            assert np.array_equal(view[:, digit].reshape(-1, 2, 3), table[digit_table(params)[:, t - 1] == digit])
     for t in (0, params.horizon + 1):
         with pytest.raises(ValueError, match="out of range"):
             sp.step_view(table, t)
 
 
-def test_step_view_writes_through_step_major_table(inst2):
+def test_step_view_writes_through_step_major_table(inst2, digit_table):
     from markedbinomial import ProcessTable
 
     sp = space(inst2)
@@ -234,10 +298,10 @@ def test_step_view_writes_through_step_major_table(inst2):
         assert np.shares_memory(view, u.values)
         view[:, t % sp.base, :, t - 1, t % inst2.n_marks] = float(t)
     for t in range(1, inst2.horizon + 1):
-        expected = np.where(sp.digits[:, t - 1] == t % sp.base, float(t), 0.0)
+        expected = np.where(digit_table(inst2)[:, t - 1] == t % sp.base, float(t), 0.0)
         assert np.array_equal(u.values[:, t - 1, t % inst2.n_marks], expected)
     assert np.count_nonzero(u.values) == sum(
-        np.count_nonzero(sp.digits[:, t - 1] == t % sp.base) for t in range(1, inst2.horizon + 1))
+        np.count_nonzero(digit_table(inst2)[:, t - 1] == t % sp.base) for t in range(1, inst2.horizon + 1))
 
 
 def test_step_view_refuses_a_copy(cti):
@@ -258,16 +322,17 @@ def test_config_probability(cti):
 
 
 @pytest.mark.parametrize("model", ["cti", "inst2"])
-def test_config_probability_builds_no_sample_space(model, request):
+def test_config_probability_builds_no_sample_space(model, request, digit_table):
     """One configuration's probability has the bits of its step weights
     multiplied in step order, and the call leaves no space in the cache."""
     params = request.getfixturevalue(model)
     sp = space(params)
     expected = np.ones(sp.n)
-    for column in sp.digits.T.astype(np.intp):
+    digits = digit_table(params)
+    for column in digits.T.astype(np.intp):
         expected = sp.step_weights[column] * expected
     space.cache_clear()
-    got = [config_probability(params, Configuration(row, params)) for row in sp.digits.tolist()]
+    got = [config_probability(params, Configuration(row, params)) for row in digits.tolist()]
     assert space.cache_info().currsize == 0
     assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
     np.testing.assert_array_equal(got, sp.probabilities)
@@ -354,8 +419,7 @@ def test_compensated_compound_is_centered(cti):
 
 def test_expectation(cti):
     assert expectation(PathFunctional.constant(cti, 2.5)) == pytest.approx(2.5)
-    sp = space(cti)
-    n3 = PathFunctional(cti, values=sp.jump_count())
+    n3 = PathFunctional(cti, values=jump_count(cti))
     assert expectation(n3) == pytest.approx(1.5, abs=1e-12)
     indicator = np.zeros(27)
     indicator[0] = 1.0
@@ -391,7 +455,7 @@ def test_conditional_expectation_is_accurate_on_every_atom_at_t11(functional, rn
     that adds the 3^(11-t) terms of an atom one by one is off by up to 1e-12."""
     params = ModelParams(11, (-1.0, 1.0), 0.4, (0.5, 0.5))
     sp = space(params)
-    values = rng.random(sp.n) if functional == "uniform" else sp.jump_count()
+    values = rng.random(sp.n) if functional == "uniform" else jump_count(params)
     for t in range(12):
         atoms = 3**t
         terms = (values * sp.probabilities).reshape(-1, atoms).T.tolist()

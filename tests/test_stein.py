@@ -20,10 +20,11 @@ from markedbinomial import (
     solve_stein_poisson,
     stein_constants,
 )
-from markedbinomial.space import space
+from markedbinomial.space import compound_sum, jump_count, space
 from markedbinomial.stein import (
     compound_pmf,
     compound_poisson_bound_details,
+    default_k_max,
     dna_lambda0,
     dna_target,
     functional_pmf,
@@ -165,8 +166,7 @@ def test_solver_rejects_bad_input():
 
 def test_poisson_bound_binomial_dominates():
     params = ModelParams(horizon=5, marks=(1.0,), jump_prob=0.2, mark_probs=(1.0,))
-    sp = space(params)
-    F = PathFunctional(params, values=sp.jump_count())
+    F = PathFunctional(params, values=jump_count(params))
     bound = poisson_bound(F, 1.0)
     tv = exact_tv(functional_pmf(F), poisson_pmf(1.0, 60))
     assert tv <= bound + 1e-12
@@ -177,23 +177,20 @@ def test_poisson_bound_binomial_dominates():
 
 def test_poisson_bound_single_bernoulli_step():
     params = ModelParams(horizon=1, marks=(1.0,), jump_prob=0.5, mark_probs=(1.0,))
-    sp = space(params)
-    F = PathFunctional(params, values=sp.jump_count())
+    F = PathFunctional(params, values=jump_count(params))
     bound = poisson_bound(F, 0.5)
     tv = exact_tv(functional_pmf(F), poisson_pmf(0.5, 40))
     assert tv <= bound + 1e-12
 
 
 def test_poisson_bound_guards(cti, rng):
-    sp = space(cti)
     with pytest.raises(ValueError, match="mark-space size"):
-        poisson_bound(PathFunctional(cti, values=sp.jump_count()), 1.5)
+        poisson_bound(PathFunctional(cti, values=jump_count(cti)), 1.5)
     params = ModelParams(horizon=3, marks=(1.0,), jump_prob=0.5, mark_probs=(1.0,))
-    sp1 = space(params)
-    signed = PathFunctional(params, values=np.where(sp1.jump_count() > 1, 1.0, -1.0))
+    signed = PathFunctional(params, values=np.where(jump_count(params) > 1, 1.0, -1.0))
     with pytest.raises(ValueError, match="Z\\+-valued"):
         poisson_bound(signed, 1.5)
-    counts = PathFunctional(params, values=sp1.jump_count())
+    counts = PathFunctional(params, values=jump_count(params))
     with pytest.raises(ValueError, match="mean mismatch"):
         poisson_bound(counts, 2.0)
 
@@ -294,8 +291,7 @@ def _compound_model(horizon, lam, marks, probs, seed=0):
 def test_compound_bound_enumeration_matches_iid_route():
     params = _compound_model(4, 0.1, (1.0, 2.0), (0.7, 0.3))
     target = CompoundTarget(0.4, np.array([0.7, 0.3]))
-    sp = space(params)
-    F = PathFunctional(params, values=sp.compound_sum())
+    F = PathFunctional(params, values=compound_sum(params))
     via_table = compound_poisson_bound(F, target)
     via_params = compound_poisson_bound(params, target)
     assert via_table == pytest.approx(via_params, abs=1e-12)
@@ -306,8 +302,7 @@ def test_compound_bound_per_set_identity():
     probability gap |P(F in A) - PC(A)| for each set."""
     params = _compound_model(4, 0.1, (1.0, 2.0), (0.7, 0.3))
     target = CompoundTarget(0.4, np.array([0.7, 0.3]))
-    sp = space(params)
-    F = PathFunctional(params, values=sp.compound_sum())
+    F = PathFunctional(params, values=compound_sum(params))
     pmf = functional_pmf(F)
     mask = np.zeros(12, dtype=bool)
     mask[[1, 3, 4]] = True
@@ -336,8 +331,7 @@ def test_compound_bound_degenerate_marks():
     """V == 1: the compound sum is a plain count and the target is Poisson."""
     params = _compound_model(6, 0.15, (1.0,), (1.0,))
     target = CompoundTarget(0.9, np.array([1.0]))
-    sp = space(params)
-    F = PathFunctional(params, values=sp.compound_sum())
+    F = PathFunctional(params, values=compound_sum(params))
     bound = compound_poisson_bound(F, target)
     tv = exact_tv(functional_pmf(F), target.pmf)
     assert tv <= bound + 1e-12
@@ -345,12 +339,11 @@ def test_compound_bound_degenerate_marks():
 
 def test_compound_bound_rejects_non_first_chaos():
     params = _compound_model(3, 0.2, (1.0, 2.0), (0.5, 0.5))
-    sp = space(params)
-    squared = PathFunctional(params, values=sp.compound_sum() ** 2)
+    squared = PathFunctional(params, values=compound_sum(params) ** 2)
     target = CompoundTarget(0.6, np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="unsupported functional form"):
         compound_poisson_bound(squared, target)
-    shifted = PathFunctional(params, values=sp.compound_sum() + 1.0)
+    shifted = PathFunctional(params, values=compound_sum(params) + 1.0)
     with pytest.raises(ValueError, match="unsupported functional form"):
         compound_poisson_bound(shifted, target)
     with pytest.raises(ValueError, match="mean mismatch"):
@@ -450,20 +443,20 @@ def _head_run_float_formula(digits, n, m):
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (4, 2), (6, 3), (8, 2)])
-def test_head_run_values_are_bit_equal_to_the_float_formula(n, m):
+def test_head_run_values_are_bit_equal_to_the_float_formula(n, m, digit_table):
     """The bool windows give the float formula's bits on the exact digit
     table, on a Monte Carlo batch and on a single digit row."""
     from markedbinomial.space import sample_digits
     from markedbinomial.stein import _head_run_values
 
     params = head_run_params(n, m, 0.6)
-    batches = [space(params).digits, sample_digits(params, 500, stream=4)]
+    batches = [digit_table(params), sample_digits(params, 500, stream=4)]
     for digits in batches:
         assert _head_run_values(digits, n, m).tobytes() == _head_run_float_formula(digits, n, m).tobytes()
     row = batches[1][0]
     assert float(_head_run_values(row, n, m)) == float(_head_run_float_formula(row, n, m))
     U = head_run_functional(n, m, 0.6)
-    assert U.table().tobytes() == _head_run_float_formula(space(params).digits, n, m).tobytes()
+    assert U.table().tobytes() == _head_run_float_formula(digit_table(params), n, m).tobytes()
 
 
 def test_head_run_rejects_bad_args():
@@ -532,7 +525,9 @@ def test_dna_law_at_a_billion_positions():
     (lambda: CompoundTarget(750.0, [1.0]), "lam0 = 750"),
     (lambda: dna_target(100000, 5, 0.2, 0.01), "lam0 = 799.968"),
     (lambda: dna_functional(1210, 5, 0.0, 0.5), "smallest normal float"),
-], ids=["target", "dna-target", "pmf-weights"])
+    (lambda: poisson_pmf(745.0, default_k_max(745.0)), "lam0 = 745"),
+    (lambda: poisson_pmf(800.0, default_k_max(800.0)), "lam0 = 800"),
+], ids=["target", "dna-target", "pmf-weights", "poisson-745", "poisson-800"])
 def test_refuses_underflow_up_front(call, match):
     """e^-lam0 (the Panjer start) or (1-lam')^N below the smallest normal
     float would make every table entry 0, so each is refused before any
@@ -541,6 +536,13 @@ def test_refuses_underflow_up_front(call, match):
     with pytest.raises(ValueError, match=match):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+def test_poisson_pmf_is_a_law_up_to_the_refusal():
+    """At lam0 = 708 e^-lam0 is still a normal float: every entry is finite
+    and the table sums to 1 (at 745 it held inf, at 800 NaN; both refused)."""
+    pmf = poisson_pmf(708.0, default_k_max(708.0))
+    assert np.all(np.isfinite(pmf)) and abs(pmf.sum() - 1.0) <= 5e-15
 
 
 @pytest.mark.parametrize("call, match", [
